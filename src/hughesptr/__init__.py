@@ -18,6 +18,7 @@ from .hughes_core import (
     ptr_nearfield_form,
     ptr_piecewise,
     ptr_table,
+    ptr_values,
     sigma_eval,
     sigma_poly,
     solve_kkprime,
@@ -50,6 +51,7 @@ __all__ = [
     "ptr_piecewise",
     "ptr_nearfield_form",
     "ptr_table",
+    "ptr_values",
     "phi_eval",
     "phi_poly",
     "sigma_eval",

@@ -22,6 +22,19 @@ DEFAULT_MAX_ORDER = 6561
 FULL_GRID_MAX_ORDER = 400
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound (exit 2 below it)."""
+
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    check.__name__ = "int"  # argparse names the type in "invalid int value"
+    return check
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hughesptr",
@@ -53,10 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="restrict to one family (default: all three)")
     sp.add_argument("--exhaustive", action="store_true",
                     help="sweep every fixing instead of sampling")
-    sp.add_argument("--samples", type=int, default=100,
+    sp.add_argument("--samples", type=_int_at_least(1), default=100,
                     help="fixings per family when sampling (default %(default)s)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--workers", type=_int_at_least(1), default=1,
                     help="shard the sweep across processes (output is unchanged)")
 
     sp = sub.add_parser("plane", help="build the plane and verify its axioms")
@@ -64,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("identities", help="verify the binomial/Catalan congruences")
     field_args(sp)
-    sp.add_argument("--max-n", type=int, default=300, help="index ceiling (default %(default)s)")
+    sp.add_argument("--max-n", type=_int_at_least(1), default=300, help="index ceiling (default %(default)s)")
 
     return parser
 
@@ -101,7 +114,7 @@ def _cmd_gen(ctx, args) -> tuple[int, str]:
 
 
 def _cmd_verify(ctx, args) -> tuple[int, str]:
-    table = ptr_verify.value_table(ctx, lambda x, y, z: hughes_core.ptr_piecewise(ctx, x, y, z))
+    table = hughes_core.ptr_table(ctx)
     reports = ptr_verify.check_axioms(ctx, table=table)
     poly_table = evaluate_grid(hughes_core.build_reduced_T(ctx))
     reports += ptr_verify.check_pp_classes(ctx, table=poly_table)
@@ -135,7 +148,7 @@ def _cmd_du(ctx, args) -> tuple[int, str]:
 
 
 def _cmd_plane(ctx, args) -> tuple[int, str]:
-    table = ptr_verify.value_table(ctx, lambda x, y, z: hughes_core.ptr_piecewise(ctx, x, y, z))
+    table = hughes_core.ptr_table(ctx)
     plane = ptr_verify.build_plane(ctx, table=table)
     report = ptr_verify.check_plane(plane)
     payload = {
@@ -178,12 +191,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     ctx = _get_ctx(parser, args)
-    code, text = _COMMANDS[args.command](ctx, args)
+    out = None
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+        try:  # before computing, so that a bad path costs nothing
+            out = open(args.out, "w")
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
+    code, text = _COMMANDS[args.command](ctx, args)
+    if out is None:
         sys.stdout.write(text)
+    else:
+        with out:
+            out.write(text)
     return code
 
 

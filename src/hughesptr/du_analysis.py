@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement, field_ctx
+from .hughes_core import ptr_values
+from .ptr_verify import value_table
 
 __all__ = [
     "DuProfile",
@@ -115,38 +117,14 @@ def _expected_x_delta(ctx: FieldCtx, y_index: int) -> int:
 def piecewise_section(ctx: FieldCtx, family: str, i1: int, i2: int) -> np.ndarray:
     """One section of the built-in piecewise operation as a value vector.
 
-    Computed directly in O(Q), so section sweeps never materialize the full
-    Q^3 grid; exhaustively consistent with the grid itself (tested).
+    ``ptr_values`` with the two fixed coordinates as scalars: O(Q), so
+    section sweeps never materialize the full Q^3 grid.
     """
-    t = ctx.tables
-    q = ctx.q
     ar = np.arange(ctx.Q, dtype=np.int32)
-    if family == "x":
-        y, z = i1, i2
-        same = t.add(t.mul(ar, np.int32(y)), np.int32(z))
-        if y < q:
-            return same.astype(np.int32)
-        twisted = t.add(t.mul(ar, np.int32(int(t.frob[y]))), np.int32(int(t.frob[z])))
-        k = ctx._mul_i(int(t.tq[z]), ctx._inv_i(int(t.tq[y])))
-        branch = t.quad[t.add(ar, np.int32(k))] >= 0
-        return np.where(branch, same, twisted).astype(np.int32)
-    if family == "y":
-        x, z = i1, i2
-        same = t.add(t.mul(np.int32(x), ar), np.int32(z))
-        twisted = t.add(t.mul(np.int32(x), t.frob), np.int32(int(t.frob[z])))
-        k = t.mul(np.int32(int(t.tq[z])), t.inv[t.tq])  # junk on subfield rows
-        branch = t.quad[t.add(np.int32(x), k)] >= 0
-        return np.where(t.in_subfield | branch, same, twisted).astype(np.int32)
-    if family == "z":
-        x, y = i1, i2
-        same = t.add(np.int32(ctx._mul_i(x, y)), ar)
-        if y < q:
-            return same.astype(np.int32)
-        twisted = t.add(np.int32(ctx._mul_i(x, int(t.frob[y]))), t.frob)
-        k = t.mul(t.tq, np.int32(ctx._inv_i(int(t.tq[y]))))
-        branch = t.quad[t.add(np.int32(x), k)] >= 0
-        return np.where(branch, same, twisted).astype(np.int32)
-    raise ValueError(f"unknown section family {family!r}")
+    coords = {"x": (ar, i1, i2), "y": (i1, ar, i2), "z": (i1, i2, ar)}
+    if family not in coords:
+        raise ValueError(f"unknown section family {family!r}")
+    return ptr_values(ctx, *coords[family])
 
 
 def _section_deltas(ctx: FieldCtx, family: str, fixings: list[tuple[int, int]],
@@ -191,22 +169,20 @@ def du_sections(ctx: FieldCtx, source=None, *,
     if source is None:
         table = None  # sections of the piecewise operation are computed lazily
     elif callable(source):
-        els = ctx.enumerate_field()
-        table = np.empty((ctx.Q, ctx.Q, ctx.Q), dtype=np.int32)
-        for ix, x in enumerate(els):
-            for iy, y in enumerate(els):
-                table[ix, iy] = [source(x, y, z).index for z in els]
+        table = value_table(ctx, source)
     else:
         table = np.asarray(source, dtype=np.int32)
     Q = ctx.Q
 
     report: dict = {}
     for family in families:
-        fixings = [(i1, i2) for i1 in range(Q) for i2 in range(Q)]
-        if sample is not None and sample < len(fixings):
+        # fixing number i is the pair divmod(i, Q), in lexicographic order
+        if sample is not None and sample < Q * Q:
             rng = np.random.default_rng(seed)
-            chosen = rng.choice(len(fixings), size=sample, replace=False)
-            fixings = [fixings[i] for i in sorted(chosen)]
+            picks = sorted(rng.choice(Q * Q, size=sample, replace=False))
+        else:
+            picks = range(Q * Q)
+        fixings = [divmod(int(i), Q) for i in picks]
 
         if workers > 1:
             chunks = [fixings[i::workers] for i in range(workers)]

@@ -16,8 +16,9 @@ and the subfield GF(q) occupies exactly the indices below q.
 
 Scalar multiplication is schoolbook on the (a, b) pair with a single
 reduction by w^2 = n.  The numpy table layer (``FieldCtx.tables``) uses
-discrete-log tables instead; it is an optimization only and is required to
-agree with the schoolbook path element for element.
+discrete-log tables for multiplication and adds the two GF(q) coordinates
+through the q x q subfield addition table; it is an optimization only and is
+required to agree with the schoolbook path element for element.
 """
 
 from __future__ import annotations
@@ -486,17 +487,15 @@ class FieldCtx:
 # Vectorized table layer
 # ---------------------------------------------------------------------------
 
-_ADD_TABLE_MAX = 2500  # full Q x Q addition table only below this size
-
-
 class FieldTables:
     """numpy views of a FieldCtx for whole-grid arithmetic on index arrays.
 
     Multiplication uses padded discrete-log tables (zero maps to a sentinel
     log so products involving zero land in a zeroed region of the padded
-    exponential table).  Addition is digitwise mod p, via a full table when
-    Q is small enough and via base-p digit arithmetic otherwise.  Results
-    are bit-identical to the scalar schoolbook path.
+    exponential table).  Addition splits each index A = a0 + q*a1 into its
+    GF(q) coordinates and adds them through the q x q subfield table:
+    ``qadd[a0, b0] + q * qadd[a1, b1]``.  Results are bit-identical to the
+    scalar schoolbook path.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -530,24 +529,13 @@ class FieldTables:
         self._place = np.array([p**d for d in range(2 * ctx.e)], dtype=np.int32)
         self._digits = np.stack([(ar // p**d) % p for d in range(2 * ctx.e)]).astype(np.int32)
 
-        if Q <= _ADD_TABLE_MAX:
-            self._addt = self._digit_add(ar[:, None], ar[None, :])
-        else:
-            self._addt = None
+        self._qadd = np.array(ctx._q_add, dtype=np.int32)
 
     # inputs are integer arrays (any broadcastable shapes) of element indices
 
-    def _digit_add(self, A, B):
-        out = None
-        for d in range(len(self._place)):
-            term = ((self._digits[d][A] + self._digits[d][B]) % self.ctx.p) * self._place[d]
-            out = term if out is None else out + term
-        return out.astype(np.int32)
-
     def add(self, A, B):
-        if self._addt is not None:
-            return self._addt[A, B]
-        return self._digit_add(A, B)
+        q, qadd = self.ctx.q, self._qadd
+        return qadd[A % q, B % q] + q * qadd[A // q, B // q]
 
     def sub(self, A, B):
         return self.add(A, self.neg[B])

@@ -16,7 +16,9 @@ subfield pair with z = k*y + k':
     x*y^q + z^q         otherwise.
 
 ``ptr_piecewise`` is the ground-truth oracle; everything polynomial is
-checked against it.  Three polynomial forms are provided:
+checked against it.  ``ptr_values`` is its single vectorized restatement, on
+broadcastable index arrays: the full grid (``ptr_table``) and every section
+sweep are calls to it.  Three polynomial forms are provided:
 
 * ``build_nonreduced_T``: binomial-coefficient form, exponents up to Q*q.
 * ``build_reduced_T``: the reduced form, whose inner coefficients are
@@ -48,6 +50,7 @@ __all__ = [
     "solve_kkprime",
     "ptr_piecewise",
     "ptr_nearfield_form",
+    "ptr_values",
     "ptr_table",
     "phi_eval",
     "phi_poly",
@@ -126,27 +129,24 @@ def ptr_nearfield_form(ctx: FieldCtx, x: FieldElement, y: FieldElement, z: Field
     return nearfield_mul(ctx, x + pair.k, y) + pair.k_prime
 
 
-def ptr_table(ctx: FieldCtx) -> np.ndarray:
-    """Values of the piecewise operation on the whole grid, indexed [x, y, z].
+def ptr_values(ctx: FieldCtx, X, Y, Z) -> np.ndarray:
+    """The piecewise operation on broadcastable index arrays (or scalars).
 
-    Vectorized restatement of ``ptr_piecewise``; exhaustively cross-checked
-    against the scalar form by the test suite.
+    Vectorized restatement of ``ptr_piecewise``, cross-checked against it by
+    the test suite.  The result has the broadcast shape of X, Y and Z.
     """
     t = ctx.tables
-    Q = ctx.Q
-    ar = np.arange(Q, dtype=np.int32)
+    same = t.add(t.mul(X, Y), Z)                     # x*y + z
+    twisted = t.add(t.mul(X, t.frob[Y]), t.frob[Z])  # x*y^q + z^q
+    k = t.mul(t.inv[t.tq[Y]], t.tq[Z])               # garbage for y in GF(q), masked
+    square_branch = t.quad[t.add(X, k)] >= 0         # x + k
+    return np.where(t.in_subfield[Y] | square_branch, same, twisted)
 
-    xy = t.mul(ar[:, None], ar[None, :])
-    xyq = t.mul(ar[:, None], t.frob[None, :])
-    same = t.add(xy[:, :, None], ar[None, None, :])          # x*y + z
-    twisted = t.add(xyq[:, :, None], t.frob[None, None, :])  # x*y^q + z^q
 
-    # k over (y, z); rows with y in the subfield hold garbage and are masked
-    k_yz = t.mul(t.inv[t.tq][:, None], t.tq[None, :])
-    shifted = t.add(ar[:, None, None], k_yz[None, :, :])     # x + k
-    square_branch = t.quad[shifted] >= 0
-    y_in_subfield = t.in_subfield[None, :, None]
-    return np.where(y_in_subfield | square_branch, same, twisted).astype(np.int32)
+def ptr_table(ctx: FieldCtx) -> np.ndarray:
+    """Values of the piecewise operation on the whole grid, indexed [x, y, z]."""
+    ar = np.arange(ctx.Q, dtype=np.int32)
+    return ptr_values(ctx, ar[:, None, None], ar[None, :, None], ar[None, None, :])
 
 
 # ---------------------------------------------------------------------------

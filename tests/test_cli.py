@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hughesptr import build_reduced_T, build_T2, field_ctx
+from hughesptr import cli
 from hughesptr.cli import main
 
 
@@ -121,3 +122,29 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text()) == build_reduced_T(field_ctx(3, 1)).to_json_dict()
+
+
+@pytest.mark.parametrize("argv", [
+    ["du", "--p", "3", "--e", "1", "--samples", "0"],
+    ["du", "--p", "3", "--e", "1", "--samples", "-3"],
+    ["du", "--p", "3", "--e", "1", "--workers", "0"],
+    ["identities", "--p", "3", "--e", "1", "--max-n", "-1"],
+    ["du", "--p", "5", "--e", "1", "--seed", "-1"],
+])
+def test_rejects_out_of_range_integer_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err and "Traceback" not in err
+
+
+def test_unwritable_out_rejected_before_computing(tmp_path, capsys, monkeypatch):
+    def never(ctx, args):
+        raise AssertionError("the subcommand ran before --out was opened")
+
+    monkeypatch.setitem(cli._COMMANDS, "du", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["du", "--p", "3", "--e", "1", "--out", str(tmp_path / "missing" / "x.json")])
+    assert exc.value.code == 2
+    assert "cannot write --out" in capsys.readouterr().err

@@ -166,6 +166,19 @@ def test_du_sections_sampled_q49(ctx49):
     assert len(report["x"]["deltas"]) == 100
 
 
+@pytest.mark.parametrize("sample,seed", [(1, 0), (7, 3), (40, 11)])
+def test_du_sections_sampled_fixings_index_all_pairs(ctx81, sample, seed):
+    # a sample of k draws k positions in the lexicographic list of all Q^2 pairs
+    Q = ctx81.Q
+    pairs = [(i1, i2) for i1 in range(Q) for i2 in range(Q)]
+    chosen = np.random.default_rng(seed).choice(len(pairs), size=sample, replace=False)
+    report = du_sections(ctx81, families="xz", sample=sample, seed=seed)
+    for family in "xz":
+        fixings = report[family]["fixings"]
+        assert fixings == [pairs[i] for i in sorted(chosen)]
+        assert all(type(i) is int for pair in fixings for i in pair)
+
+
 def test_du_sections_workers_match(ctx9):
     seq = du_sections(ctx9, families="x")
     par = du_sections(ctx9, families="x", workers=2)

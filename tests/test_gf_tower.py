@@ -218,14 +218,17 @@ def test_vector_tables_random_large(ctx81):
         assert vsub[i] == ctx81._add_i(int(A[i]), ctx81._neg_i(int(B[i])))
 
 
-def test_large_q_digit_add_path():
-    # above the table threshold the digitwise path must kick in and agree
-    ctx = field_ctx(3, 4)
+@pytest.mark.parametrize("p,e", [(7, 2), (3, 4)])
+def test_large_q_tower_add(p, e):
+    # Q = 2401 and 6561, past the reach of the exhaustive table tests
+    ctx = field_ctx(p, e)
     t = ctx.tables
-    assert t._addt is None
     rng = np.random.default_rng(5)
     A = rng.integers(0, ctx.Q, 200)
     B = rng.integers(0, ctx.Q, 200)
-    vadd = t.add(A, B)
+    vadd, vsub = t.add(A, B), t.sub(A, B)
+    assert vadd.dtype == vsub.dtype == np.int32
     for i in range(200):
         assert vadd[i] == ctx._add_i(int(A[i]), int(B[i]))
+        assert vsub[i] == ctx._add_i(int(A[i]), ctx._neg_i(int(B[i])))
+    assert np.array_equal(t.add(A[:20, None], B[None, :20]).diagonal(), vadd[:20])

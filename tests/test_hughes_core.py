@@ -17,6 +17,7 @@ from hughesptr import (
     ptr_nearfield_form,
     ptr_piecewise,
     ptr_table,
+    ptr_values,
     sigma_eval,
     sigma_poly,
     solve_kkprime,
@@ -102,6 +103,22 @@ def test_ptr_table_matches_scalar(p, e):
         for y in ctx.enumerate_field():
             for z in ctx.enumerate_field():
                 assert tbl[x.index, y.index, z.index] == ptr_piecewise(ctx, x, y, z).index
+
+
+@pytest.mark.parametrize("p,e", [(7, 2), (3, 4)])
+def test_ptr_values_random_points_large_q(p, e):
+    # Q = 2401 and 6561, where the full grid is out of reach
+    ctx = field_ctx(p, e)
+    rng = np.random.default_rng(11)
+    X, Y, Z = rng.integers(0, ctx.Q, (3, 300))
+    Y[:50] = rng.integers(0, ctx.q, 50)  # y in the subfield
+    vals = ptr_values(ctx, X, Y, Z)
+    for i, (x, y, z) in enumerate(zip(X, Y, Z)):
+        x, y, z = (ctx.element_from_index(int(v)) for v in (x, y, z))
+        expected = ptr_piecewise(ctx, x, y, z).index
+        assert vals[i] == expected
+        if i % 50 == 0:
+            assert ptr_values(ctx, x.index, y.index, z.index) == expected
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
