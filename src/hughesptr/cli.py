@@ -17,9 +17,14 @@ from .trivar_poly import evaluate_grid
 
 DEFAULT_MAX_ORDER = 6561
 
-# verify/plane tabulate all of GF(Q)^3 and sweep point pairs; past this the
-# tables no longer fit comfortably in memory
+# verify tabulates all of GF(Q)^3; past this the tables no longer fit
+# comfortably in memory
 FULL_GRID_MAX_ORDER = 400
+
+# the plane is a dense N x N bool incidence, N = Q^2+Q+1: at Q=169 `plane`
+# and `verify --plane` peaked at 1014 and 1033 MiB (x86-64, numpy 2.4), and
+# at the next order, Q=289, the incidence alone would take 6.5 GiB
+PLANE_MAX_ORDER = 169
 
 
 def _int_at_least(low: int):
@@ -94,6 +99,11 @@ def _get_ctx(parser: argparse.ArgumentParser, args):
         parser.error(
             f"{args.command} tabulates the full GF(Q)^3 grid and supports "
             f"Q <= {FULL_GRID_MAX_ORDER}; gen, du, and identities scale further"
+        )
+    if (args.command == "plane" or getattr(args, "plane", False)) and Q > PLANE_MAX_ORDER:
+        parser.error(
+            f"the plane check holds a dense (Q^2+Q+1)^2 incidence and supports "
+            f"Q <= {PLANE_MAX_ORDER}"
         )
     if Q > DEFAULT_MAX_ORDER:
         print(f"warning: Q = {Q} is above the default bound {DEFAULT_MAX_ORDER}; "

@@ -84,9 +84,7 @@ def diff_op(ctx: FieldCtx, f, a: FieldElement):
 def _row_maxima(t, tbl: np.ndarray) -> np.ndarray:
     """u(difference map) for every nonzero direction, as a (Q-1,) vector."""
     Q = len(tbl)
-    ar = np.arange(Q, dtype=np.int32)
-    xpa = t.add(ar[1:, None], ar[None, :])          # [a-1, x] -> x + a
-    diffs = t.sub(tbl[xpa], tbl[None, :])
+    diffs = t.sub(tbl[t.shifts], tbl[None, :])
     offs = diffs + (np.arange(Q - 1, dtype=np.int64) * Q)[:, None]
     counts = np.bincount(offs.ravel(), minlength=(Q - 1) * Q)
     return counts.reshape(Q - 1, Q).max(axis=1)

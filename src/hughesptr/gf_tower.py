@@ -24,7 +24,7 @@ required to agree with the schoolbook path element for element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -539,6 +539,18 @@ class FieldTables:
 
     def sub(self, A, B):
         return self.add(A, self.neg[B])
+
+    @cached_property
+    def shifts(self) -> np.ndarray:
+        """(Q-1, Q) grid [a-1, x] -> x + a over the nonzero shifts a.
+
+        Built on first use and kept, read-only: every differential-uniformity
+        section reads the same grid.
+        """
+        ar = np.arange(self.ctx.Q, dtype=np.int32)
+        grid = self.add(ar[1:, None], ar[None, :])
+        grid.flags.writeable = False
+        return grid
 
     def mul(self, A, B):
         return self.exp_pad[self.log[A] + self.log[B]]

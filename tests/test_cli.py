@@ -148,3 +148,28 @@ def test_unwritable_out_rejected_before_computing(tmp_path, capsys, monkeypatch)
         main(["du", "--p", "3", "--e", "1", "--out", str(tmp_path / "missing" / "x.json")])
     assert exc.value.code == 2
     assert "cannot write --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plane", "--p", "17", "--e", "1"],
+    ["verify", "--p", "17", "--e", "1", "--plane"],
+])
+def test_plane_order_cap(capsys, argv):
+    # Q = 289: the dense incidence alone would take 6.5 GiB
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Q <= 169" in err and "Traceback" not in err
+
+
+def test_verify_without_plane_keeps_grid_cap(capsys, monkeypatch):
+    ran = []
+
+    def stub(ctx, args):
+        ran.append(ctx.Q)
+        return 0, ""
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", stub)
+    assert main(["verify", "--p", "17", "--e", "1"]) == 0
+    assert ran == [289]

@@ -193,6 +193,8 @@ def test_vector_tables_bit_identical(p, e):
         for j in range(Q):
             assert vadd[i, j] == ctx._add_i(i, j)
             assert vmul[i, j] == ctx._mul_i(i, j)
+    assert np.array_equal(t.shifts, vadd[1:]) and t.shifts is t.shifts
+    assert not t.shifts.flags.writeable
     for n in (0, 1, 2, ctx.q, Q - 1, Q + 3):
         vp = t.pow(ar, n)
         for i in range(Q):

@@ -4,6 +4,8 @@ import pytest
 from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_table
 from hughesptr.ptr_verify import (
     PtrReport,
+    _axiom_c_direct,
+    _axiom_c_inverse,
     build_plane,
     check_axioms,
     check_plane,
@@ -93,6 +95,50 @@ def test_negative_control_axiom_e(ctx9):
     assert fn(a, *p1) == fn(a, *p2) and fn(c, *p1) == fn(c, *p2)
 
 
+def _ternary_table(ctx, f):
+    """Value table of f(x, y, z) built from the vector kernels."""
+    ar = np.arange(ctx.Q, dtype=np.int32)
+    return f(ctx.tables, ar[:, None, None], ar[None, :, None], ar[None, None, :])
+
+
+def _swapped_hughes_table(ctx):
+    tbl = hughes_table(ctx).copy()
+    tbl[2, 3, [0, 1]] = tbl[2, 3, [1, 0]]  # row (2, 3) stays a bijection in z
+    return tbl
+
+
+C_CASES = {
+    "hughes": hughes_table,
+    "classical": classical_table,
+    "x^2*y+z": lambda ctx: _ternary_table(
+        ctx, lambda t, x, y, z: t.add(t.mul(t.mul(x, x), y), z)),
+    "x*y^2+z": lambda ctx: _ternary_table(
+        ctx, lambda t, x, y, z: t.add(t.mul(x, t.mul(y, y)), z)),
+    "hughes_row_swap": _swapped_hughes_table,
+    "x*y+z^2": lambda ctx: _ternary_table(
+        ctx, lambda t, x, y, z: t.add(t.mul(x, y), t.mul(z, z))),
+    "x^2*y+z^2": lambda ctx: _ternary_table(
+        ctx, lambda t, x, y, z: t.add(t.mul(t.mul(x, x), y), t.mul(z, z))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(C_CASES))
+@pytest.mark.parametrize("p", [3, 5])
+def test_axiom_c_matches_direct_check(case, p):
+    # the inverse-z path must report exactly what the column-pair check does
+    ctx = field_ctx(p, 1)
+    tbl = C_CASES[case](ctx)
+    reports = {r.label: r for r in check_axioms(ctx, table=tbl)}
+    direct = _axiom_c_direct(tbl)
+    assert reports["C"] == direct
+    assert direct.passed == (case in ("hughes", "classical", "x*y+z^2"))
+    if direct.witness is not None:
+        assert all(type(v) is int for v in direct.witness)
+    assert reports["D"].passed == ("z^2" not in case)  # else the direct check ran
+    if reports["D"].passed:
+        assert _axiom_c_inverse(tbl) == direct
+
+
 def test_pp_classes_hughes(ctx9):
     poly = build_reduced_T(ctx9)
     reports = check_pp_classes(ctx9, poly)
@@ -142,6 +188,63 @@ def test_plane_negative_control(ctx9):
     plane.incidence[0, 0] = not plane.incidence[0, 0]
     report = check_plane(plane)
     assert not report.passed and report.witness is not None
+
+
+def dense_plane_report(plane):
+    """Reference plane check: common-line counts from M M^T and M^T M.
+
+    Entries stay far below float32 precision, so the products are exact.
+    """
+    Q, inc = plane.Q, plane.incidence
+    N = Q * Q + Q + 1
+    if inc.shape != (N, N):
+        return PtrReport("projective_plane", False, ("shape", inc.shape))
+    m = inc.astype(np.float32)
+    for name, sizes in (("line_size", m.sum(axis=0)), ("point_degree", m.sum(axis=1))):
+        if not (sizes == Q + 1).all():
+            return PtrReport("projective_plane", False, (name, int(np.argmax(sizes != Q + 1))))
+    for name, common in (("points_on_common_line", m @ m.T), ("lines_on_common_point", m.T @ m)):
+        np.fill_diagonal(common, 1.0)
+        bad = np.argwhere(common != 1.0)
+        if len(bad):
+            return PtrReport("projective_plane", False, (name, int(bad[0][0]), int(bad[0][1])))
+    return PtrReport("projective_plane", True)
+
+
+def _degree_preserving_swap(inc, rng):
+    """Move p1 from line l1 to l2 and p2 from l2 to l1; all sizes stay Q+1."""
+    N = inc.shape[0]
+    while True:
+        l1, l2 = rng.choice(N, size=2, replace=False)
+        only1 = np.flatnonzero(inc[:, l1] & ~inc[:, l2])
+        only2 = np.flatnonzero(inc[:, l2] & ~inc[:, l1])
+        if len(only1) and len(only2):
+            p1, p2 = rng.choice(only1), rng.choice(only2)
+            inc[[p1, p2], [l1, l2]] = False
+            inc[[p1, p2], [l2, l1]] = True
+            return
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_plane_swap_controls_match_dense_oracle(p, seed):
+    ctx = field_ctx(p, 1)
+    plane = build_plane(ctx, table=hughes_table(ctx))
+    assert check_plane(plane) == dense_plane_report(plane) == PtrReport("projective_plane", True)
+    _degree_preserving_swap(plane.incidence, np.random.default_rng(seed))
+    report = check_plane(plane)
+    assert not report.passed and report.witness[0] == "points_on_common_line"
+    assert report == dense_plane_report(plane)
+
+
+def test_plane_size_controls_match_dense_oracle(ctx9):
+    plane = build_plane(ctx9, table=classical_table(ctx9))
+    plane.incidence[5, 7] = not plane.incidence[5, 7]
+    assert check_plane(plane) == dense_plane_report(plane)
+    plane.incidence[:, 7] = plane.incidence[:, 8]  # line 7 := line 8
+    report = check_plane(plane)
+    assert report == dense_plane_report(plane)
+    assert report.witness[0] == "point_degree"
 
 
 def test_hughes_plane_differs_from_classical(ctx9):
