@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen, verify, du, plane, identities.  Exit codes: 0 on success,
-1 when a verification sweep fails, 2 on usage errors.  JSON output is
+1 when a verification sweep fails, 2 on usage errors, 3 on an internal error
+(an unexpected exception, whose traceback goes to stderr).  JSON output is
 byte-identical for a fixed configuration regardless of worker count.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import du_analysis, hughes_core, modcomb, ptr_verify
 from .gf_tower import field_ctx, is_odd_prime
@@ -216,8 +218,14 @@ def main(argv=None) -> int:
     return code
 
 
-def run() -> None:
-    raise SystemExit(main())
+def run(argv=None) -> None:
+    """Console entry point: exit 3, not 1, when the program itself fails."""
+    try:
+        code = main(argv)
+    except Exception:
+        traceback.print_exc()
+        code = 3
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

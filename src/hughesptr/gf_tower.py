@@ -555,6 +555,16 @@ class FieldTables:
     def mul(self, A, B):
         return self.exp_pad[self.log[A] + self.log[B]]
 
+    def mul_matrix(self, C):
+        """Matrices over GF(p) of v -> c*v on base-p digits, shape C.shape + (2e, 2e).
+
+        Column d holds the digits of c * p^d (the regular representation), so
+        the matrix of c times the digit vector of v is, mod p, the digit
+        vector of c * v.  Built on demand from ``mul``; nothing is cached.
+        """
+        cols = self.mul(np.asarray(C)[..., None], self._place)
+        return np.moveaxis(self._digits[:, cols], 0, -2)
+
     def pow(self, A, n: int):
         """Elementwise A**n for a fixed non-negative integer exponent."""
         if n == 0:

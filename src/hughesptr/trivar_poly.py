@@ -7,8 +7,10 @@ folds every exponent n >= Q to ((n - 1) mod (Q - 1)) + 1, i.e. into
 [1, Q-1], leaving exponent 0 alone; this preserves evaluation at every
 point, including 0.
 
-``evaluate_grid`` evaluates a polynomial on the whole Q^3 grid using the
-context's vectorized tables; it must agree pointwise with ``evaluate``.
+``evaluate_grid`` evaluates a polynomial on the whole Q^3 grid as two
+matrix products over GF(p), on the base-p digits of the context's vectorized
+tables; it must agree pointwise with ``evaluate``, and the tests also hold it
+to a direct evaluation, one masked Q^3 pass per (Y, Z) exponent group.
 
 JSON schema: {"p": p, "e": e, "terms": [{"ex": i, "ey": j, "ez": k, "c": c},
 ...]} with c the canonical element index and terms sorted lexicographically
@@ -22,6 +24,9 @@ import numpy as np
 from .gf_tower import FieldCtx, FieldElement, field_ctx
 
 __all__ = ["TriPoly", "variables", "evaluate_grid"]
+
+# float64 elements in one chunk of the Y-stage product of evaluate_grid (32 MiB)
+_MATMUL_CHUNK = 1 << 22
 
 
 class TriPoly:
@@ -228,44 +233,63 @@ def variables(ctx: FieldCtx) -> tuple[TriPoly, TriPoly, TriPoly]:
 
 
 def evaluate_grid(poly: TriPoly) -> np.ndarray:
-    """Values of the polynomial on all of GF(Q)^3, indexed [x, y, z].
+    """Values of the polynomial on all of GF(Q)^3, int32 indexed [x, y, z].
 
-    Terms are grouped by (Y, Z) exponent pair; each group's X-part collapses
-    to one vector over GF(Q), after which a single masked log-space product
-    per group is accumulated on base-p digit planes (field addition is
-    digitwise mod p, so plane sums can be deferred past all groups).
+    Write T = sum_j y^j W_j(x, z), W_j = sum_k u_jk(x) z^k and
+    u_jk = sum_i c_ijk x^i.  Field addition is digitwise mod p on the 2e
+    base-p digits of an index, and multiplying by a fixed element c is a
+    2e x 2e matrix over GF(p) on those digits (``FieldTables.mul_matrix``).
+    So both contractions are matrix products, run in float64 BLAS:
+
+    * Z stage, per Y exponent j: the matrices of u_jk(x), stacked over
+      (x, k), times the digits of z^k give the digits V[j, d, x, z] of
+      W_j(x, z), reduced mod p.
+    * Y stage: the matrices of y^j, stacked over (y, j), times V give every
+      digit of T, a chunk of x at a time (``_MATMUL_CHUNK`` elements).
+
+    Each sum is at most n * 2e * (p-1)^2, with n the number of Z exponents
+    under one j or of distinct Y exponents, far below 2^53, so every product
+    is exact.
     """
     ctx = poly.ctx
     t = ctx.tables
-    Q, Qm1 = ctx.Q, ctx.Q - 1
+    Q, p, D = ctx.Q, ctx.p, 2 * ctx.e
     ar = np.arange(Q, dtype=np.int32)
 
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
     for (i, j, k), c in poly.terms.items():
-        groups.setdefault((j, k), []).append((i, c.index))
+        groups.setdefault(j, {}).setdefault(k, []).append((i, c.index))
+    ys = sorted(groups)
+    J = len(ys)
 
-    shape = (2 * ctx.e, Q, Q, Q)
-    acc = np.zeros(shape, dtype=np.int32)
+    V = np.empty((J, D, Q, Q))
+    for n, j in enumerate(ys):
+        ks = sorted(groups[j])
+        # U[m, x] = u_jk(x) = sum_i c_ijk x^i for k = ks[m]
+        U = np.zeros((len(ks), Q), dtype=np.int32)
+        for m, k in enumerate(ks):
+            for i, ci in groups[j][k]:
+                U[m] = t.add(U[m], t.mul(np.int32(ci), t.pow(ar, i)))
+        zdigits = t.digit_planes(np.array([t.pow(ar, k) for k in ks], dtype=np.int32))
+        W = _stacked_matrices(t, U) @ zdigits.transpose(1, 0, 2).reshape(len(ks) * D, Q)
+        V[n] = W.reshape(D, Q, Q)
+    V %= p
+    V = V.reshape(J * D, Q, Q)
 
-    ypow_cache: dict[int, np.ndarray] = {}
-    zpow_cache: dict[int, np.ndarray] = {}
+    ypow = np.array([t.pow(ar, j) for j in ys], dtype=np.int32).reshape(J, Q)
+    A = _stacked_matrices(t, ypow)
 
-    for (j, k), xterms in groups.items():
-        # u[x] = sum_i c_i * x^i, a plain vector over the field
-        u = np.zeros(Q, dtype=np.int32)
-        for i, ci in xterms:
-            u = t.add(u, t.mul(np.int32(ci), t.pow(ar, i)))
-        yv = ypow_cache.setdefault(j, t.pow(ar, j))
-        zv = zpow_cache.setdefault(k, t.pow(ar, k))
+    out = np.empty((Q, Q, Q), dtype=np.int32)
+    step = max(1, _MATMUL_CHUNK // (D * Q * Q))
+    for x0 in range(0, Q, step):
+        x1 = min(x0 + step, Q)
+        planes = (A @ V[:, x0:x1].reshape(J * D, (x1 - x0) * Q)).astype(np.int32)
+        out[x0:x1] = t.from_digit_planes(planes.reshape(D, Q, x1 - x0, Q)).transpose(1, 0, 2)
+    return out
 
-        logs = (
-            t.log[u][:, None, None]
-            + t.log[yv][None, :, None]
-            + t.log[zv][None, None, :]
-        )
-        vals = t.exp_pad[logs % Qm1]
-        mask = (u != 0)[:, None, None] & (yv != 0)[None, :, None] & (zv != 0)[None, None, :]
-        vals = np.where(mask, vals, 0)
-        acc += t.digit_planes(vals)
 
-    return t.from_digit_planes(acc)
+def _stacked_matrices(t, C: np.ndarray) -> np.ndarray:
+    """float64 matrix with entry [(d, v), (n, d')] = entry (d, d') of the matrix of C[n, v]."""
+    n, Q = C.shape
+    D = 2 * t.ctx.e
+    return t.mul_matrix(C).transpose(2, 1, 0, 3).reshape(D * Q, n * D).astype(np.float64)

@@ -173,3 +173,35 @@ def test_verify_without_plane_keeps_grid_cap(capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "verify", stub)
     assert main(["verify", "--p", "17", "--e", "1"]) == 0
     assert ran == [289]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(ctx, args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--p", "3", "--e", "1"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err and "RuntimeError: kernel fault" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["gen", "--p", "3", "--e", "1"], 0),
+    (["gen", "--p", "4", "--e", "1"], 2),
+])
+def test_run_keeps_success_and_usage_codes(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_run_passes_verification_failure_through(capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda ctx, args: (1, "{}\n"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--p", "3", "--e", "1"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == "{}\n"

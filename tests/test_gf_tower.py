@@ -234,3 +234,18 @@ def test_large_q_tower_add(p, e):
         assert vadd[i] == ctx._add_i(int(A[i]), int(B[i]))
         assert vsub[i] == ctx._add_i(int(A[i]), ctx._neg_i(int(B[i])))
     assert np.array_equal(t.add(A[:20, None], B[None, :20]).diagonal(), vadd[:20])
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2)])
+def test_mul_matrix_exhaustive(p, e):
+    # every (c, v): the matrix of c on the digits of v gives the digits of c * v
+    ctx = field_ctx(p, e)
+    t = ctx.tables
+    ar = np.arange(ctx.Q)
+    M = t.mul_matrix(ar)
+    assert M.shape == (ctx.Q, 2 * e, 2 * e)
+    applied = np.einsum("cij,jv->icv", M, t.digit_planes(ar)) % p
+    assert np.array_equal(applied, t.digit_planes(t.mul(ar[:, None], ar[None, :])))
+    assert np.array_equal(M[0], np.zeros((2 * e, 2 * e)))
+    assert np.array_equal(M[1], np.eye(2 * e))
+    assert np.array_equal(t.mul_matrix(7), M[7])

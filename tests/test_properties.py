@@ -1,0 +1,46 @@
+"""Property tests at orders the exhaustive tests cannot reach (Q = 2401, 6561)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hughesptr import field_ctx
+
+LARGE = [(7, 2), (3, 4)]
+
+
+def _elements(ctx):
+    return st.integers(min_value=0, max_value=ctx.Q - 1)
+
+
+@pytest.mark.parametrize("p,e", LARGE)
+def test_mul_matrix_applies_multiplication(p, e):
+    ctx = field_ctx(p, e)
+    t = ctx.tables
+
+    @settings(max_examples=300, deadline=None)
+    @given(_elements(ctx), _elements(ctx))
+    def check(c, v):
+        product = ctx._mul_i(c, v)
+        assert t.mul(c, v) == product
+        applied = t.mul_matrix(c) @ t.digit_planes(np.array(v)) % p
+        assert np.array_equal(applied, t.digit_planes(np.array(product)))
+
+    check()
+
+
+@pytest.mark.parametrize("p,e", LARGE)
+def test_mul_matrix_is_a_ring_homomorphism(p, e):
+    # M(a) + M(b) = M(a + b) and M(a) M(b) = M(a b), entrywise mod p
+    ctx = field_ctx(p, e)
+    t = ctx.tables
+
+    @settings(max_examples=200, deadline=None)
+    @given(_elements(ctx), _elements(ctx))
+    def check(a, b):
+        Ma, Mb = t.mul_matrix(a), t.mul_matrix(b)
+        assert np.array_equal((Ma + Mb) % p, t.mul_matrix(ctx._add_i(a, b)))
+        assert np.array_equal(Ma @ Mb % p, t.mul_matrix(ctx._mul_i(a, b)))
+
+    check()

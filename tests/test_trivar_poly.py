@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hughesptr import TriPoly, evaluate_grid, field_ctx, variables
+from hughesptr import TriPoly, build_reduced_T, evaluate_grid, field_ctx, ptr_table, variables
 from conftest import random_elements
 
 
@@ -117,6 +117,83 @@ def test_evaluate_grid_matches_scalar_exhaustively(ctx9):
             for y in els:
                 for z in els:
                     assert grid[x.index, y.index, z.index] == P.evaluate(x, y, z).index
+
+
+def evaluate_grid_by_groups(poly):
+    """Reference grid evaluation: one masked log-space Q^3 pass per (Y, Z) group.
+
+    Each group's X-part collapses to one vector u over GF(Q); the products
+    u(x) y^j z^k are accumulated on base-p digit planes and recombined once.
+    """
+    ctx = poly.ctx
+    t = ctx.tables
+    Q, Qm1 = ctx.Q, ctx.Q - 1
+    ar = np.arange(Q, dtype=np.int32)
+
+    groups = {}
+    for (i, j, k), c in poly.terms.items():
+        groups.setdefault((j, k), []).append((i, c.index))
+
+    acc = np.zeros((2 * ctx.e, Q, Q, Q), dtype=np.int32)
+    for (j, k), xterms in groups.items():
+        u = np.zeros(Q, dtype=np.int32)
+        for i, ci in xterms:
+            u = t.add(u, t.mul(np.int32(ci), t.pow(ar, i)))
+        yv, zv = t.pow(ar, j), t.pow(ar, k)
+        logs = t.log[u][:, None, None] + t.log[yv][None, :, None] + t.log[zv][None, None, :]
+        vals = t.exp_pad[logs % Qm1]
+        mask = (u != 0)[:, None, None] & (yv != 0)[None, :, None] & (zv != 0)[None, None, :]
+        acc += t.digit_planes(np.where(mask, vals, 0))
+    return t.from_digit_planes(acc)
+
+
+def _special_polys(ctx):
+    """Zero, a constant, pure X, Y and Z monomials (reduced and not), one term each."""
+    Q, c = ctx.Q, ctx.element_from_index(ctx.Q - 2)
+    polys = [TriPoly.zero(ctx), TriPoly.constant(ctx, c)]
+    for n in (1, Q - 1, Q, 2 * Q + 3):
+        for axis in range(3):
+            exps = [0, 0, 0]
+            exps[axis] = n
+            polys.append(TriPoly.monomial(ctx, c, tuple(exps)))
+    return polys
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_evaluate_grid_matches_group_oracle(p, e):
+    ctx = field_ctx(p, e)
+    Q = ctx.Q
+    rng = np.random.default_rng(Q)
+    polys = _special_polys(ctx)
+    # unreduced exponents up to 3Q; then many terms on few exponents, so that
+    # one Y exponent carries several Z exponents and one (Y, Z) group several X
+    polys += [random_poly(ctx, rng, n_terms=8) for _ in range(3)]
+    polys += [random_poly(ctx, rng, n_terms=30, max_exp=5) for _ in range(2)]
+    polys.append(random_poly(ctx, rng, n_terms=20, max_exp=Q - 1))
+    for P in polys:
+        want = evaluate_grid_by_groups(P)
+        got = evaluate_grid(P)
+        assert got.dtype == want.dtype == np.int32
+        assert got.shape == want.shape == (Q, Q, Q)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want), P.sorted_terms()
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_reduced_T_grid_matches_ptr_table_large_q(p):
+    ctx = field_ctx(p, 1)
+    assert np.array_equal(evaluate_grid(build_reduced_T(ctx)), ptr_table(ctx))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_evaluate_grid_spot_checks_large_q(p):
+    ctx = field_ctx(p, 1)
+    rng = np.random.default_rng(p)
+    for P in (build_reduced_T(ctx), random_poly(ctx, rng, n_terms=40)):
+        grid = evaluate_grid(P)
+        pts = zip(*(random_elements(ctx, 15, seed=p + s) for s in (1, 2, 3)))
+        for x, y, z in pts:
+            assert grid[x.index, y.index, z.index] == P.evaluate(x, y, z).index
 
 
 def test_equal_reduced(ctx9):
