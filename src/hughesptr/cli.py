@@ -19,8 +19,9 @@ from .trivar_poly import evaluate_grid
 
 DEFAULT_MAX_ORDER = 6561
 
-# verify tabulates all of GF(Q)^3; past this the tables no longer fit
-# comfortably in memory
+# verify tabulates all of GF(Q)^3: at Q=289 it took 154 s at a peak RSS of
+# 885 MiB, and at Q=361, the largest order below this cap, 384 s at 1649 MiB
+# (2-core x86-64 VM with 7 GB, numpy 2.4); Q=625 was not run
 FULL_GRID_MAX_ORDER = 400
 
 # the plane is a dense N x N bool incidence, N = Q^2+Q+1: at Q=169 `plane`
