@@ -19,15 +19,11 @@ from .trivar_poly import evaluate_grid
 
 DEFAULT_MAX_ORDER = 6561
 
-# verify tabulates all of GF(Q)^3: at Q=289 it took 154 s at a peak RSS of
-# 885 MiB, and at Q=361, the largest order below this cap, 384 s at 1649 MiB
-# (2-core x86-64 VM with 7 GB, numpy 2.4); Q=625 was not run
+# verify and plane tabulate all of GF(Q)^3: at Q=361, the largest order below
+# this cap, verify took 384 s at a peak RSS of 1649 MiB, verify --plane 566 s
+# at 1649 MiB and plane 239 s at 935 MiB (2-core x86-64 VM with 7 GB, numpy
+# 2.4); Q=625 was not run
 FULL_GRID_MAX_ORDER = 400
-
-# the plane is a dense N x N bool incidence, N = Q^2+Q+1: at Q=169 `plane`
-# and `verify --plane` peaked at 1014 and 1033 MiB (x86-64, numpy 2.4), and
-# at the next order, Q=289, the incidence alone would take 6.5 GiB
-PLANE_MAX_ORDER = 169
 
 
 def _int_at_least(low: int):
@@ -91,22 +87,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _get_ctx(parser: argparse.ArgumentParser, args):
-    if not is_odd_prime(args.p):
+    # a p with p^2 above the bound is refused untested, and Q is built one
+    # factor at a time: a huge --p or --e exits 2 at once instead of hanging
+    if args.p * args.p <= args.max_order and not is_odd_prime(args.p):
         parser.error("p must be an odd prime")
     if args.e < 1:
         parser.error("e must be a positive integer")
-    Q = args.p ** (2 * args.e)
-    if Q > args.max_order:
-        parser.error(f"Q = {Q} exceeds the configured bound {args.max_order}")
+    Q = 1
+    for _ in range(2 * args.e):
+        Q *= args.p
+        if Q > args.max_order:
+            parser.error(f"Q = {args.p}^{2 * args.e} exceeds the configured bound {args.max_order}")
     if args.command in ("verify", "plane") and Q > FULL_GRID_MAX_ORDER:
         parser.error(
             f"{args.command} tabulates the full GF(Q)^3 grid and supports "
             f"Q <= {FULL_GRID_MAX_ORDER}; gen, du, and identities scale further"
-        )
-    if (args.command == "plane" or getattr(args, "plane", False)) and Q > PLANE_MAX_ORDER:
-        parser.error(
-            f"the plane check holds a dense (Q^2+Q+1)^2 incidence and supports "
-            f"Q <= {PLANE_MAX_ORDER}"
         )
     if Q > DEFAULT_MAX_ORDER:
         print(f"warning: Q = {Q} is above the default bound {DEFAULT_MAX_ORDER}; "

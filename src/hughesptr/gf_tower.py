@@ -569,7 +569,7 @@ class FieldTables:
         """Elementwise A**n for a fixed non-negative integer exponent."""
         if n == 0:
             return np.ones_like(np.asarray(A), dtype=np.int32)
-        r = self.exp_pad[(self.log[A] * n) % self.Qm1]
+        r = self.exp_pad[(self.log[A] * (n % self.Qm1)) % self.Qm1]  # no int64 wrap
         return np.where(np.asarray(A) == 0, 0, r).astype(np.int32)
 
     def digit_planes(self, A):

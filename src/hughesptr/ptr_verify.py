@@ -13,9 +13,11 @@ All checks operate on a full value table. The five axioms:
 table in Q^4 (``_axiom_c_inverse``); otherwise every pair of columns is
 compared in Q^5 (``_axiom_c_direct``, also the tests' reference).  (E) is
 verified as bijectivity of (y,z) -> (T(a,y,z), T(c,y,z)) per ordered pair
-a != c, a Q^4-scale sweep overall.  The plane check counts, chunk by chunk,
-the lines shared by each pair of points and the points shared by each pair
-of lines, in O(N (Q+1)^2) for N = Q^2+Q+1.  Failures are reported, never
+a != c, a Q^4-scale sweep overall.  The plane, N = Q^2+Q+1 points and as
+many lines, is held as its (N, Q+1) line -> points array; the plane check
+derives point -> lines from it and counts, chunk by chunk, the lines shared
+by each pair of points and the points shared by each pair of lines, in
+O(N (Q+1)^2) time and O(N (Q+1)) memory.  Failures are reported, never
 raised, and carry the lexicographically first counterexample under
 canonical element indexing.
 """
@@ -219,79 +221,83 @@ def check_pp_classes(ctx: FieldCtx, poly: TriPoly | None = None, *,
 
 @dataclass
 class IncidencePlane:
-    """Point-line incidence structure built from a ternary-operation table.
+    """Projective plane built from a ternary-operation table, held as its lines.
 
     Points: affine (x, y) -> x*Q + y, slope points (m) -> Q^2 + m, and one
     point at infinity -> Q^2 + Q.  Lines: [m, k] = {(x, T(x,m,k))} + {(m)}
     -> m*Q + k, verticals [c] = {(c, y)} + {inf} -> Q^2 + c, and the line at
-    infinity -> Q^2 + Q.
+    infinity -> Q^2 + Q.  ``points_on[l]`` lists the Q+1 points of line l;
+    the point -> lines view is derived from it when needed.
     """
 
     Q: int
-    incidence: np.ndarray  # (N, N) bool, rows points, columns lines
+    points_on: np.ndarray  # (N, Q+1) point ids, one row per line
 
     @property
     def n_points(self) -> int:
-        return self.incidence.shape[0]
+        return self.Q * self.Q + self.Q + 1
 
     @property
     def n_lines(self) -> int:
-        return self.incidence.shape[1]
+        return len(self.points_on)
 
 
 def build_plane(ctx: FieldCtx, T_eval=None, *, table: np.ndarray | None = None) -> IncidencePlane:
+    """Every line's points, each row in ascending order."""
     tbl = table if table is not None else value_table(ctx, T_eval)
     Q = ctx.Q
     N = Q * Q + Q + 1
-    inc = np.zeros((N, N), dtype=bool)
-    ar = np.arange(Q)
+    ar = np.arange(Q, dtype=np.int32)
+    points_on = np.empty((N, Q + 1), dtype=np.int32)
 
-    # lines [m, k]: affine points (x, T(x, m, k)) plus the slope point (m)
-    pts = ar[:, None, None] * Q + tbl  # [x, m, k] -> point id of (x, T(x,m,k))
-    lns = np.broadcast_to((ar[:, None] * Q + ar[None, :])[None, :, :], (Q, Q, Q))
-    inc[pts.ravel(), lns.ravel()] = True
-    for m in range(Q):
-        inc[Q * Q + m, m * Q: (m + 1) * Q] = True
+    # lines [m, k]: affine points (x, T(x, m, k)), then the slope point (m)
+    affine = points_on[:Q * Q].reshape(Q, Q, Q + 1)
+    affine[:, :, :Q] = (ar[:, None, None] * Q + tbl).transpose(1, 2, 0)
+    affine[:, :, Q] = Q * Q + ar[:, None]
 
-    # vertical lines [c]: points (c, y) plus the point at infinity
-    for c in range(Q):
-        inc[c * Q + ar, Q * Q + c] = True
-        inc[Q * Q + Q, Q * Q + c] = True
+    # vertical lines [c]: points (c, y), then the point at infinity
+    points_on[Q * Q:Q * Q + Q, :Q] = ar[:, None] * Q + ar[None, :]
+    points_on[Q * Q:Q * Q + Q, Q] = Q * Q + Q
 
-    # line at infinity: all slope points and the point at infinity
-    inc[Q * Q + ar, Q * Q + Q] = True
-    inc[Q * Q + Q, Q * Q + Q] = True
-    return IncidencePlane(Q, inc)
+    # line at infinity: all slope points, then the point at infinity
+    points_on[Q * Q + Q] = Q * Q + np.arange(Q + 1)
+    return IncidencePlane(Q, points_on)
+
+
+def _lines_through(points_on: np.ndarray) -> np.ndarray:
+    """Point -> lines, each row ascending; needs every point on Q+1 lines."""
+    order = np.argsort(points_on, axis=None, kind="stable")
+    order //= points_on.shape[1]
+    return order.reshape(-1, points_on.shape[1])
 
 
 def check_plane(plane: IncidencePlane) -> PtrReport:
     """Counts, regularity, and the two uniqueness axioms, by pair counting.
 
-    Once every line has Q+1 points and every point lies on Q+1 lines, the
-    incidences are read off as a point -> lines array and a line -> points
-    array, both (N, Q+1).  For a chunk of points, the points on the lines
-    through each of them are counted with one bincount (offset by row); any
-    two distinct points must share exactly one line.  Lines are checked
-    dually.  The first count != 1 in (row, column) order is the witness.
+    Every line must hold Q+1 distinct point ids in [0, N) and every point
+    must lie on Q+1 lines; then the point -> lines array is read off a
+    stable argsort of the line -> points array.  For a chunk of points, the
+    points on the lines through each of them are counted with one bincount
+    (offset by row); any two distinct points must share exactly one line.
+    Lines are checked dually.  The first count != 1 in (row, column) order
+    is the witness.
     """
-    Q, inc = plane.Q, plane.incidence
-    N = Q * Q + Q + 1
-    if inc.shape != (N, N):
-        return PtrReport("projective_plane", False, ("shape", inc.shape))
+    Q, points_on, N = plane.Q, plane.points_on, plane.n_points
+    if points_on.shape != (N, Q + 1):
+        return PtrReport("projective_plane", False, ("shape", points_on.shape))
 
-    per_line = np.count_nonzero(inc, axis=0)
-    per_point = np.count_nonzero(inc, axis=1)
-    if not (per_line == Q + 1).all():
-        return PtrReport("projective_plane", False,
-                         ("line_size", int(np.argmax(per_line != Q + 1))))
+    ordered = np.sort(points_on, axis=1)
+    bad_line = (ordered[:, 0] < 0) | (ordered[:, -1] >= N)
+    bad_line |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    del ordered
+    if bad_line.any():
+        return PtrReport("projective_plane", False, ("line_size", int(np.argmax(bad_line))))
+    per_point = np.bincount(points_on.ravel(), minlength=N)
     if not (per_point == Q + 1).all():
         return PtrReport("projective_plane", False,
                          ("point_degree", int(np.argmax(per_point != Q + 1))))
 
-    pts, lns = np.nonzero(inc)  # row-major: points ascending, then lines
-    lines_through = lns.reshape(N, Q + 1)
-    points_on = pts[np.argsort(lns, kind="stable")].reshape(N, Q + 1)
-
+    lines_through = _lines_through(points_on)
     bad = _first_pair_count_not_one(lines_through, points_on)
     if bad is not None:
         return PtrReport("projective_plane", False, ("points_on_common_line",) + bad)
@@ -329,15 +335,12 @@ def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray) -> tuple
 
 def _join_meet_tables(plane: IncidencePlane) -> tuple[np.ndarray, np.ndarray]:
     """line_through[p1, p2] and meet_point[l1, l2]; diagonals are junk (0)."""
-    inc = plane.incidence
-    N = inc.shape[0]
+    N = plane.n_points
     join = np.zeros((N, N), dtype=np.int32)
     meet = np.zeros((N, N), dtype=np.int32)
-    for ln in range(N):
-        pts = np.flatnonzero(inc[:, ln])
+    for ln, pts in enumerate(plane.points_on):
         join[np.ix_(pts, pts)] = ln
-    for pt in range(N):
-        lns = np.flatnonzero(inc[pt])
+    for pt, lns in enumerate(_lines_through(plane.points_on)):
         meet[np.ix_(lns, lns)] = pt
     np.fill_diagonal(join, 0)
     np.fill_diagonal(meet, 0)
@@ -353,7 +356,7 @@ def count_fano_quadrangles(plane: IncidencePlane) -> int:
     sweep over all 4-subsets in canonical order.
     """
     join, meet = _join_meet_tables(plane)
-    N = plane.incidence.shape[0]
+    N = plane.n_points
 
     pairs = [(c, d) for c in range(N) for d in range(c + 1, N)]
     pc = np.array([p[0] for p in pairs], dtype=np.int32)

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -151,28 +156,58 @@ def test_unwritable_out_rejected_before_computing(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("argv", [
-    ["plane", "--p", "17", "--e", "1"],
-    ["verify", "--p", "17", "--e", "1", "--plane"],
+    ["plane", "--p", "23", "--e", "1"],
+    ["verify", "--p", "23", "--e", "1", "--plane"],
 ])
 def test_plane_order_cap(capsys, argv):
-    # Q = 289: the dense incidence alone would take 6.5 GiB
+    # Q = 529: plane and verify --plane share the full-grid cap
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "Q <= 169" in err and "Traceback" not in err
+    assert "Q <= 400" in err and "Traceback" not in err
 
 
-def test_verify_without_plane_keeps_grid_cap(capsys, monkeypatch):
+def _stub_command(monkeypatch, name):
     ran = []
 
     def stub(ctx, args):
         ran.append(ctx.Q)
         return 0, ""
 
-    monkeypatch.setitem(cli._COMMANDS, "verify", stub)
+    monkeypatch.setitem(cli._COMMANDS, name, stub)
+    return ran
+
+
+def test_verify_without_plane_keeps_grid_cap(capsys, monkeypatch):
+    ran = _stub_command(monkeypatch, "verify")
     assert main(["verify", "--p", "17", "--e", "1"]) == 0
     assert ran == [289]
+
+
+@pytest.mark.parametrize("argv", [
+    ["plane", "--p", "17", "--e", "1"],
+    ["verify", "--p", "17", "--e", "1", "--plane"],
+])
+def test_plane_admitted_up_to_grid_cap(capsys, monkeypatch, argv):
+    ran = _stub_command(monkeypatch, argv[0])
+    assert main(argv) == 0
+    assert ran == [289]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", "3", "--e", "30000000"],
+    ["gen", "--p", "1000000000000000003", "--e", "1"],
+])
+def test_huge_field_arguments_exit_2_at_once(argv):
+    # neither p^(2e) nor a primality test of p may be computed in full
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "hughesptr.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2
+    assert "exceeds the configured bound" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

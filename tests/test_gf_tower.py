@@ -249,3 +249,13 @@ def test_mul_matrix_exhaustive(p, e):
     assert np.array_equal(M[0], np.zeros((2 * e, 2 * e)))
     assert np.array_equal(M[1], np.eye(2 * e))
     assert np.array_equal(t.mul_matrix(7), M[7])
+
+
+@pytest.mark.parametrize("n", [2**62, 10**18 + 7, 2**70])
+def test_vector_pow_huge_exponent(n):
+    # log * n once wrapped int64 (2**62, 10**18+7) or overflowed (2**70) at Q = 6561
+    ctx = field_ctx(3, 4)
+    A = np.arange(0, ctx.Q, 33)
+    got = ctx.tables.pow(A, n)
+    assert got.dtype == np.int32
+    assert got.tolist() == [ctx._pow_i(int(a), n) for a in A]

@@ -44,3 +44,18 @@ def test_mul_matrix_is_a_ring_homomorphism(p, e):
         assert np.array_equal(Ma @ Mb % p, t.mul_matrix(ctx._mul_i(a, b)))
 
     check()
+
+
+@pytest.mark.parametrize("p,e", LARGE)
+def test_add_sub_pow_match_scalar_path(p, e):
+    ctx = field_ctx(p, e)
+    t = ctx.tables
+
+    @settings(max_examples=300, deadline=None)
+    @given(_elements(ctx), _elements(ctx), st.integers(min_value=0, max_value=2**80))
+    def check(a, b, n):
+        assert t.add(a, b) == ctx._add_i(a, b)
+        assert t.sub(a, b) == ctx._add_i(a, ctx._neg_i(b))
+        assert t.pow(a, n) == ctx._pow_i(a, n)
+
+    check()

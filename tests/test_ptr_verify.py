@@ -3,6 +3,7 @@ import pytest
 
 from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_table
 from hughesptr.ptr_verify import (
+    IncidencePlane,
     PtrReport,
     _axiom_c_direct,
     _axiom_c_inverse,
@@ -170,12 +171,32 @@ def test_pp_classes_negative_control(ctx9):
     assert reports["x_sections"].witness is not None
 
 
+def dense_incidence(plane):
+    """(N, N) bool matrix, rows points, columns lines, read off ``points_on``."""
+    N = plane.n_points
+    inc = np.zeros((N, plane.n_lines), dtype=bool)
+    inc[plane.points_on.ravel(), np.repeat(np.arange(plane.n_lines), plane.points_on.shape[1])] = True
+    return inc
+
+
 def test_plane_counts_q9(ctx9):
     plane = build_plane(ctx9, table=hughes_table(ctx9))
     assert plane.n_points == plane.n_lines == 91
-    assert (plane.incidence.sum(axis=0) == 10).all()
-    assert (plane.incidence.sum(axis=1) == 10).all()
+    assert plane.points_on.shape == (91, 10)
+    assert (np.diff(plane.points_on, axis=1) > 0).all()  # rows ascending
+    inc = dense_incidence(plane)
+    assert (inc.sum(axis=0) == 10).all()
+    assert (inc.sum(axis=1) == 10).all()
     assert check_plane(plane).passed
+
+
+def test_plane_lines_as_documented(ctx9):
+    Q, tbl = ctx9.Q, hughes_table(ctx9)
+    plane = build_plane(ctx9, table=tbl)
+    m, k = 4, 7
+    assert plane.points_on[m * Q + k].tolist() == [x * Q + tbl[x, m, k] for x in range(Q)] + [Q * Q + m]
+    assert plane.points_on[Q * Q + 2].tolist() == [2 * Q + y for y in range(Q)] + [Q * Q + Q]
+    assert plane.points_on[Q * Q + Q].tolist() == list(range(Q * Q, Q * Q + Q + 1))
 
 
 def test_plane_classical_control(ctx9):
@@ -185,17 +206,17 @@ def test_plane_classical_control(ctx9):
 
 def test_plane_negative_control(ctx9):
     plane = build_plane(ctx9, table=hughes_table(ctx9))
-    plane.incidence[0, 0] = not plane.incidence[0, 0]
+    plane.points_on[0, 0] = plane.points_on[0, 1]  # line 0 loses a point
     report = check_plane(plane)
-    assert not report.passed and report.witness is not None
+    assert not report.passed and report.witness == ("line_size", 0)
 
 
 def dense_plane_report(plane):
-    """Reference plane check: common-line counts from M M^T and M^T M.
+    """Reference plane check on the dense incidence: common-line counts from M M^T and M^T M.
 
     Entries stay far below float32 precision, so the products are exact.
     """
-    Q, inc = plane.Q, plane.incidence
+    Q, inc = plane.Q, dense_incidence(plane)
     N = Q * Q + Q + 1
     if inc.shape != (N, N):
         return PtrReport("projective_plane", False, ("shape", inc.shape))
@@ -211,17 +232,17 @@ def dense_plane_report(plane):
     return PtrReport("projective_plane", True)
 
 
-def _degree_preserving_swap(inc, rng):
+def _degree_preserving_swap(points_on, rng):
     """Move p1 from line l1 to l2 and p2 from l2 to l1; all sizes stay Q+1."""
-    N = inc.shape[0]
+    N = len(points_on)
     while True:
         l1, l2 = rng.choice(N, size=2, replace=False)
-        only1 = np.flatnonzero(inc[:, l1] & ~inc[:, l2])
-        only2 = np.flatnonzero(inc[:, l2] & ~inc[:, l1])
+        only1 = np.setdiff1d(points_on[l1], points_on[l2])
+        only2 = np.setdiff1d(points_on[l2], points_on[l1])
         if len(only1) and len(only2):
             p1, p2 = rng.choice(only1), rng.choice(only2)
-            inc[[p1, p2], [l1, l2]] = False
-            inc[[p1, p2], [l2, l1]] = True
+            points_on[l1][points_on[l1] == p1] = p2
+            points_on[l2][points_on[l2] == p2] = p1
             return
 
 
@@ -231,7 +252,7 @@ def test_plane_swap_controls_match_dense_oracle(p, seed):
     ctx = field_ctx(p, 1)
     plane = build_plane(ctx, table=hughes_table(ctx))
     assert check_plane(plane) == dense_plane_report(plane) == PtrReport("projective_plane", True)
-    _degree_preserving_swap(plane.incidence, np.random.default_rng(seed))
+    _degree_preserving_swap(plane.points_on, np.random.default_rng(seed))
     report = check_plane(plane)
     assert not report.passed and report.witness[0] == "points_on_common_line"
     assert report == dense_plane_report(plane)
@@ -239,12 +260,27 @@ def test_plane_swap_controls_match_dense_oracle(p, seed):
 
 def test_plane_size_controls_match_dense_oracle(ctx9):
     plane = build_plane(ctx9, table=classical_table(ctx9))
-    plane.incidence[5, 7] = not plane.incidence[5, 7]
-    assert check_plane(plane) == dense_plane_report(plane)
-    plane.incidence[:, 7] = plane.incidence[:, 8]  # line 7 := line 8
+    plane.points_on[7] = plane.points_on[8]  # line 7 := line 8
     report = check_plane(plane)
     assert report == dense_plane_report(plane)
-    assert report.witness[0] == "point_degree"
+    assert report.witness == ("point_degree", 7)  # (0, 7) was on line 7
+    plane.points_on[20, 3] = plane.points_on[20, 5]  # a point repeated within line 20
+    report = check_plane(plane)
+    assert report == dense_plane_report(plane)
+    assert report.witness == ("line_size", 20)
+
+
+@pytest.mark.parametrize("corrupt,witness", [
+    (lambda on: on[:-1], ("shape", (90, 10))),
+    (lambda on: on[:, :-1], ("shape", (91, 9))),
+    (lambda on: np.where(np.arange(91)[:, None] == 30, -1, on), ("line_size", 30)),
+    (lambda on: np.where(np.arange(91)[:, None] == 40, on + 91, on), ("line_size", 40)),
+    (lambda on: np.where(on == 90, 91, on), ("line_size", 81)),  # first line through inf
+])
+def test_plane_malformed_lines_fail_without_raising(ctx9, corrupt, witness):
+    plane = build_plane(ctx9, table=hughes_table(ctx9))
+    bad = IncidencePlane(plane.Q, corrupt(plane.points_on))
+    assert check_plane(bad) == PtrReport("projective_plane", False, witness)
 
 
 def test_hughes_plane_differs_from_classical(ctx9):
