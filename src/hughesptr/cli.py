@@ -20,9 +20,9 @@ from .trivar_poly import evaluate_grid
 DEFAULT_MAX_ORDER = 6561
 
 # verify and plane tabulate all of GF(Q)^3: at Q=361, the largest order below
-# this cap, verify took 384 s at a peak RSS of 1649 MiB, verify --plane 566 s
-# at 1649 MiB and plane 239 s at 935 MiB (2-core x86-64 VM with 7 GB, numpy
-# 2.4); Q=625 was not run
+# this cap, verify took 384 s at a peak RSS of 1649 MiB and verify --plane 566 s
+# at 1649 MiB with a two-pass plane check; plane, with one pass, took 90 s at
+# 935 MiB (2-core x86-64 VM with 7 GB, numpy 2.4); Q=625 was not run
 FULL_GRID_MAX_ORDER = 400
 
 
@@ -123,13 +123,13 @@ def _cmd_gen(ctx, args) -> tuple[int, str]:
 
 def _cmd_verify(ctx, args) -> tuple[int, str]:
     table = hughes_core.ptr_table(ctx)
-    reports = ptr_verify.check_axioms(ctx, table=table)
+    reports = ptr_verify.check_axioms(ctx, table)
     poly_table = evaluate_grid(hughes_core.build_reduced_T(ctx))
-    reports += ptr_verify.check_pp_classes(ctx, table=poly_table)
+    reports += ptr_verify.check_pp_classes(ctx, poly_table)
     payload = {r.label: r.to_json_dict() for r in reports}
     payload["polynomial_matches_piecewise"] = {"pass": bool((table == poly_table).all())}
     if args.plane:
-        plane = ptr_verify.build_plane(ctx, table=table)
+        plane = ptr_verify.build_plane(ctx, table)
         payload["projective_plane"] = ptr_verify.check_plane(plane).to_json_dict()
     ok = all(v["pass"] for v in payload.values())
     return (0 if ok else 1), _dumps(payload)
@@ -157,7 +157,7 @@ def _cmd_du(ctx, args) -> tuple[int, str]:
 
 def _cmd_plane(ctx, args) -> tuple[int, str]:
     table = hughes_core.ptr_table(ctx)
-    plane = ptr_verify.build_plane(ctx, table=table)
+    plane = ptr_verify.build_plane(ctx, table)
     report = ptr_verify.check_plane(plane)
     payload = {
         "points": plane.n_points,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement, field_ctx
 from .hughes_core import ptr_values
-from .ptr_verify import value_table
 
 __all__ = [
     "DuProfile",
@@ -148,28 +147,22 @@ def _worker_deltas(args) -> list[int]:
     return _section_deltas(field_ctx(p, e), family, fixings, None)
 
 
-def du_sections(ctx: FieldCtx, source=None, *,
+def du_sections(ctx: FieldCtx, table: np.ndarray | None = None, *,
                 families: str = "xyz", sample: int | None = None,
                 seed: int = 0, workers: int = 1) -> dict:
     """Differential uniformity of the three section families of a ternary
     operation, with expected values for the Hughes operation.
 
-    ``source`` may be a (Q,Q,Q) value table, a ternary callable on field
-    elements, or None for the built-in piecewise operation, whose sections
-    are then generated lazily in O(Q) each (no full grid).  ``sample``
-    limits each family to that many fixings (seeded, uniform without
-    replacement); by default the sweep is exhaustive.  ``workers`` shards
-    the fixing list across processes and requires ``source=None``; the
-    output is identical for every worker count.
+    ``table`` is a (Q,Q,Q) value table, or None for the built-in piecewise
+    operation, whose sections are then generated lazily in O(Q) each (no
+    full grid).  ``sample`` limits each family to that many fixings (seeded,
+    uniform without replacement); by default the sweep is exhaustive.
+    ``workers`` splits the fixing list into contiguous chunks, one process
+    each, and requires ``table=None``; the output is identical for every
+    worker count.
     """
-    if workers > 1 and source is not None:
-        raise ValueError("parallel sweeps support only the built-in operation (source=None)")
-    if source is None:
-        table = None  # sections of the piecewise operation are computed lazily
-    elif callable(source):
-        table = value_table(ctx, source)
-    else:
-        table = np.asarray(source, dtype=np.int32)
+    if workers > 1 and table is not None:
+        raise ValueError("parallel sweeps support only the built-in operation (table=None)")
     Q = ctx.Q
 
     report: dict = {}
@@ -183,15 +176,12 @@ def du_sections(ctx: FieldCtx, source=None, *,
         fixings = [divmod(int(i), Q) for i in picks]
 
         if workers > 1:
-            chunks = [fixings[i::workers] for i in range(workers)]
-            order = [i for w in range(workers) for i in range(w, len(fixings), workers)]
+            # every section costs O(Q), so equal contiguous chunks balance
+            size = -(-len(fixings) // workers)
+            chunks = [fixings[lo:lo + size] for lo in range(0, len(fixings), size)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_worker_deltas,
-                                      [(ctx.p, ctx.e, family, ch) for ch in chunks]))
-            flat = [d for part in parts for d in part]
-            deltas = [0] * len(fixings)
-            for pos, d in zip(order, flat):
-                deltas[pos] = d
+                parts = pool.map(_worker_deltas, [(ctx.p, ctx.e, family, ch) for ch in chunks])
+                deltas = [d for part in parts for d in part]
         else:
             deltas = _section_deltas(ctx, family, fixings, table)
 

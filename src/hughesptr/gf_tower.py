@@ -407,26 +407,6 @@ class FieldCtx:
         if x.ctx is not self and x.ctx.params != self.params:
             raise ValueError("element belongs to a different field context")
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a), self._check(b)
-        return FieldElement(self, self._add_i(a.index, b.index))
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a), self._check(b)
-        return FieldElement(self, self._add_i(a.index, self._neg_i(b.index)))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return FieldElement(self, self._neg_i(a.index))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a), self._check(b)
-        return FieldElement(self, self._mul_i(a.index, b.index))
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return FieldElement(self, self._inv_i(a.index))
-
     def pow(self, a: FieldElement, n: int) -> FieldElement:
         self._check(a)
         if n < 0:

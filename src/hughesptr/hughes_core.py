@@ -144,9 +144,16 @@ def ptr_values(ctx: FieldCtx, X, Y, Z) -> np.ndarray:
 
 
 def ptr_table(ctx: FieldCtx) -> np.ndarray:
-    """Values of the piecewise operation on the whole grid, indexed [x, y, z]."""
+    """Values of the piecewise operation on the whole grid, indexed [x, y, z].
+
+    Filled one x-slab at a time, so the temporaries of ``ptr_values`` stay
+    at O(Q^2) next to the int32 output.
+    """
     ar = np.arange(ctx.Q, dtype=np.int32)
-    return ptr_values(ctx, ar[:, None, None], ar[None, :, None], ar[None, None, :])
+    out = np.empty((ctx.Q,) * 3, dtype=np.int32)
+    for x in range(ctx.Q):
+        out[x] = ptr_values(ctx, np.int32(x), ar[:, None], ar[None, :])
+    return out
 
 
 # ---------------------------------------------------------------------------

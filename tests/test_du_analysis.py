@@ -179,21 +179,28 @@ def test_du_sections_sampled_fixings_index_all_pairs(ctx81, sample, seed):
         assert all(type(i) is int for pair in fixings for i in pair)
 
 
-def test_du_sections_workers_match(ctx9):
+def test_du_sections_workers_match(ctx9, ctx25):
     seq = du_sections(ctx9, families="x")
     par = du_sections(ctx9, families="x", workers=2)
     assert seq == par
+    # contiguous chunks of 34, 34 and 32 fixings, and fewer fixings than workers
+    for sample in (100, 2):
+        seq = du_sections(ctx25, families="x", sample=sample, seed=5)
+        par = du_sections(ctx25, families="x", sample=sample, seed=5, workers=3)
+        assert seq == par and len(par["x"]["deltas"]) == sample
     with pytest.raises(ValueError):
         du_sections(ctx9, ptr_table(ctx9), workers=2)
 
 
 def test_du_sections_accepts_callable_and_table(ctx9):
+    # a callable is tabulated first; both must match the lazy sections
     from hughesptr import ptr_piecewise
+    from hughesptr.ptr_verify import value_table
 
     base = du_sections(ctx9, families="x")
     via_table = du_sections(ctx9, ptr_table(ctx9), families="x")
     via_callable = du_sections(
-        ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z), families="x"
+        ctx9, value_table(ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z)), families="x"
     )
     assert base == via_table == via_callable
 

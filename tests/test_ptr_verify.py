@@ -27,7 +27,7 @@ def hughes_table(ctx):
 
 
 def test_axioms_pass_hughes_q9(ctx9):
-    reports = check_axioms(ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z))
+    reports = check_axioms(ctx9, value_table(ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z)))
     assert [r.label for r in reports] == list("ABCDE")
     assert all(r.passed for r in reports)
     assert all(r.witness is None for r in reports)
@@ -49,7 +49,7 @@ def test_value_table_matches_vector_oracle(ctx9):
 
 
 def _axiom_report(ctx, fn, label):
-    reports = {r.label: r for r in check_axioms(ctx, fn)}
+    reports = {r.label: r for r in check_axioms(ctx, value_table(ctx, fn))}
     return reports[label]
 
 
@@ -142,16 +142,9 @@ def test_axiom_c_matches_direct_check(case, p):
 
 def test_pp_classes_hughes(ctx9):
     poly = build_reduced_T(ctx9)
-    reports = check_pp_classes(ctx9, poly)
+    reports = check_pp_classes(ctx9, evaluate_grid(poly))
     assert [r.label for r in reports] == ["x_sections", "y_sections", "z_sections"]
     assert all(r.passed for r in reports)
-
-
-def test_pp_classes_rejects_unreduced(ctx9):
-    from hughesptr import build_nonreduced_T
-
-    with pytest.raises(ValueError):
-        check_pp_classes(ctx9, build_nonreduced_T(ctx9))
 
 
 def test_pp_classes_x_section_at_zero_is_constant(ctx9):
@@ -209,6 +202,7 @@ def test_plane_negative_control(ctx9):
     plane.points_on[0, 0] = plane.points_on[0, 1]  # line 0 loses a point
     report = check_plane(plane)
     assert not report.passed and report.witness == ("line_size", 0)
+    assert report == dense_plane_report(plane)
 
 
 def dense_plane_report(plane):
@@ -268,6 +262,38 @@ def test_plane_size_controls_match_dense_oracle(ctx9):
     report = check_plane(plane)
     assert report == dense_plane_report(plane)
     assert report.witness == ("line_size", 20)
+
+
+def _random_perturbation(points_on, rng):
+    """A degree-preserving swap (mostly), a line repeated, or a point repeated in a line."""
+    N, k = points_on.shape
+    kind = rng.choice(3, p=[0.6, 0.2, 0.2])
+    if kind == 0:
+        _degree_preserving_swap(points_on, rng)
+    elif kind == 1:
+        l1, l2 = rng.choice(N, size=2, replace=False)
+        points_on[l1] = points_on[l2]
+    else:
+        i, j = rng.choice(k, size=2, replace=False)
+        line = rng.integers(N)
+        points_on[line, i] = points_on[line, j]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_plane_random_controls_match_dense_oracle(p):
+    # the dense oracle checks both pair counts; the single pass must agree
+    ctx = field_ctx(p, 1)
+    rng = np.random.default_rng(p)
+    base = build_plane(ctx, hughes_table(ctx)).points_on
+    witnesses = set()
+    for _ in range(100):
+        plane = IncidencePlane(ctx.Q, base.copy())
+        for _ in range(rng.integers(1, 3)):
+            _random_perturbation(plane.points_on, rng)
+        report = check_plane(plane)
+        assert report == dense_plane_report(plane)
+        witnesses.add(None if report.witness is None else report.witness[0])
+    assert "points_on_common_line" in witnesses
 
 
 @pytest.mark.parametrize("corrupt,witness", [
