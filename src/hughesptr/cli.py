@@ -20,9 +20,9 @@ from .trivar_poly import evaluate_grid
 DEFAULT_MAX_ORDER = 6561
 
 # verify and plane tabulate all of GF(Q)^3: at Q=361, the largest order below
-# this cap, verify took 384 s at a peak RSS of 1649 MiB and verify --plane 566 s
-# at 1649 MiB with a two-pass plane check; plane, with one pass, took 90 s at
-# 935 MiB (2-core x86-64 VM with 7 GB, numpy 2.4); Q=625 was not run
+# this cap, verify took 84 s at a peak RSS of 845 MiB, verify --plane 177 s at
+# 1141 MiB and plane 90 s at 935 MiB (2-core x86-64 VM with 7 GB, numpy 2.4);
+# Q=625 was not run
 FULL_GRID_MAX_ORDER = 400
 
 

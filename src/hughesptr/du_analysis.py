@@ -124,45 +124,29 @@ def piecewise_section(ctx: FieldCtx, family: str, i1: int, i2: int) -> np.ndarra
     return ptr_values(ctx, *coords[family])
 
 
-def _section_deltas(ctx: FieldCtx, family: str, fixings: list[tuple[int, int]],
-                    table: np.ndarray | None) -> list[int]:
+def _section_deltas(ctx: FieldCtx, family: str, fixings: list[tuple[int, int]]) -> list[int]:
     t = ctx.tables
-    out = []
-    for i1, i2 in fixings:
-        if table is None:
-            f = piecewise_section(ctx, family, i1, i2)
-        elif family == "x":
-            f = table[:, i1, i2]
-        elif family == "y":
-            f = table[i1, :, i2]
-        else:
-            f = table[i1, i2, :]
-        out.append(int(_row_maxima(t, f).max()))
-    return out
+    return [int(_row_maxima(t, piecewise_section(ctx, family, i1, i2)).max())
+            for i1, i2 in fixings]
 
 
 def _worker_deltas(args) -> list[int]:
     # module-level for pickling; rebuilds the shared context per process
     p, e, family, fixings = args
-    return _section_deltas(field_ctx(p, e), family, fixings, None)
+    return _section_deltas(field_ctx(p, e), family, fixings)
 
 
-def du_sections(ctx: FieldCtx, table: np.ndarray | None = None, *,
-                families: str = "xyz", sample: int | None = None,
+def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = None,
                 seed: int = 0, workers: int = 1) -> dict:
-    """Differential uniformity of the three section families of a ternary
-    operation, with expected values for the Hughes operation.
+    """Differential uniformity of the three section families of the built-in
+    piecewise operation, with the expected values for the Hughes operation.
 
-    ``table`` is a (Q,Q,Q) value table, or None for the built-in piecewise
-    operation, whose sections are then generated lazily in O(Q) each (no
-    full grid).  ``sample`` limits each family to that many fixings (seeded,
-    uniform without replacement); by default the sweep is exhaustive.
-    ``workers`` splits the fixing list into contiguous chunks, one process
-    each, and requires ``table=None``; the output is identical for every
-    worker count.
+    Sections are generated lazily in O(Q) each, so no full grid is built.
+    ``sample`` limits each family to that many fixings (seeded, uniform
+    without replacement); by default the sweep is exhaustive.  ``workers``
+    splits the fixing list into contiguous chunks, one process each; the
+    output is identical for every worker count.
     """
-    if workers > 1 and table is not None:
-        raise ValueError("parallel sweeps support only the built-in operation (table=None)")
     Q = ctx.Q
 
     report: dict = {}
@@ -183,7 +167,7 @@ def du_sections(ctx: FieldCtx, table: np.ndarray | None = None, *,
                 parts = pool.map(_worker_deltas, [(ctx.p, ctx.e, family, ch) for ch in chunks])
                 deltas = [d for part in parts for d in part]
         else:
-            deltas = _section_deltas(ctx, family, fixings, table)
+            deltas = _section_deltas(ctx, family, fixings)
 
         if family == "x":
             expected = [_expected_x_delta(ctx, y) for y, _ in fixings]

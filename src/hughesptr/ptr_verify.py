@@ -10,11 +10,11 @@ a ternary callable into one.  The five axioms:
   (D) for every (a,b): a unique z with T(a,b,z) = c
   (E) for a != c: a unique pair (y,z) with T(a,y,z) = b and T(c,y,z) = d
 
-(D) is checked first.  When it holds, (C) is counted through the inverse-z
-table in Q^4 (``_axiom_c_inverse``); otherwise every pair of columns is
-compared in Q^5 (``_axiom_c_direct``, also the tests' reference).  (E) is
-verified as bijectivity of (y,z) -> (T(a,y,z), T(c,y,z)) per ordered pair
-a != c, a Q^4-scale sweep overall.  The plane, N = Q^2+Q+1 points and as
+(D) is the permutation test along z.  (E) is verified as bijectivity of
+(y,z) -> (T(a,y,z), T(c,y,z)) per ordered pair a != c, a Q^4-scale sweep
+overall.  (C) follows from (D) and (E) by counting (see ``check_axioms``),
+so it is computed only when one of them fails, by comparing every pair of
+columns in Q^5 (``_axiom_c_direct``).  The plane, N = Q^2+Q+1 points and as
 many lines, is held as its (N, Q+1) line -> points array; the plane check
 derives point -> lines from it and counts, chunk by chunk, the lines shared
 by each pair of points, in O(N (Q+1)^2) time and O(N (Q+1)) memory.  That
@@ -106,35 +106,38 @@ def _axiom_c_direct(tbl: np.ndarray) -> PtrReport:
     return PtrReport("C", True)
 
 
-def _axiom_c_inverse(tbl: np.ndarray) -> PtrReport:
-    """(C) through the inverse-z table, in Q^4; valid only when (D) holds.
-
-    With every z -> T(x,m,z) a bijection, ``zinv[x, v, m]`` is the z with
-    T(x,m,z) = v, so T(x,a,b) = T(x,c,d) exactly when
-    zinv[x, T(x,a,b), c] = d.  One bincount per ``a`` then counts, for all
-    (b, c, d) at once, the x on which columns (a,b) and (c,d) agree; the
-    first count != 1 in (b, c, d) order is the lexicographically first
-    witness of ``_axiom_c_direct``.
-    """
-    Q = tbl.shape[0]
-    ar = np.arange(Q)
-    zinv = np.empty(tbl.shape, dtype=np.int64)  # [x, v, m]
-    np.put_along_axis(zinv, tbl.transpose(0, 2, 1), ar[None, :, None], axis=1)
-    base = (ar[:, None] * Q + ar[None, :]) * Q  # [b, c] -> flat index of (b, c, 0)
+def _axiom_e(table: np.ndarray) -> PtrReport:
+    """(E): (y,z) -> (T(a,y,z), T(c,y,z)) is a bijection for every a != c."""
+    Q = table.shape[0]
+    flat = table.reshape(Q, Q * Q)
     for a in range(Q):
-        keys = zinv[ar[:, None], tbl[:, a, :]]  # [x, b, c] -> d
-        keys += base
-        counts = np.bincount(keys.ravel(), minlength=Q**3).reshape(Q, Q, Q)
-        counts[:, a, :] = 1
-        bad = _first_true(counts != 1)
-        if bad is not None:
-            return PtrReport("C", False, (a,) + bad)
-    return PtrReport("C", True)
+        high = flat[a].astype(np.int64) * Q
+        for c in range(Q):
+            if a == c:
+                continue
+            combined = high + flat[c]
+            counts = np.bincount(combined, minlength=Q * Q)
+            if counts.max() > 1:
+                v = int(np.argmax(counts > 1))
+                h1, h2 = (int(h) for h in np.flatnonzero(combined == v)[:2])
+                return PtrReport("E", False, (a, c, h1 // Q, h1 % Q, h2 // Q, h2 % Q))
+    return PtrReport("E", True)
 
 
 def check_axioms(ctx: FieldCtx, table: np.ndarray) -> list[PtrReport]:
     """Verify axioms (A)-(E) exhaustively on a (Q,Q,Q) value table; returns
-    one report per axiom."""
+    one report per axiom.
+
+    (C) is computed only when (D) or (E) fails, because on a finite set it
+    follows from the two.  Fix slopes a != c and an intercept b.  By (D),
+    each x has exactly one d with T(x,c,d) = T(x,a,b), so the Q values of x
+    are shared out among the Q values of d.  Suppose some d received two
+    values x1 != x2.  Then (y,z) = (a,b) and (y,z) = (c,d) would be two
+    different solutions of (E)'s system for the pair (x1, x2).  So each d
+    receives at most one x.  Q values of x spread over Q values of d, at
+    most one each, means exactly one each, which is (C).  (D. R. Hughes and
+    F. C. Piper, *Projective Planes*, 1973, ch. V.)
+    """
     Q = ctx.Q
     ar = np.arange(Q)
     reports = []
@@ -157,33 +160,15 @@ def check_axioms(ctx: FieldCtx, table: np.ndarray) -> list[PtrReport]:
     else:
         reports.append(PtrReport("B", False, (bad[0], 1, 0)))
 
-    # (D): z -> T(a,b,z) is a bijection for every (a,b); (C) relies on it
+    # (D): z -> T(a,b,z) is a bijection for every (a,b)
     bad = _first_true(_non_permutations(table, 2))
     report_d = PtrReport("D", bad is None, bad)
-
-    report_c = _axiom_c_inverse(table) if report_d.passed else _axiom_c_direct(table)
-    reports += [report_c, report_d]
-
-    # (E): (y,z) -> (T(a,y,z), T(c,y,z)) is a bijection for every a != c
-    passedE, witnessE = True, None
-    flat = table.reshape(Q, Q * Q)
-    for a in range(Q):
-        for c in range(Q):
-            if a == c:
-                continue
-            combined = flat[a].astype(np.int64) * Q + flat[c]
-            counts = np.bincount(combined, minlength=Q * Q)
-            if counts.max() > 1:
-                v = int(np.argmax(counts > 1))
-                hits = np.flatnonzero(combined == v)[:2]
-                witnessE = (a, c, int(hits[0]) // Q, int(hits[0]) % Q,
-                            int(hits[1]) // Q, int(hits[1]) % Q)
-                passedE = False
-                break
-        if not passedE:
-            break
-    reports.append(PtrReport("E", passedE, witnessE))
-    return reports
+    report_e = _axiom_e(table)
+    if report_d.passed and report_e.passed:
+        report_c = PtrReport("C", True)  # implied, see above
+    else:
+        report_c = _axiom_c_direct(table)
+    return reports + [report_c, report_d, report_e]
 
 
 def check_pp_classes(ctx: FieldCtx, table: np.ndarray) -> list[PtrReport]:
@@ -241,7 +226,7 @@ def build_plane(ctx: FieldCtx, table: np.ndarray) -> IncidencePlane:
 
     # lines [m, k]: affine points (x, T(x, m, k)), then the slope point (m)
     affine = points_on[:Q * Q].reshape(Q, Q, Q + 1)
-    affine[:, :, :Q] = (ar[:, None, None] * Q + table).transpose(1, 2, 0)
+    np.add(table.transpose(1, 2, 0), ar * Q, out=affine[:, :, :Q])
     affine[:, :, Q] = Q * Q + ar[:, None]
 
     # vertical lines [c]: points (c, y), then the point at infinity

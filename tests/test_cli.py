@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hughesptr import build_reduced_T, build_T2, field_ctx
 from hughesptr import cli
@@ -240,3 +244,61 @@ def test_run_passes_verification_failure_through(capsys, monkeypatch):
         cli.run(["verify", "--p", "3", "--e", "1"])
     assert exc.value.code == 1
     assert capsys.readouterr().out == "{}\n"
+
+
+def _value(valid, junk=("", "x", "-1", "0", "1.5")):
+    # one draw in four is junk
+    return st.integers(0, 3).flatmap(lambda k: valid if k else st.sampled_from(junk))
+
+
+# every valid field has Q <= 81; junk p and e are never a usable field
+_FIELD = _value(st.sampled_from([("3", "1"), ("5", "1"), ("7", "1"), ("3", "2")]),
+                [("4", "1"), ("2", "1"), ("9", "2"), ("-3", "1"), ("x", "1"), ("3", "0"),
+                 ("3", "-1"), ("5", "1.5"), ("", "")])
+_OPTIONS = {
+    "--max-order": _value(st.sampled_from(["81", "6561", "10"])),
+    "--samples": _value(st.integers(1, 20).map(str)),
+    "--seed": _value(st.integers(0, 10).map(str)),
+    "--max-n": _value(st.integers(1, 100).map(str)),
+    "--form": _value(st.sampled_from(["reduced", "nonreduced", "t2"])),
+    "--section": _value(st.sampled_from(["x", "y", "z"])),
+    "--workers": _value(st.sampled_from(["1", "2"])),
+}
+_OWN = {
+    "gen": ["--max-order", "--form"],
+    "verify": ["--max-order", "--plane"],
+    "du": ["--max-order", "--samples", "--seed", "--section", "--workers", "--exhaustive"],
+    "plane": ["--max-order"],
+    "identities": ["--max-order", "--max-n"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OWN)))
+    p, e = draw(_FIELD)
+    argv = [command]
+    if draw(st.integers(0, 9)):  # now and then a required flag is missing
+        argv += ["--p", p, "--e", e]
+    names = draw(st.lists(st.sampled_from(_OWN[command]), unique=True, max_size=4))
+    if draw(st.integers(0, 5)) == 0:  # a flag of another subcommand
+        names.append(draw(st.sampled_from(sorted(_OPTIONS) + ["--plane", "--exhaustive"])))
+    if "--exhaustive" in names and (p, e) == ("3", "2"):
+        names.remove("--exhaustive")  # seconds per exhaustive sweep at Q=81
+    for name in names:
+        argv += [name] if name in ("--plane", "--exhaustive") else [name, draw(_OPTIONS[name])]
+    return argv
+
+
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback():
+    @settings(max_examples=60, deadline=None)
+    @given(_argv())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()

@@ -188,21 +188,6 @@ def test_du_sections_workers_match(ctx9, ctx25):
         seq = du_sections(ctx25, families="x", sample=sample, seed=5)
         par = du_sections(ctx25, families="x", sample=sample, seed=5, workers=3)
         assert seq == par and len(par["x"]["deltas"]) == sample
-    with pytest.raises(ValueError):
-        du_sections(ctx9, ptr_table(ctx9), workers=2)
-
-
-def test_du_sections_accepts_callable_and_table(ctx9):
-    # a callable is tabulated first; both must match the lazy sections
-    from hughesptr import ptr_piecewise
-    from hughesptr.ptr_verify import value_table
-
-    base = du_sections(ctx9, families="x")
-    via_table = du_sections(ctx9, ptr_table(ctx9), families="x")
-    via_callable = du_sections(
-        ctx9, value_table(ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z)), families="x"
-    )
-    assert base == via_table == via_callable
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])

@@ -6,7 +6,6 @@ from hughesptr.ptr_verify import (
     IncidencePlane,
     PtrReport,
     _axiom_c_direct,
-    _axiom_c_inverse,
     build_plane,
     check_axioms,
     check_plane,
@@ -126,7 +125,7 @@ C_CASES = {
 @pytest.mark.parametrize("case", sorted(C_CASES))
 @pytest.mark.parametrize("p", [3, 5])
 def test_axiom_c_matches_direct_check(case, p):
-    # the inverse-z path must report exactly what the column-pair check does
+    # check_axioms must report exactly what the column-pair check does
     ctx = field_ctx(p, 1)
     tbl = C_CASES[case](ctx)
     reports = {r.label: r for r in check_axioms(ctx, table=tbl)}
@@ -135,9 +134,41 @@ def test_axiom_c_matches_direct_check(case, p):
     assert direct.passed == (case in ("hughes", "classical", "x*y+z^2"))
     if direct.witness is not None:
         assert all(type(v) is int for v in direct.witness)
-    assert reports["D"].passed == ("z^2" not in case)  # else the direct check ran
-    if reports["D"].passed:
-        assert _axiom_c_inverse(tbl) == direct
+    assert reports["D"].passed == ("z^2" not in case)
+
+
+def _perturb_table(tbl, rng):
+    """Swap two values in a z-row or two z-rows at one x (both keep (D)), or
+    overwrite one value (breaks (D))."""
+    Q = tbl.shape[0]
+    x, y = rng.integers(Q, size=2)
+    kind = rng.integers(3)
+    if kind == 0:
+        z1, z2 = rng.choice(Q, size=2, replace=False)
+        tbl[x, y, [z1, z2]] = tbl[x, y, [z2, z1]]
+    elif kind == 1:
+        y1, y2 = rng.choice(Q, size=2, replace=False)
+        tbl[x, [y1, y2]] = tbl[x, [y2, y1]]
+    else:
+        z = rng.integers(Q)
+        tbl[x, y, z] = (tbl[x, y, z] + rng.integers(1, Q)) % Q
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_axiom_random_controls_match_direct(p):
+    # (C) is inferred from (D) and (E) when both hold; the Q^5 scan must agree
+    ctx = field_ctx(p, 1)
+    rng = np.random.default_rng(p)
+    base = hughes_table(ctx)
+    seen = set()
+    for _ in range(150):
+        tbl = base.copy()
+        for _ in range(rng.integers(1, 3)):
+            _perturb_table(tbl, rng)
+        reports = {r.label: r for r in check_axioms(ctx, tbl)}
+        assert reports["C"] == _axiom_c_direct(tbl)
+        seen.add((reports["D"].passed, reports["E"].passed))
+    assert {(True, True), (True, False), (False, False)} <= seen
 
 
 def test_pp_classes_hughes(ctx9):
