@@ -117,8 +117,7 @@ def _cmd_gen(ctx, args) -> tuple[int, str]:
     }
     if args.format == "text":
         return 0, hughes_core.render_text(ctx, args.form)
-    poly = builders[args.form](ctx)
-    return 0, _dumps(poly.to_json_dict())
+    return 0, builders[args.form](ctx).to_json_text()
 
 
 def _cmd_verify(ctx, args) -> tuple[int, str]:

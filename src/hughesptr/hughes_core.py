@@ -27,6 +27,15 @@ sweep are calls to it.  Three polynomial forms are provided:
   Catalan numbers; after reduction it is coefficientwise identical to the
   reduced form.
 
+Every coefficient of these forms lies in GF(p), whose elements are indexed by
+their residues, and each form is a sum of blocks f(X) * g(Y) * h(Z) of
+sparse univariate factors, nearly all of them f(X) * tq(Y)^a * tq(Z)^b with
+tq(V) = V^q - V.  So the forms are written out in closed form (``_emit``):
+tq(V)^n is expanded by Lucas' theorem (``_tq_pow``), the term products of
+each block are formed by numpy broadcasting, and equal exponent triples are
+summed mod p after one sort.  No ring product is taken; the tests hold every
+form to its expansion by ``TriPoly`` products.
+
 The square-branch involution phi_k(X) = (X + k)^((Q+1)/2) - k evaluates to
 x on {x : x + k square} and to -x - 2k elsewhere, and drives the piecewise
 behavior of all of the above.
@@ -40,7 +49,7 @@ import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement
 from .modcomb import binom_mod_lucas, catalan_mod, gen_catalan_mod
-from .trivar_poly import TriPoly, variables
+from .trivar_poly import TriPoly
 
 __all__ = [
     "NotUniqueError",
@@ -198,22 +207,93 @@ def sigma_eval(ctx: FieldCtx, x: FieldElement, y: FieldElement, z: FieldElement)
     return phi_eval(ctx, k, x)
 
 
-def _tq_poly(ctx: FieldCtx, axis: int) -> TriPoly:
-    """V^q - V in the chosen variable (axis 0 = X, 1 = Y, 2 = Z)."""
-    hi = [0, 0, 0]
-    lo = [0, 0, 0]
-    hi[axis] = ctx.q
-    lo[axis] = 1
-    return TriPoly(ctx, {tuple(hi): ctx.one, tuple(lo): -ctx.one})
+# ---------------------------------------------------------------------------
+# Closed-form emitter over GF(p)
+# ---------------------------------------------------------------------------
+
+# A univariate factor is a pair (exponents, residues mod p) of int64 arrays; a
+# repeated exponent stands for the sum of its residues.  A block is a triple
+# of factors in X, Y and Z and stands for their product.
+Factor = tuple[np.ndarray, np.ndarray]
+Block = tuple[Factor, Factor, Factor]
 
 
-def _tq_powers(ctx: FieldCtx, axis: int, upto: int) -> list[TriPoly]:
-    """[1, tq, tq^2, ..., tq^upto] in the chosen variable."""
-    base = _tq_poly(ctx, axis)
-    out = [TriPoly.one(ctx)]
-    for _ in range(upto):
-        out.append(out[-1] * base)
-    return out
+def _factor(exps, residues) -> Factor:
+    return np.asarray(exps, dtype=np.int64), np.asarray(residues, dtype=np.int64)
+
+
+_ONE = _factor([0], [1])
+_VAR = _factor([1], [1])
+
+
+def _tq_pow(ctx: FieldCtx, n: int) -> Factor:
+    """tq(V)^n = sum_j (-1)^(n-j) binom(n, j) V^(qj + n - j) over GF(p).
+
+    By Lucas' theorem binom(n, j) is nonzero mod p exactly when every base-p
+    digit of j is at most the matching digit of n, and it is then the
+    product of the digit binomials; so the j are enumerated digit by digit,
+    prod(n_d + 1) of them (N. J. Fine, Amer. Math. Monthly 54, 1947).
+    """
+    p = ctx.p
+    js = np.zeros(1, dtype=np.int64)
+    res = np.ones(1, dtype=np.int64)
+    place, rest = 1, n
+    while rest:
+        d = rest % p
+        digit = np.array([binom_mod_lucas(d, k, p) for k in range(d + 1)], dtype=np.int64)
+        js = (js[:, None] + place * np.arange(d + 1)).ravel()
+        res = (res[:, None] * digit % p).ravel()
+        place, rest = place * p, rest // p
+    res = np.where((n - js) % 2, p - res, res)
+    return ctx.q * js + n - js, res
+
+
+def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
+    """The sum of the blocks as a TriPoly, with no ring products.
+
+    Every product of one term from each factor of a block is formed by
+    broadcasting, as a packed key ((ex * RY + ey) * RZ + ez) * p + c; one
+    sort brings equal exponent triples together in (ex, ey, ez) order, their
+    residues are summed mod p and the zero sums dropped.  A GF(p) element's
+    index is its residue, so each residue maps to one shared FieldElement.
+    """
+    p = ctx.p
+    rx, ry, rz = (1 + max(int(block[v][0].max(initial=0)) for block in blocks) for v in range(3))
+    if rx * ry * rz * p >= 2**63:
+        raise OverflowError("exponents too large to pack into one int64 key")
+    sizes = [fx[0].size * fy[0].size * fz[0].size for fx, fy, fz in blocks]
+    packed = np.empty(sum(sizes), dtype=np.int64)
+    at = 0
+    for ((xe, xc), (ye, yc), (ze, zc)), size in zip(blocks, sizes):
+        key = ((xe[:, None, None] * ry + ye[None, :, None]) * rz + ze[None, None, :]) * p
+        c = (xc[:, None, None] * yc[None, :, None] % p) * zc[None, None, :] % p
+        packed[at:at + size] = (key + c).ravel()
+        at += size
+    packed.sort()
+    key, c = np.divmod(packed, p)
+    del packed
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    c = np.add.reduceat(c, starts) % p
+    key = key[starts]
+    keep = c != 0
+    key, c = key[keep], c[keep]
+    exy, ez = np.divmod(key, rz)
+    ex, ey = np.divmod(exy, ry)
+    elems = [FieldElement(ctx, r) for r in range(p)]
+    terms = dict(zip(zip(ex.tolist(), ey.tolist(), ez.tolist()), map(elems.__getitem__, c.tolist())))
+    return TriPoly(ctx, terms)
+
+
+def _binom_blocks(ctx: FieldCtx, scale: int, y_shift: int) -> list[Block]:
+    """scale * binom((Q+1)/2, m) X^m tq(Y)^(m + y_shift) tq(Z)^(Q-m), m = 1 .. (Q-1)/2."""
+    Q, p = ctx.Q, ctx.p
+    half_exp = (Q + 1) // 2
+    blocks = []
+    for m in range(1, (Q - 1) // 2 + 1):
+        b = binom_mod_lucas(half_exp, m, p)
+        if b:
+            blocks.append((_factor([m], [scale * b % p]), _tq_pow(ctx, m + y_shift), _tq_pow(ctx, Q - m)))
+    return blocks
 
 
 def sigma_poly(ctx: FieldCtx) -> TriPoly:
@@ -222,19 +302,9 @@ def sigma_poly(ctx: FieldCtx) -> TriPoly:
     tq(Y)^(Q-1) * (X^((Q+1)/2)
                    + sum_{m=1}^{(Q-1)/2} binom((Q+1)/2, m) X^m tq(Y)^(m-1) tq(Z)^(Q-m))
     """
-    Q, p = ctx.Q, ctx.p
-    half_exp = (Q + 1) // 2
-    tq_y = _tq_powers(ctx, 1, Q - 1)
-    tq_z = _tq_powers(ctx, 2, Q - 1)
-
-    inner = TriPoly.monomial(ctx, ctx.one, (half_exp, 0, 0))
-    for m in range(1, (Q - 1) // 2 + 1):
-        b = binom_mod_lucas(half_exp, m, p)
-        if not b:
-            continue
-        term = TriPoly.monomial(ctx, ctx.from_int(b), (m, 0, 0))
-        inner = inner + term * tq_y[m - 1] * tq_z[Q - m]
-    return tq_y[Q - 1] * inner
+    Q = ctx.Q
+    head = (_factor([(Q + 1) // 2], [1]), _tq_pow(ctx, Q - 1), _ONE)
+    return _emit(ctx, [head, *_binom_blocks(ctx, 1, Q - 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +312,19 @@ def sigma_poly(ctx: FieldCtx) -> TriPoly:
 # ---------------------------------------------------------------------------
 
 
+def _m_blocks(ctx: FieldCtx) -> list[Block]:
+    """M(X,Y) = X*Y - (1/2) * (X^((Q+1)/2) - X) * tq(Y), shared by all three forms."""
+    p, half = ctx.p, ctx.half().index
+    t_half_x = _factor([(ctx.Q + 1) // 2, 1], [p - half, half])
+    return [(_VAR, _VAR, _ONE), (t_half_x, _tq_pow(ctx, 1), _ONE)]
+
+
+_Z = (_ONE, _ONE, _VAR)
+
+
 def build_M(ctx: FieldCtx) -> TriPoly:
     """M(X, Y) = X*Y - (1/2) * (X^((Q+1)/2) - X) * (Y^q - Y); already reduced."""
-    X, Y, _ = variables(ctx)
-    t_half_x = TriPoly(
-        ctx, {((ctx.Q + 1) // 2, 0, 0): ctx.one, (1, 0, 0): -ctx.one}
-    )
-    return X * Y - (t_half_x * _tq_poly(ctx, 1)).scale(ctx.half())
+    return _emit(ctx, _m_blocks(ctx))
 
 
 def build_nonreduced_T(ctx: FieldCtx) -> TriPoly:
@@ -259,21 +335,8 @@ def build_nonreduced_T(ctx: FieldCtx) -> TriPoly:
     Z-exponents reach (Q-1)*q, so this form is not reduced, but it evaluates
     identically to the piecewise operation.
     """
-    Q, p = ctx.Q, ctx.p
-    half_exp = (Q + 1) // 2
-    tq_y = _tq_powers(ctx, 1, (Q - 1) // 2)
-    tq_z = _tq_powers(ctx, 2, Q - 1)
-
-    s = TriPoly.zero(ctx)
-    for m in range(1, (Q - 1) // 2 + 1):
-        b = binom_mod_lucas(half_exp, m, p)
-        if not b:
-            continue
-        term = TriPoly.monomial(ctx, ctx.from_int(b), (m, 0, 0))
-        s = s + term * tq_y[m] * tq_z[Q - m]
-
-    _, _, Z = variables(ctx)
-    return build_M(ctx) + Z - s.scale(ctx.half())
+    minus_half = ctx.p - ctx.half().index
+    return _emit(ctx, [*_m_blocks(ctx), _Z, *_binom_blocks(ctx, minus_half, 0)])
 
 
 def _inv_neg4_pow(ctx: FieldCtx, i: int) -> int:
@@ -281,28 +344,35 @@ def _inv_neg4_pow(ctx: FieldCtx, i: int) -> int:
     return pow(-4 % ctx.p, -(i + 1), ctx.p)
 
 
-def g_poly(ctx: FieldCtx, i: int) -> TriPoly:
+def _g_factor(ctx: FieldCtx, i: int) -> Factor:
     """g_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i+1} C[j(q-1)+i] X^(j(q-1)+i+1) mod p."""
     q, p = ctx.q, ctx.p
     scale = _inv_neg4_pow(ctx, i)
-    terms: dict[tuple[int, int, int], FieldElement] = {}
-    for j in range(i + 2):
-        c = catalan_mod(j * (q - 1) + i, p)
-        if c:
-            terms[(j * (q - 1) + i + 1, 0, 0)] = ctx.from_int(scale * c)
-    return TriPoly(ctx, terms)
+    cs = [(j * (q - 1) + i + 1, catalan_mod(j * (q - 1) + i, p)) for j in range(i + 2)]
+    return _factor([n for n, c in cs if c], [scale * c % p for _, c in cs if c])
+
+
+def _h_factor(ctx: FieldCtx, i: int) -> Factor:
+    """h_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i} T'[i-j, j] X^(j(q-1)+i) mod p."""
+    q, p = ctx.q, ctx.p
+    scale = _inv_neg4_pow(ctx, i)
+    cs = [(j * (q - 1) + i, gen_catalan_mod(i - j, j, p)) for j in range(i + 1)]
+    return _factor([n for n, c in cs if c], [scale * c % p for _, c in cs if c])
+
+
+def _univariate(ctx: FieldCtx, factor: Factor) -> TriPoly:
+    exps, res = factor
+    return TriPoly(ctx, {(n, 0, 0): ctx.from_int(c) for n, c in zip(exps.tolist(), res.tolist())})
+
+
+def g_poly(ctx: FieldCtx, i: int) -> TriPoly:
+    """g_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i+1} C[j(q-1)+i] X^(j(q-1)+i+1) mod p."""
+    return _univariate(ctx, _g_factor(ctx, i))
 
 
 def h_poly(ctx: FieldCtx, i: int) -> TriPoly:
     """h_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i} T'[i-j, j] X^(j(q-1)+i) mod p."""
-    q, p = ctx.q, ctx.p
-    scale = _inv_neg4_pow(ctx, i)
-    terms: dict[tuple[int, int, int], FieldElement] = {}
-    for j in range(i + 1):
-        c = gen_catalan_mod(i - j, j, p)
-        if c:
-            terms[(j * (q - 1) + i, 0, 0)] = ctx.from_int(scale * c)
-    return TriPoly(ctx, terms)
+    return _univariate(ctx, _h_factor(ctx, i))
 
 
 def build_reduced_T(ctx: FieldCtx) -> TriPoly:
@@ -310,16 +380,12 @@ def build_reduced_T(ctx: FieldCtx) -> TriPoly:
 
     M(X,Y) + Z - sum_{i=0}^{q-2} g_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i)
     """
-    q = ctx.q
-    tq_y = _tq_powers(ctx, 1, q - 1)
-    tq_z = _tq_powers(ctx, 2, q - 1)
-
-    s = TriPoly.zero(ctx)
+    q, p = ctx.q, ctx.p
+    blocks = [*_m_blocks(ctx), _Z]
     for i in range(q - 1):
-        s = s + g_poly(ctx, i) * tq_y[i + 1] * tq_z[q - 1 - i]
-
-    _, _, Z = variables(ctx)
-    return build_M(ctx) + Z - s
+        exps, res = _g_factor(ctx, i)
+        blocks.append(((exps, (p - res) % p), _tq_pow(ctx, i + 1), _tq_pow(ctx, q - 1 - i)))
+    return _emit(ctx, blocks)
 
 
 def build_T2(ctx: FieldCtx) -> TriPoly:
@@ -327,20 +393,18 @@ def build_T2(ctx: FieldCtx) -> TriPoly:
 
     M(X,Y) + Z + tq(X) tq(Y) tq(Z) * sum_{i=0}^{q-2} h_i(X) tq(Y)^i tq(Z)^(q-2-i)
 
+    It is emitted as M + Z + sum_i (X^q - X) h_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i).
     Equal to the reduced form after reduction: tq(X) * h_i(X) = -g_i(X)
-    coefficientwise mod p, which the test suite asserts directly.
+    coefficientwise mod p, which the test suite asserts directly; h_i is
+    taken from the generalized Catalan numbers, not from g_i.
     """
-    q = ctx.q
-    tq_y = _tq_powers(ctx, 1, q - 1)
-    tq_z = _tq_powers(ctx, 2, q - 1)
-
-    s = TriPoly.zero(ctx)
+    q, p = ctx.q, ctx.p
+    blocks = [*_m_blocks(ctx), _Z]
     for i in range(q - 1):
-        s = s + h_poly(ctx, i) * tq_y[i] * tq_z[q - 2 - i]
-
-    _, _, Z = variables(ctx)
-    prefactor = _tq_poly(ctx, 0) * _tq_poly(ctx, 1) * _tq_poly(ctx, 2)
-    return build_M(ctx) + Z + prefactor * s
+        exps, res = _h_factor(ctx, i)
+        tq_x_h = _factor(np.concatenate([exps + q, exps + 1]), np.concatenate([res, (p - res) % p]))
+        blocks.append((tq_x_h, _tq_pow(ctx, i + 1), _tq_pow(ctx, q - 1 - i)))
+    return _emit(ctx, blocks)
 
 
 # ---------------------------------------------------------------------------

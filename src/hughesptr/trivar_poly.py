@@ -207,6 +207,18 @@ class TriPoly:
             ],
         }
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\\n"``,
+        byte for byte, written from a template instead of by ``json``'s
+        pure-Python indent encoder."""
+        head = f'{{\n  "e": {self.ctx.e},\n  "p": {self.ctx.p},\n  "terms": '
+        if not self.terms:
+            return head + "[]\n}\n"
+        term = '    {\n      "c": %d,\n      "ex": %d,\n      "ey": %d,\n      "ez": %d\n    }'
+        terms = self.terms
+        body = ",\n".join([term % (terms[e].index, *e) for e in sorted(terms)])
+        return head + "[\n" + body + "\n  ]\n}\n"
+
     @classmethod
     def from_json_dict(cls, data: dict, ctx: FieldCtx | None = None) -> "TriPoly":
         if ctx is None:

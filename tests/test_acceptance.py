@@ -1,7 +1,8 @@
 """Acceptance suite: every check is exact finite-field arithmetic.
 
 Each test prints one pass/fail line (run pytest with -s to see them).
-Field sizes: Q = 9, 25, 49, 81 via (p, e) = (3,1), (5,1), (7,1), (3,2).
+Field sizes: Q = 9, 25, 49, 81 via (p, e) = (3,1), (5,1), (7,1), (3,2); the
+three-form identity also runs at Q = 169 and 625, via (13,1) and (5,2).
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from hughesptr.ptr_verify import (
 )
 from conftest import random_elements
 
-FIELDS = {9: (3, 1), 25: (5, 1), 49: (7, 1), 81: (3, 2)}
+FIELDS = {9: (3, 1), 25: (5, 1), 49: (7, 1), 81: (3, 2), 169: (13, 1), 625: (5, 2)}
 
 
 def _criterion(num: int, desc: str, ok: bool) -> None:
@@ -53,12 +54,12 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_three_form_identity():
     ok = True
-    for Q in (9, 25, 49):
+    for Q in (9, 25, 49, 81, 169, 625):
         ctx = field_ctx(*FIELDS[Q])
         T = build_reduced_T(ctx)
         ok &= build_nonreduced_T(ctx).reduce().equal_reduced(T)
         ok &= build_T2(ctx).reduce().equal_reduced(T)
-    _criterion(2, "nonreduced, reduced, and generalized forms agree coefficientwise, Q in {9,25,49}", ok)
+    _criterion(2, "nonreduced, reduced, and generalized forms agree coefficientwise, Q in {9,25,49,81,169,625}", ok)
 
 
 def test_criterion_3_axioms_and_controls():

@@ -22,8 +22,9 @@ from hughesptr import (
     sigma_poly,
     solve_kkprime,
 )
-from hughesptr.hughes_core import g_poly, h_poly, render_text, _tq_poly
+from hughesptr.hughes_core import g_poly, h_poly, render_text
 from conftest import random_elements
+from ring_forms import RING_FORMS, ring_sigma, tq_poly
 
 
 def test_nearfield_mul(ctx9):
@@ -237,7 +238,24 @@ def test_nonreduced_T_basics(ctx9):
     assert np.array_equal(evaluate_grid(T), ptr_table(ctx9))
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1)])
+BUILDERS = {"nonreduced": build_nonreduced_T, "reduced": build_reduced_T, "t2": build_T2}
+
+
+@pytest.mark.parametrize("form", sorted(BUILDERS))
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_closed_forms_match_ring_products(p, e, form):
+    # the closed-form emitter against the same formula expanded by TriPoly products
+    ctx = field_ctx(p, e)
+    assert BUILDERS[form](ctx).terms == RING_FORMS[form](ctx).terms
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
+def test_closed_sigma_matches_ring_products(p, e):
+    ctx = field_ctx(p, e)
+    assert sigma_poly(ctx).terms == ring_sigma(ctx).terms
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2)])
 def test_three_forms_agree(p, e):
     ctx = field_ctx(p, e)
     T = build_reduced_T(ctx)
@@ -264,7 +282,7 @@ def test_reduced_T_subfield_slice_is_classical(ctx9):
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
 def test_g_equals_minus_tq_times_h(p, e):
     ctx = field_ctx(p, e)
-    tq_x = _tq_poly(ctx, 0)
+    tq_x = tq_poly(ctx, 0)
     for i in range(ctx.q - 1):
         assert g_poly(ctx, i) == -(tq_x * h_poly(ctx, i)), i
 

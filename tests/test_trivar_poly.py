@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from hughesptr import TriPoly, build_reduced_T, evaluate_grid, field_ctx, ptr_table, variables
+from hughesptr import (
+    TriPoly,
+    build_nonreduced_T,
+    build_reduced_T,
+    build_T2,
+    evaluate_grid,
+    field_ctx,
+    ptr_table,
+    variables,
+)
 from conftest import random_elements
 
 
@@ -229,6 +238,22 @@ def test_json_round_trip(ctx9):
     assert again == P
     # byte stability
     assert json.dumps(P.to_json_dict()) == json.dumps(again.to_json_dict())
+
+
+def _json_text_cases():
+    ctx = field_ctx(3, 1)
+    yield "zero", TriPoly.zero(ctx)
+    yield "one-term", TriPoly.monomial(ctx, ctx.element_from_index(7), (0, 12, 3))
+    for p in (3, 5, 7):
+        for build in (build_nonreduced_T, build_reduced_T, build_T2):
+            yield f"{build.__name__}-q{p * p}", build(field_ctx(p, 1))
+
+
+@pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in _json_text_cases()])
+def test_json_text_matches_json_dumps(P):
+    text = P.to_json_text()
+    assert text == json.dumps(P.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert TriPoly.from_json_dict(json.loads(text)) == P
 
 
 def test_negative_exponent_rejected(ctx9):
