@@ -6,7 +6,6 @@ from .du_analysis import DuProfile, diff_op, du, du_sections, k_sets, uniformity
 from .gf_tower import FieldCtx, FieldElement, FieldParams, field_ctx
 from .hughes_core import (
     KPair,
-    NearfieldCtx,
     NotUniqueError,
     build_M,
     build_nonreduced_T,
@@ -44,7 +43,6 @@ __all__ = [
     "variables",
     "evaluate_grid",
     "KPair",
-    "NearfieldCtx",
     "NotUniqueError",
     "nearfield_mul",
     "solve_kkprime",

@@ -122,13 +122,13 @@ def _cmd_gen(ctx, args) -> tuple[int, str]:
 
 def _cmd_verify(ctx, args) -> tuple[int, str]:
     table = hughes_core.ptr_table(ctx)
-    reports = ptr_verify.check_axioms(ctx, table)
+    reports = ptr_verify.check_axioms(table)
     poly_table = evaluate_grid(hughes_core.build_reduced_T(ctx))
-    reports += ptr_verify.check_pp_classes(ctx, poly_table)
+    reports += ptr_verify.check_pp_classes(poly_table)
     payload = {r.label: r.to_json_dict() for r in reports}
     payload["polynomial_matches_piecewise"] = {"pass": bool((table == poly_table).all())}
     if args.plane:
-        plane = ptr_verify.build_plane(ctx, table)
+        plane = ptr_verify.build_plane(table)
         payload["projective_plane"] = ptr_verify.check_plane(plane).to_json_dict()
     ok = all(v["pass"] for v in payload.values())
     return (0 if ok else 1), _dumps(payload)
@@ -156,7 +156,7 @@ def _cmd_du(ctx, args) -> tuple[int, str]:
 
 def _cmd_plane(ctx, args) -> tuple[int, str]:
     table = hughes_core.ptr_table(ctx)
-    plane = ptr_verify.build_plane(ctx, table)
+    plane = ptr_verify.build_plane(table)
     report = ptr_verify.check_plane(plane)
     payload = {
         "points": plane.n_points,

@@ -15,7 +15,6 @@ as follows, and ``du_sections`` re-derives it by enumeration:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +159,7 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
         fixings = [divmod(int(i), Q) for i in picks]
 
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
             # every section costs O(Q), so equal contiguous chunks balance
             size = -(-len(fixings) // workers)
             chunks = [fixings[lo:lo + size] for lo in range(0, len(fixings), size)]

@@ -14,11 +14,15 @@ index(a) + q * index(b); equivalently, the 2e base-p digits of the index are
 the element's coefficient vector over GF(p).  Index 0 is zero, index 1 is one,
 and the subfield GF(q) occupies exactly the indices below q.
 
-Scalar multiplication is schoolbook on the (a, b) pair with a single
-reduction by w^2 = n.  The numpy table layer (``FieldCtx.tables``) uses
-discrete-log tables for multiplication and adds the two GF(q) coordinates
-through the q x q subfield addition table; it is an optimization only and is
-required to agree with the schoolbook path element for element.
+The scalar side (``FieldCtx``) holds only the q x q tables of GF(q).  It
+multiplies schoolbook on the (a, b) pair with a single reduction by
+w^2 = n, and a + b*w is a square of GF(Q) exactly when its norm
+a^2 - n*b^2 is a square of GF(q) (Lidl and Niederreiter, *Finite Fields*,
+ch. 2).  The numpy layer (``FieldCtx.tables``) alone holds the discrete logs
+of GF(Q): it multiplies through them, reads the quadratic character off
+their parity, and adds the two GF(q) coordinates through the q x q subfield
+addition table.  It is an optimization only and is required to agree with
+the scalar side element for element.
 """
 
 from __future__ import annotations
@@ -118,6 +122,17 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
             if not any(_poly_rem(list(poly), g, p)):
                 return False
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
 
 
 def _find_base_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -234,7 +249,7 @@ class FieldElement:
 
 
 class FieldCtx:
-    """Immutable description of the tower, with canonical moduli and tables.
+    """Immutable description of the tower: canonical moduli and GF(q) tables.
 
     All operations are pure; a context can be shared freely across workers.
     """
@@ -249,8 +264,10 @@ class FieldCtx:
         self.base_modulus = _find_base_modulus(p, e)
         self._build_subfield_tables()
 
-        self.ext_nonresidue_index = self._find_nonresidue()
-        self._build_logs()
+        # quadratic character of GF(q): a^((q-1)/2) is 1 or -1 for a != 0
+        half = (self.q - 1) // 2
+        self._q_quad = [0] + [1 if self._q_pow(a, half) == 1 else -1 for a in range(1, self.q)]
+        self.ext_nonresidue_index = self._q_quad.index(-1)
 
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -300,46 +317,6 @@ class FieldCtx:
             a = self._q_mul[a][a]
             n >>= 1
         return r
-
-    def _find_nonresidue(self) -> int:
-        neg_one = self._q_neg[1]
-        for idx in range(1, self.q):
-            if self._q_pow(idx, (self.q - 1) // 2) == neg_one:
-                return idx
-        raise AssertionError("GF(q) has no non-square")  # unreachable for odd q
-
-    def _build_logs(self) -> None:
-        Q = self.Q
-        # factor Q - 1 for the order test
-        rest, primes = Q - 1, []
-        d = 2
-        while d * d <= rest:
-            if rest % d == 0:
-                primes.append(d)
-                while rest % d == 0:
-                    rest //= d
-            d += 1
-        if rest > 1:
-            primes.append(rest)
-
-        gen = None
-        for cand in range(2, Q):
-            if all(self._pow_i(cand, (Q - 1) // r) != 1 for r in primes):
-                gen = cand
-                break
-        assert gen is not None
-        self.generator_index = gen
-
-        exp = [1] * (Q - 1)
-        for i in range(1, Q - 1):
-            exp[i] = self._mul_i(exp[i - 1], gen)
-        log = [0] * Q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-        # quadratic character from log parity: squares have even logs
-        self._quad = [0] + [1 if self._log[v] % 2 == 0 else -1 for v in range(1, Q)]
 
     # -- index-level arithmetic (internal fast path) -------------------------
 
@@ -435,14 +412,17 @@ class FieldCtx:
         return FieldElement(self, self._tq_i(x.index))
 
     def quad_char(self, x: FieldElement) -> int:
-        """+1 for nonzero squares, -1 for non-squares, 0 for zero."""
+        """+1 for nonzero squares, -1 for non-squares, 0 for zero: the
+        character of the norm (a + b*w)^(q+1) = a^2 - n*b^2 in GF(q)."""
         self._check(x)
-        return self._quad[x.index]
+        q, qm = self.q, self._q_mul
+        a, b = x.index % q, x.index // q
+        nb2 = qm[qm[b][b]][self.ext_nonresidue_index]
+        return self._q_quad[self._q_add[qm[a][a]][self._q_neg[nb2]]]
 
     def is_square(self, x: FieldElement) -> bool:
         """True for squares, with zero counted as a square."""
-        self._check(x)
-        return self._quad[x.index] >= 0
+        return self.quad_char(x) >= 0
 
     def in_subfield(self, x: FieldElement) -> bool:
         self._check(x)
@@ -472,8 +452,9 @@ class FieldTables:
 
     Multiplication uses padded discrete-log tables (zero maps to a sentinel
     log so products involving zero land in a zeroed region of the padded
-    exponential table).  Addition splits each index A = a0 + q*a1 into its
-    GF(q) coordinates and adds them through the q x q subfield table:
+    exponential table); the logs are built here and held nowhere else.
+    Addition splits each index A = a0 + q*a1 into its GF(q) coordinates and
+    adds them through the q x q subfield table:
     ``qadd[a0, b0] + q * qadd[a1, b1]``.  Results are bit-identical to the
     scalar schoolbook path.
     """
@@ -484,32 +465,41 @@ class FieldTables:
         Qm1 = Q - 1
         self.Qm1 = Qm1
 
-        self._log_zero = 2 * Qm1
+        # the least generator of GF(Q)*: no (Q-1)/r-th power is 1, r | Q-1 prime
+        primes = _prime_factors(Qm1)
+        gen = next(g for g in range(2, Q) if all(ctx._pow_i(g, Qm1 // r) != 1 for r in primes))
+        exp = [1] * Qm1
+        for i in range(1, Qm1):
+            exp[i] = ctx._mul_i(exp[i - 1], gen)
+        exp = np.array(exp, dtype=np.int32)
+
         log = np.empty(Q, dtype=np.int64)
-        log[0] = self._log_zero
-        for v in range(1, Q):
-            log[v] = ctx._log[v]
+        log[0] = 2 * Qm1  # sums with zero's log land in the zeroed half of exp_pad
+        log[exp] = np.arange(Qm1)
         self.log = log
 
         exp_pad = np.zeros(4 * Qm1 + 1, dtype=np.int32)
-        for i in range(2 * Qm1):
-            exp_pad[i] = ctx._exp[i % Qm1]
+        exp_pad[:2 * Qm1] = np.tile(exp, 2)
         self.exp_pad = exp_pad
 
-        ar = np.arange(Q, dtype=np.int32)
-        self.neg = np.array([ctx._neg_i(i) for i in range(Q)], dtype=np.int32)
-        self.frob = np.array([ctx._frob_i(i) for i in range(Q)], dtype=np.int32)
-        self.tq = np.array([ctx._tq_i(i) for i in range(Q)], dtype=np.int32)
-        self.quad = np.array(ctx._quad, dtype=np.int8)
+        # quadratic character from log parity: squares have even logs
+        self.quad = np.where(log % 2 == 0, 1, -1).astype(np.int8)
+        self.quad[0] = 0
         inv = np.zeros(Q, dtype=np.int32)  # inv[0] stays 0; callers must mask
         inv[1:] = exp_pad[(Qm1 - log[1:]) % Qm1]
         self.inv = inv
+
+        ar = np.arange(Q, dtype=np.int32)
+        self._qadd = np.array(ctx._q_add, dtype=np.int32)
+        qneg = np.array(ctx._q_neg, dtype=np.int32)
+        lo, hi = ar % q, ar // q
+        self.neg = qneg[lo] + q * qneg[hi]
+        self.frob = lo + q * qneg[hi]  # (a + b*w)^q = a - b*w
+        self.tq = self.add(self.frob, self.neg)
         self.in_subfield = ar < q
 
         self._place = np.array([p**d for d in range(2 * ctx.e)], dtype=np.int32)
         self._digits = np.stack([(ar // p**d) % p for d in range(2 * ctx.e)]).astype(np.int32)
-
-        self._qadd = np.array(ctx._q_add, dtype=np.int32)
 
     # inputs are integer arrays (any broadcastable shapes) of element indices
 

@@ -54,7 +54,6 @@ from .trivar_poly import TriPoly
 __all__ = [
     "NotUniqueError",
     "KPair",
-    "NearfieldCtx",
     "nearfield_mul",
     "solve_kkprime",
     "ptr_piecewise",
@@ -85,16 +84,6 @@ class KPair:
 
     k: FieldElement
     k_prime: FieldElement
-
-
-@dataclass(frozen=True)
-class NearfieldCtx:
-    """The regular nearfield of order Q with center GF(q)."""
-
-    ctx: FieldCtx
-
-    def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return nearfield_mul(self.ctx, x, y)
 
 
 def nearfield_mul(ctx: FieldCtx, x: FieldElement, y: FieldElement) -> FieldElement:

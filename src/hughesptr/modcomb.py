@@ -11,8 +11,10 @@ big integers and then reduced, for the same reason.
 ``identity_suite`` re-verifies, by exact integer arithmetic, every
 congruence identity the polynomial construction relies on.  Its Lucas sweep
 takes the exact binomials row by row from Pascal's triangle, each row from
-the one before by big-integer addition, rather than one ``math.comb`` per
-entry.
+the one before by big-integer addition, and every sweep takes its exact
+Catalan numbers from one run of C[m+1] = C[m] * 2(2m+1) / (m+2), rather
+than one ``math.comb`` per entry; ``catalan_exact`` is the reference both
+are tested against.
 """
 
 from __future__ import annotations
@@ -108,7 +110,23 @@ def _neg4_pow(n: int, p: int) -> int:
     return pow(-4 % p, n, p)
 
 
-def identity_suite(p: int, e: int, max_n: int = 300, exact_cap: int = 60) -> dict[str, IdentityCheck]:
+def _catalan_run():
+    """C(n), n >= 0, on demand from one run of C[m+1] = C[m] * 2(2m+1) / (m+2)."""
+    run = [1]
+
+    def catalan(n: int) -> int:
+        for m in range(len(run) - 1, n):
+            run.append(run[m] * 2 * (2 * m + 1) // (m + 2))
+        return run[n]
+
+    return catalan
+
+
+# index ceiling of the exact integer identity gen_catalan_diff
+EXACT_CAP = 60
+
+
+def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]:
     """Verify the binomial/Catalan congruences over their full index ranges.
 
     All checks compare exact big-integer evaluations of both sides (reduced
@@ -122,6 +140,7 @@ def identity_suite(p: int, e: int, max_n: int = 300, exact_cap: int = 60) -> dic
     q = p**e
     Q = q * q
     cap = max_n + 1
+    catalan = _catalan_run()
     out: dict[str, IdentityCheck] = {}
 
     # Lucas' theorem against exact binomials, row a of Pascal's triangle
@@ -156,23 +175,23 @@ def identity_suite(p: int, e: int, max_n: int = 300, exact_cap: int = 60) -> dic
     for t in range(1, 2 * e + 1):
         pt = p**t
         for n in range(min(pt - 1, max_n + 1)):
-            lhs = catalan_exact(n) % p
+            lhs = catalan(n) % p
             rhs = 2 * _neg4_pow(n, p) * binom_exact((pt + 1) // 2, n + 1) % p
             chk.record(lhs == rhs, (t, n))
 
     # Exact integer identity: T'[n,k] - T'[n+1,k-1] = 2 * binom(2k-1, k) * C[n].
     chk = out.setdefault("gen_catalan_diff", IdentityCheck("gen_catalan_diff"))
-    for n in range(exact_cap + 1):
-        for k in range(1, exact_cap + 1):
+    for n in range(EXACT_CAP + 1):
+        for k in range(1, EXACT_CAP + 1):
             lhs = gen_catalan_exact(n, k) - gen_catalan_exact(n + 1, k - 1)
-            rhs = 2 * binom_exact(2 * k - 1, k) * catalan_exact(n)
+            rhs = 2 * binom_exact(2 * k - 1, k) * catalan(n)
             chk.record(lhs == rhs, (n, k))
 
     # C[kq+n] = T'[n,k] - T'[n+1,k-1] mod p, 0 <= n < q-1, 0 <= k < q.
     chk = out.setdefault("catalan_block", IdentityCheck("catalan_block"))
     for k in range(min(q, cap)):
         for n in range(min(q - 1, cap)):
-            lhs = catalan_exact(k * q + n) % p
+            lhs = catalan(k * q + n) % p
             rhs = (gen_catalan_exact(n, k) - gen_catalan_exact(n + 1, k - 1)) % p
             chk.record(lhs == rhs, (n, k))
 
@@ -180,6 +199,6 @@ def identity_suite(p: int, e: int, max_n: int = 300, exact_cap: int = 60) -> dic
     chk = out.setdefault("catalan_zero", IdentityCheck("catalan_zero"))
     for j in range(min((q - 1) // 2, cap) + 1):
         for i in range(max(j - 1, 0)):
-            chk.record(catalan_exact(j * (q - 1) + i) % p == 0, (i, j))
+            chk.record(catalan(j * (q - 1) + i) % p == 0, (i, j))
 
     return out

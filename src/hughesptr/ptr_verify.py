@@ -124,7 +124,7 @@ def _axiom_e(table: np.ndarray) -> PtrReport:
     return PtrReport("E", True)
 
 
-def check_axioms(ctx: FieldCtx, table: np.ndarray) -> list[PtrReport]:
+def check_axioms(table: np.ndarray) -> list[PtrReport]:
     """Verify axioms (A)-(E) exhaustively on a (Q,Q,Q) value table; returns
     one report per axiom.
 
@@ -138,7 +138,7 @@ def check_axioms(ctx: FieldCtx, table: np.ndarray) -> list[PtrReport]:
     most one each, means exactly one each, which is (C).  (D. R. Hughes and
     F. C. Piper, *Projective Planes*, 1973, ch. V.)
     """
-    Q = ctx.Q
+    Q = table.shape[0]
     ar = np.arange(Q)
     reports = []
 
@@ -171,7 +171,7 @@ def check_axioms(ctx: FieldCtx, table: np.ndarray) -> list[PtrReport]:
     return reports + [report_c, report_d, report_e]
 
 
-def check_pp_classes(ctx: FieldCtx, table: np.ndarray) -> list[PtrReport]:
+def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
     """Verify the three section families of a (Q,Q,Q) value table induce
     bijections of GF(Q):
 
@@ -216,10 +216,10 @@ class IncidencePlane:
         return len(self.points_on)
 
 
-def build_plane(ctx: FieldCtx, table: np.ndarray) -> IncidencePlane:
+def build_plane(table: np.ndarray) -> IncidencePlane:
     """The plane of a (Q,Q,Q) value table: every line's points, each row in
     ascending order."""
-    Q = ctx.Q
+    Q = table.shape[0]
     N = Q * Q + Q + 1
     ar = np.arange(Q, dtype=np.int32)
     points_on = np.empty((N, Q + 1), dtype=np.int32)

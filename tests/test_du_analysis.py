@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hughesptr
 from hughesptr import field_ctx, ptr_table
 from hughesptr.du_analysis import (
     diff_op,
@@ -188,6 +194,15 @@ def test_du_sections_workers_match(ctx9, ctx25):
         seq = du_sections(ctx25, families="x", sample=sample, seed=5)
         par = du_sections(ctx25, families="x", sample=sample, seed=5, workers=3)
         assert seq == par and len(par["x"]["deltas"]) == sample
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only du --workers N with N > 1 needs concurrent.futures and multiprocessing
+    env = dict(os.environ, PYTHONPATH=str(Path(hughesptr.__file__).parents[1]))
+    probe = ("import sys, hughesptr\n"
+             "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])

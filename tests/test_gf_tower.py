@@ -201,9 +201,17 @@ def test_vector_tables_bit_identical(p, e):
         assert t.neg[i] == ctx._neg_i(i)
         assert t.frob[i] == ctx._frob_i(i)
         assert t.tq[i] == ctx._tq_i(i)
-        assert t.quad[i] == ctx._quad[i]
+        assert t.quad[i] == ctx.quad_char(ctx.element_from_index(i))
         if i:
             assert t.inv[i] == ctx._inv_i(i)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (7, 2), (3, 4)])
+def test_quad_char_norm_matches_log_parity(p, e):
+    # scalar: the character of the norm in GF(q); vector: the parity of the log
+    ctx = field_ctx(p, e)
+    scalar = [ctx.quad_char(x) for x in ctx.enumerate_field()]
+    assert ctx.tables.quad.tolist() == scalar
 
 
 def test_vector_tables_random_large(ctx81):

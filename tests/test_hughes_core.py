@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hughesptr import (
-    NearfieldCtx,
     NotUniqueError,
     TriPoly,
     build_M,
@@ -36,9 +35,6 @@ def test_nearfield_mul(ctx9):
                 assert nearfield_mul(ctx9, g, y) == g * ctx9.frobenius_q(y)
             elif g.index:
                 assert nearfield_mul(ctx9, g, y) == g * y
-    nf = NearfieldCtx(ctx9)
-    x, y = random_elements(ctx9, 2, seed=8)
-    assert nf.mul(x, y) == nearfield_mul(ctx9, x, y)
 
 
 def test_nearfield_mul_not_right_distributive(ctx9):

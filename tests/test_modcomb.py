@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hughesptr.modcomb import (
+    _catalan_run,
     binom_exact,
     binom_mod_lucas,
     catalan_exact,
@@ -78,6 +79,14 @@ def test_difference_identity_spot():
     # T'[1,1] - T'[2,0] = 4 - 2 = 2 = 2 * binom(1,1) * C[1]
     assert gen_catalan_exact(1, 1) - gen_catalan_exact(2, 0) == 2
     assert 2 * binom_exact(1, 1) * catalan_exact(1) == 2
+
+
+def test_catalan_run_matches_exact():
+    # the sweeps' recurrence against binom(2n, n) / (n + 1), read out of order
+    catalan = _catalan_run()
+    indices = [5, 0, 300, 17, 299, 1, 1200]
+    assert [catalan(n) for n in indices] == [catalan_exact(n) for n in indices]
+    assert [catalan(n) for n in range(301)] == [catalan_exact(n) for n in range(301)]
 
 
 def test_catalan_binomial_spot():

@@ -59,3 +59,46 @@ def test_add_sub_pow_match_scalar_path(p, e):
         assert t.pow(a, n) == ctx._pow_i(a, n)
 
     check()
+
+
+@pytest.mark.parametrize("p,e", LARGE)
+def test_scalar_field_axioms(p, e):
+    ctx = field_ctx(p, e)
+    add, mul = ctx._add_i, ctx._mul_i
+
+    @settings(max_examples=300, deadline=None)
+    @given(_elements(ctx), _elements(ctx), _elements(ctx))
+    def check(a, b, c):
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+    check()
+
+
+@pytest.mark.parametrize("p,e", LARGE)
+def test_frobenius_is_a_ring_map(p, e):
+    ctx = field_ctx(p, e)
+    frob = ctx._frob_i
+
+    @settings(max_examples=300, deadline=None)
+    @given(_elements(ctx), _elements(ctx))
+    def check(a, b):
+        assert frob(ctx._add_i(a, b)) == ctx._add_i(frob(a), frob(b))
+        assert frob(ctx._mul_i(a, b)) == ctx._mul_i(frob(a), frob(b))
+        assert frob(a) == ctx._pow_i(a, ctx.q)
+
+    check()
+
+
+@pytest.mark.parametrize("p,e", LARGE)
+def test_quad_char_is_multiplicative(p, e):
+    ctx = field_ctx(p, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_elements(ctx), _elements(ctx))
+    def check(a, b):
+        x, y = ctx.element_from_index(a), ctx.element_from_index(b)
+        assert ctx.quad_char(x * y) == ctx.quad_char(x) * ctx.quad_char(y)
+
+    check()

@@ -26,20 +26,20 @@ def hughes_table(ctx):
 
 
 def test_axioms_pass_hughes_q9(ctx9):
-    reports = check_axioms(ctx9, value_table(ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z)))
+    reports = check_axioms(value_table(ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z)))
     assert [r.label for r in reports] == list("ABCDE")
     assert all(r.passed for r in reports)
     assert all(r.witness is None for r in reports)
 
 
 def test_axioms_pass_classical(ctx9):
-    assert all(r.passed for r in check_axioms(ctx9, table=classical_table(ctx9)))
+    assert all(r.passed for r in check_axioms(table=classical_table(ctx9)))
 
 
 def test_axioms_pass_polynomial_table(ctx9, ctx25):
     for ctx in (ctx9, ctx25):
         table = evaluate_grid(build_reduced_T(ctx))
-        assert all(r.passed for r in check_axioms(ctx, table=table))
+        assert all(r.passed for r in check_axioms(table=table))
 
 
 def test_value_table_matches_vector_oracle(ctx9):
@@ -48,7 +48,7 @@ def test_value_table_matches_vector_oracle(ctx9):
 
 
 def _axiom_report(ctx, fn, label):
-    reports = {r.label: r for r in check_axioms(ctx, value_table(ctx, fn))}
+    reports = {r.label: r for r in check_axioms(value_table(ctx, fn))}
     return reports[label]
 
 
@@ -128,7 +128,7 @@ def test_axiom_c_matches_direct_check(case, p):
     # check_axioms must report exactly what the column-pair check does
     ctx = field_ctx(p, 1)
     tbl = C_CASES[case](ctx)
-    reports = {r.label: r for r in check_axioms(ctx, table=tbl)}
+    reports = {r.label: r for r in check_axioms(table=tbl)}
     direct = _axiom_c_direct(tbl)
     assert reports["C"] == direct
     assert direct.passed == (case in ("hughes", "classical", "x*y+z^2"))
@@ -165,7 +165,7 @@ def test_axiom_random_controls_match_direct(p):
         tbl = base.copy()
         for _ in range(rng.integers(1, 3)):
             _perturb_table(tbl, rng)
-        reports = {r.label: r for r in check_axioms(ctx, tbl)}
+        reports = {r.label: r for r in check_axioms(tbl)}
         assert reports["C"] == _axiom_c_direct(tbl)
         seen.add((reports["D"].passed, reports["E"].passed))
     assert {(True, True), (True, False), (False, False)} <= seen
@@ -173,7 +173,7 @@ def test_axiom_random_controls_match_direct(p):
 
 def test_pp_classes_hughes(ctx9):
     poly = build_reduced_T(ctx9)
-    reports = check_pp_classes(ctx9, evaluate_grid(poly))
+    reports = check_pp_classes(evaluate_grid(poly))
     assert [r.label for r in reports] == ["x_sections", "y_sections", "z_sections"]
     assert all(r.passed for r in reports)
 
@@ -190,7 +190,7 @@ def test_pp_classes_negative_control(ctx9):
     ar = np.arange(ctx9.Q, dtype=np.int32)
     x2 = t.mul(ar, ar)
     broken = t.add(t.mul(x2[:, None, None], ar[None, :, None]), ar[None, None, :])
-    reports = {r.label: r for r in check_pp_classes(ctx9, table=broken)}
+    reports = {r.label: r for r in check_pp_classes(table=broken)}
     assert not reports["x_sections"].passed
     assert reports["x_sections"].witness is not None
 
@@ -204,7 +204,7 @@ def dense_incidence(plane):
 
 
 def test_plane_counts_q9(ctx9):
-    plane = build_plane(ctx9, table=hughes_table(ctx9))
+    plane = build_plane(table=hughes_table(ctx9))
     assert plane.n_points == plane.n_lines == 91
     assert plane.points_on.shape == (91, 10)
     assert (np.diff(plane.points_on, axis=1) > 0).all()  # rows ascending
@@ -216,7 +216,7 @@ def test_plane_counts_q9(ctx9):
 
 def test_plane_lines_as_documented(ctx9):
     Q, tbl = ctx9.Q, hughes_table(ctx9)
-    plane = build_plane(ctx9, table=tbl)
+    plane = build_plane(table=tbl)
     m, k = 4, 7
     assert plane.points_on[m * Q + k].tolist() == [x * Q + tbl[x, m, k] for x in range(Q)] + [Q * Q + m]
     assert plane.points_on[Q * Q + 2].tolist() == [2 * Q + y for y in range(Q)] + [Q * Q + Q]
@@ -224,12 +224,12 @@ def test_plane_lines_as_documented(ctx9):
 
 
 def test_plane_classical_control(ctx9):
-    plane = build_plane(ctx9, table=classical_table(ctx9))
+    plane = build_plane(table=classical_table(ctx9))
     assert check_plane(plane).passed
 
 
 def test_plane_negative_control(ctx9):
-    plane = build_plane(ctx9, table=hughes_table(ctx9))
+    plane = build_plane(table=hughes_table(ctx9))
     plane.points_on[0, 0] = plane.points_on[0, 1]  # line 0 loses a point
     report = check_plane(plane)
     assert not report.passed and report.witness == ("line_size", 0)
@@ -275,7 +275,7 @@ def _degree_preserving_swap(points_on, rng):
 @pytest.mark.parametrize("p", [3, 5])
 def test_plane_swap_controls_match_dense_oracle(p, seed):
     ctx = field_ctx(p, 1)
-    plane = build_plane(ctx, table=hughes_table(ctx))
+    plane = build_plane(table=hughes_table(ctx))
     assert check_plane(plane) == dense_plane_report(plane) == PtrReport("projective_plane", True)
     _degree_preserving_swap(plane.points_on, np.random.default_rng(seed))
     report = check_plane(plane)
@@ -284,7 +284,7 @@ def test_plane_swap_controls_match_dense_oracle(p, seed):
 
 
 def test_plane_size_controls_match_dense_oracle(ctx9):
-    plane = build_plane(ctx9, table=classical_table(ctx9))
+    plane = build_plane(table=classical_table(ctx9))
     plane.points_on[7] = plane.points_on[8]  # line 7 := line 8
     report = check_plane(plane)
     assert report == dense_plane_report(plane)
@@ -315,7 +315,7 @@ def test_plane_random_controls_match_dense_oracle(p):
     # the dense oracle checks both pair counts; the single pass must agree
     ctx = field_ctx(p, 1)
     rng = np.random.default_rng(p)
-    base = build_plane(ctx, hughes_table(ctx)).points_on
+    base = build_plane(hughes_table(ctx)).points_on
     witnesses = set()
     for _ in range(100):
         plane = IncidencePlane(ctx.Q, base.copy())
@@ -335,7 +335,7 @@ def test_plane_random_controls_match_dense_oracle(p):
     (lambda on: np.where(on == 90, 91, on), ("line_size", 81)),  # first line through inf
 ])
 def test_plane_malformed_lines_fail_without_raising(ctx9, corrupt, witness):
-    plane = build_plane(ctx9, table=hughes_table(ctx9))
+    plane = build_plane(table=hughes_table(ctx9))
     bad = IncidencePlane(plane.Q, corrupt(plane.points_on))
     assert check_plane(bad) == PtrReport("projective_plane", False, witness)
 
@@ -343,8 +343,8 @@ def test_plane_malformed_lines_fail_without_raising(ctx9, corrupt, witness):
 def test_hughes_plane_differs_from_classical(ctx9):
     # quadrangles with collinear diagonal points exist in the Hughes plane
     # and never in the classical plane of odd order
-    hughes = build_plane(ctx9, table=hughes_table(ctx9))
-    classical = build_plane(ctx9, table=classical_table(ctx9))
+    hughes = build_plane(table=hughes_table(ctx9))
+    classical = build_plane(table=classical_table(ctx9))
     n_hughes = count_fano_quadrangles(hughes)
     n_classical = count_fano_quadrangles(classical)
     assert n_classical == 0
