@@ -20,9 +20,9 @@ w^2 = n, and a + b*w is a square of GF(Q) exactly when its norm
 a^2 - n*b^2 is a square of GF(q) (Lidl and Niederreiter, *Finite Fields*,
 ch. 2).  The numpy layer (``FieldCtx.tables``) alone holds the discrete logs
 of GF(Q): it multiplies through them, reads the quadratic character off
-their parity, and adds the two GF(q) coordinates through the q x q subfield
-addition table.  It is an optimization only and is required to agree with
-the scalar side element for element.
+their parity, and adds digit-wise on the base-p digits of the indices.  It
+shares no table with the scalar side, is an optimization only, and is
+required to agree with the scalar side element for element.
 """
 
 from __future__ import annotations
@@ -453,10 +453,15 @@ class FieldTables:
     Multiplication uses padded discrete-log tables (zero maps to a sentinel
     log so products involving zero land in a zeroed region of the padded
     exponential table); the logs are built here and held nowhere else.
-    Addition splits each index A = a0 + q*a1 into its GF(q) coordinates and
-    adds them through the q x q subfield table:
-    ``qadd[a0, b0] + q * qadd[a1, b1]``.  Results are bit-identical to the
-    scalar schoolbook path.
+
+    Addition is digit-wise mod p on the 2e base-p digits of an index.
+    ``_packed`` (Q entries) respaces those digits to radix 2p-1, so the sum
+    of two packed values holds every digit sum in [0, 2p-2] with no carry,
+    and ``_canon`` ((2p-1)^(2e) entries: 28,561 at Q=2401, 390,625 at
+    Q=6561) reduces each digit mod p and gives back the index:
+    ``add(A, B) = _canon[_packed[A] + _packed[B]]``.  Negation and the
+    Frobenius are read off the digits too, so no table here comes from the
+    scalar side; results are required to be bit-identical to it.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -490,37 +495,58 @@ class FieldTables:
         self.inv = inv
 
         ar = np.arange(Q, dtype=np.int32)
-        self._qadd = np.array(ctx._q_add, dtype=np.int32)
-        qneg = np.array(ctx._q_neg, dtype=np.int32)
-        lo, hi = ar % q, ar // q
-        self.neg = qneg[lo] + q * qneg[hi]
-        self.frob = lo + q * qneg[hi]  # (a + b*w)^q = a - b*w
+        D = 2 * ctx.e
+        self._place = np.array([p**d for d in range(D)], dtype=np.int32)
+        self._digits = np.stack([(ar // p**d) % p for d in range(D)]).astype(np.int32)
+
+        # digits respaced to radix 2p-1: a sum of two packed values holds each
+        # digit sum in [0, 2p-2], and _canon reduces every digit mod p
+        r = 2 * p - 1
+        self._packed = np.array([r**d for d in range(D)], dtype=np.int32) @ self._digits
+        canon = np.zeros(1, dtype=np.int32)
+        for d in range(D):
+            canon = np.add.outer(np.arange(r, dtype=np.int32) % p * self._place[d], canon).ravel()
+        self._canon = canon
+
+        self.neg = self.from_digit_planes(-self._digits)
+        self._packed_neg = self._packed[self.neg]
+        flip = np.repeat(np.array([1, -1], dtype=np.int32), ctx.e)
+        self.frob = self.from_digit_planes(self._digits * flip[:, None])  # (a + b*w)^q = a - b*w
         self.tq = self.add(self.frob, self.neg)
         self.in_subfield = ar < q
-
-        self._place = np.array([p**d for d in range(2 * ctx.e)], dtype=np.int32)
-        self._digits = np.stack([(ar // p**d) % p for d in range(2 * ctx.e)]).astype(np.int32)
+        # one direction of each pair {a, -a}: the nonzero a with a < -a
+        self.shift_reps = np.flatnonzero(ar < self.neg).astype(np.int32)
 
     # inputs are integer arrays (any broadcastable shapes) of element indices
 
     def add(self, A, B):
-        q, qadd = self.ctx.q, self._qadd
-        return qadd[A % q, B % q] + q * qadd[A // q, B // q]
+        return self._canon[self._packed[A] + self._packed[B]]
 
     def sub(self, A, B):
-        return self.add(A, self.neg[B])
+        return self._canon[self._packed[A] + self._packed_neg[B]]
 
     @cached_property
     def shifts(self) -> np.ndarray:
-        """(Q-1, Q) grid [a-1, x] -> x + a over the nonzero shifts a.
+        """((Q-1)/2, Q) grid [i, x] -> x + shift_reps[i].
 
         Built on first use and kept, read-only: every differential-uniformity
-        section reads the same grid.
+        section reads the same grid, and one direction of each pair {a, -a}
+        is all the count needs (see ``du_analysis._row_maxima``).
         """
-        ar = np.arange(self.ctx.Q, dtype=np.int32)
-        grid = self.add(ar[1:, None], ar[None, :])
+        reps, ar = self.shift_reps, np.arange(self.ctx.Q, dtype=np.int32)
+        grid = np.empty((len(reps), len(ar)), dtype=np.int32)
+        for lo in range(0, len(reps), 64):  # no grid-sized temporary next to the grid
+            grid[lo:lo + 64] = self.add(reps[lo:lo + 64, None], ar)
         grid.flags.writeable = False
         return grid
+
+    def shift_differences(self, tbl, lo: int, hi: int):
+        """Rows lo:hi of [i, x] -> tbl[x + shift_reps[i]] - tbl[x].
+
+        ``tbl`` is a function's value table; it is packed once per call, so
+        each entry costs one gather from the grid and one from ``_canon``.
+        """
+        return self._canon[self._packed[tbl][self.shifts[lo:hi]] + self._packed_neg[tbl]]
 
     def mul(self, A, B):
         return self.exp_pad[self.log[A] + self.log[B]]

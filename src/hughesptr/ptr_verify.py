@@ -239,18 +239,35 @@ def build_plane(table: np.ndarray) -> IncidencePlane:
 
 
 def _lines_through(points_on: np.ndarray) -> np.ndarray:
-    """Point -> lines, each row ascending; needs every point on Q+1 lines."""
-    order = np.argsort(points_on, axis=None, kind="stable")
-    order //= points_on.shape[1]
-    return order.reshape(-1, points_on.shape[1])
+    """Point -> lines, each row ascending; needs every point on Q+1 lines.
+
+    A counting sort over chunks of c lines in ascending order.  Sorting the
+    chunk's (point, line) pairs, packed as point * c + (line - lo), puts each
+    point's lines in one ascending run, which goes to the next free slots of
+    that point's row.  Nothing wider than the int32 result is built over all
+    N x (Q+1) entries.
+    """
+    N, k = points_on.shape
+    through = np.empty(N * k, dtype=np.int32)
+    free = np.arange(0, N * k, k)  # flat position of each row's next free slot
+    chunk = max(1, _PAIR_COUNT_BUDGET // k)
+    for lo in range(0, N, chunk):
+        rows = points_on[lo:lo + chunk]
+        c = len(rows)
+        pairs = np.sort((rows * np.int64(c) + np.arange(c)[:, None]).ravel())
+        counts = np.bincount(rows.ravel(), minlength=N)
+        run_start = np.cumsum(counts) - counts  # where each point's run begins in pairs
+        through[(free - run_start)[pairs // c] + np.arange(len(pairs))] = lo + pairs % c
+        free += counts
+    return through.reshape(N, k)
 
 
 def check_plane(plane: IncidencePlane) -> PtrReport:
     """Counts, regularity, and the uniqueness axioms, by one pair-count pass.
 
     Every line must hold Q+1 distinct point ids in [0, N) and every point
-    must lie on Q+1 lines; then the point -> lines array is read off a
-    stable argsort of the line -> points array.  For a chunk of points, the
+    must lie on Q+1 lines; then the point -> lines array is read off the
+    line -> points array by a counting sort.  For a chunk of points, the
     points on the lines through each of them are counted with one bincount
     (offset by row); any two distinct points must share exactly one line.
     The first count != 1 in (row, column) order is the witness.
@@ -274,7 +291,7 @@ def check_plane(plane: IncidencePlane) -> PtrReport:
     del ordered
     if bad_line.any():
         return PtrReport("projective_plane", False, ("line_size", int(np.argmax(bad_line))))
-    per_point = np.bincount(points_on.ravel(), minlength=N)
+    per_point = sum(np.bincount(col, minlength=N) for col in points_on.T)  # no N x (Q+1) intp copy
     if not (per_point == Q + 1).all():
         return PtrReport("projective_plane", False,
                          ("point_degree", int(np.argmax(per_point != Q + 1))))

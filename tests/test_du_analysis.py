@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import hughesptr
-from hughesptr import field_ctx, ptr_table
+from hughesptr import du_analysis, field_ctx, ptr_table
 from hughesptr.du_analysis import (
+    _row_maxima,
     diff_op,
     du,
     du_sections,
@@ -16,6 +17,7 @@ from hughesptr.du_analysis import (
     is_permutation,
     k_sets,
     linearized_table,
+    piecewise_section,
     square_shift_partition,
     uniformity,
 )
@@ -90,6 +92,48 @@ def test_du_matches_definition_brute_force(ctx9):
         assert prof.row_max[ai] == u
         best = max(best, u)
     assert prof.delta == best
+
+
+def full_direction_row_maxima(t, tbl):
+    # reference: every nonzero direction a, one bincount over the (Q-1) x Q offsets
+    Q = len(tbl)
+    ar = np.arange(Q)
+    diffs = t.sub(tbl[t.add(ar[1:, None], ar[None, :])], tbl[None, :])
+    offs = diffs + (np.arange(Q - 1, dtype=np.int64) * Q)[:, None]
+    counts = np.bincount(offs.ravel(), minlength=(Q - 1) * Q)
+    return counts.reshape(Q - 1, Q).max(axis=1)
+
+
+def assert_du_matches_reference(ctx, tbl):
+    um = full_direction_row_maxima(ctx.tables, tbl)
+    assert np.array_equal(_row_maxima(ctx.tables, tbl), um)
+    prof = du(ctx, tbl)
+    assert prof.delta == um.max()
+    assert prof.max_direction.index == int(np.argmax(um)) + 1
+    assert prof.row_max == {a + 1: int(u) for a, u in enumerate(um)}
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (13, 1)])
+def test_row_maxima_match_full_directions(p, e):
+    # one direction of each pair {a, -a}, chunked, against every direction at once
+    ctx = field_ctx(p, e)
+    rng = np.random.default_rng(p * 10 + e)
+    for family in "xyz":
+        for i1, i2 in rng.integers(0, ctx.Q, (3, 2)).tolist() + [[1, 0], [ctx.q, 2]]:
+            assert_du_matches_reference(ctx, piecewise_section(ctx, family, i1, i2))
+    for _ in range(4):
+        assert_du_matches_reference(ctx, rng.integers(0, ctx.Q, ctx.Q).astype(np.int32))
+        assert_du_matches_reference(ctx, rng.permutation(ctx.Q).astype(np.int32))
+
+
+@pytest.mark.parametrize("p,e,rows", [(5, 1, 5), (3, 2, 3), (13, 1, 5), (3, 2, 1)])
+def test_row_maxima_partial_last_chunk(monkeypatch, p, e, rows):
+    ctx = field_ctx(p, e)
+    monkeypatch.setattr(du_analysis, "_ROW_COUNT_BUDGET", rows * ctx.Q + ctx.Q // 2)
+    assert rows == 1 or len(ctx.tables.shift_reps) % rows  # the last chunk is partial
+    rng = np.random.default_rng(rows)
+    assert_du_matches_reference(ctx, piecewise_section(ctx, "x", ctx.q + 1, 3))
+    assert_du_matches_reference(ctx, rng.integers(0, ctx.Q, ctx.Q).astype(np.int32))
 
 
 def test_half_power_difference_case_formula(ctx9):
@@ -207,8 +251,6 @@ def test_import_leaves_the_process_pool_unloaded():
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
 def test_piecewise_sections_match_grid(p, e):
-    from hughesptr.du_analysis import piecewise_section
-
     ctx = field_ctx(p, e)
     table = ptr_table(ctx)
     for i1 in range(ctx.Q):

@@ -191,7 +191,11 @@ def test_vector_tables_bit_identical(p, e):
         for j in range(Q):
             assert vadd[i, j] == ctx._add_i(i, j)
             assert vmul[i, j] == ctx._mul_i(i, j)
-    assert np.array_equal(t.shifts, vadd[1:]) and t.shifts is t.shifts
+    # one direction of each pair {a, -a}: together they cover every nonzero a once
+    reps = t.shift_reps
+    assert len(reps) == (Q - 1) // 2 and (reps < t.neg[reps]).all()
+    assert sorted(np.concatenate([reps, t.neg[reps]]).tolist()) == list(range(1, Q))
+    assert np.array_equal(t.shifts, vadd[reps]) and t.shifts is t.shifts
     assert not t.shifts.flags.writeable
     for n in (0, 1, 2, ctx.q, Q - 1, Q + 3):
         vp = t.pow(ar, n)
@@ -224,6 +228,19 @@ def test_vector_tables_random_large(ctx81):
         assert vadd[i] == ctx81._add_i(int(A[i]), int(B[i]))
         assert vmul[i] == ctx81._mul_i(int(A[i]), int(B[i]))
         assert vsub[i] == ctx81._add_i(int(A[i]), ctx81._neg_i(int(B[i])))
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (13, 1)])
+def test_packed_add_sub_exhaustive(p, e):
+    # every pair at Q = 81 and 169: the packed digit sums against the scalar
+    # tower, which shares no table with them
+    ctx = field_ctx(p, e)
+    t = ctx.tables
+    ar = np.arange(ctx.Q, dtype=np.int32)
+    vadd, vsub = t.add(ar[:, None], ar[None, :]), t.sub(ar[:, None], ar[None, :])
+    add_i, neg_i = ctx._add_i, ctx._neg_i
+    assert vadd.tolist() == [[add_i(i, j) for j in range(ctx.Q)] for i in range(ctx.Q)]
+    assert vsub.tolist() == [[add_i(i, neg_i(j)) for j in range(ctx.Q)] for i in range(ctx.Q)]
 
 
 @pytest.mark.parametrize("p,e", [(7, 2), (3, 4)])

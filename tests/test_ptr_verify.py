@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_table
+from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_table, ptr_verify
 from hughesptr.ptr_verify import (
     IncidencePlane,
     PtrReport,
     _axiom_c_direct,
+    _lines_through,
     build_plane,
     check_axioms,
     check_plane,
@@ -325,6 +326,23 @@ def test_plane_random_controls_match_dense_oracle(p):
         assert report == dense_plane_report(plane)
         witnesses.add(None if report.witness is None else report.witness[0])
     assert "points_on_common_line" in witnesses
+
+
+@pytest.mark.parametrize("budget", [10, 64, 2**17])  # chunks of 1 line, of 6 lines (91 = 15*6 + 1), one chunk
+def test_lines_through_matches_stable_argsort(ctx9, monkeypatch, budget):
+    monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
+    rng = np.random.default_rng(budget)
+    base = build_plane(hughes_table(ctx9)).points_on
+    swapped = base.copy()
+    _degree_preserving_swap(swapped, rng)
+    relabelled = rng.permutation(len(base)).astype(np.int32)[base]
+    for points_on in (base, swapped, relabelled):
+        reference = np.argsort(points_on, axis=None, kind="stable") // points_on.shape[1]
+        through = _lines_through(points_on)
+        assert through.dtype == np.int32
+        assert np.array_equal(through, reference.reshape(points_on.shape))
+        plane = IncidencePlane(ctx9.Q, points_on)
+        assert check_plane(plane) == dense_plane_report(plane)
 
 
 @pytest.mark.parametrize("corrupt,witness", [
