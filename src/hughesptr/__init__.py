@@ -12,15 +12,19 @@ from .hughes_core import (
     build_reduced_T,
     build_T2,
     nearfield_mul,
+    nonreduced_blocks,
     phi_eval,
     phi_poly,
     ptr_nearfield_form,
     ptr_piecewise,
     ptr_table,
     ptr_values,
+    piecewise_match,
+    reduced_blocks,
     sigma_eval,
     sigma_poly,
     solve_kkprime,
+    t2_blocks,
 )
 from .ptr_verify import (
     IncidencePlane,
@@ -58,6 +62,10 @@ __all__ = [
     "build_nonreduced_T",
     "build_reduced_T",
     "build_T2",
+    "nonreduced_blocks",
+    "reduced_blocks",
+    "t2_blocks",
+    "piecewise_match",
     "PtrReport",
     "IncidencePlane",
     "check_axioms",

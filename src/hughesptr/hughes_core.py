@@ -30,11 +30,19 @@ sweep are calls to it.  Three polynomial forms are provided:
 Every coefficient of these forms lies in GF(p), whose elements are indexed by
 their residues, and each form is a sum of blocks f(X) * g(Y) * h(Z) of
 sparse univariate factors, nearly all of them f(X) * tq(Y)^a * tq(Z)^b with
-tq(V) = V^q - V.  So the forms are written out in closed form (``_emit``):
-tq(V)^n is expanded by Lucas' theorem (``_tq_pow``), the term products of
-each block are formed by numpy broadcasting, and equal exponent triples are
-summed mod p after one sort.  No ring product is taken; the tests hold every
-form to its expansion by ``TriPoly`` products.
+tq(V) = V^q - V.  One block list per form (``reduced_blocks``,
+``t2_blocks``, ``nonreduced_blocks``) feeds two consumers:
+
+* ``_emit`` writes the form out in closed form: tq(V)^n is expanded by
+  Lucas' theorem (``_tq_pow``), the term products of each block are formed
+  by numpy broadcasting, and equal exponent triples are summed mod p after
+  one sort.  No ring product is taken; the tests hold every form to its
+  expansion by ``TriPoly`` products.
+* ``piecewise_match`` proves the main theorem, that the form equals the
+  piecewise operation on all of GF(Q)^3, by evaluating the blocks
+  (``evaluate_blocks``) on Q*q points only; its docstring has the proof.
+  ``trivar_poly.evaluate_grid`` on the whole grid is kept as the tests'
+  oracle for it.
 
 The square-branch involution phi_k(X) = (X + k)^((Q+1)/2) - k evaluates to
 x on {x : x + k square} and to -x - 2k elsewhere, and drives the piecewise
@@ -49,6 +57,7 @@ import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement
 from .modcomb import binom_mod_lucas, catalan_mod, gen_catalan_mod
+from .ptr_verify import PtrReport
 from .trivar_poly import TriPoly
 
 __all__ = [
@@ -65,9 +74,14 @@ __all__ = [
     "sigma_eval",
     "sigma_poly",
     "build_M",
+    "nonreduced_blocks",
+    "reduced_blocks",
+    "t2_blocks",
     "build_nonreduced_T",
     "build_reduced_T",
     "build_T2",
+    "evaluate_blocks",
+    "piecewise_match",
     "g_poly",
     "h_poly",
     "render_text",
@@ -316,8 +330,8 @@ def build_M(ctx: FieldCtx) -> TriPoly:
     return _emit(ctx, _m_blocks(ctx))
 
 
-def build_nonreduced_T(ctx: FieldCtx) -> TriPoly:
-    """Binomial-coefficient form:
+def nonreduced_blocks(ctx: FieldCtx) -> list[Block]:
+    """Blocks of the binomial-coefficient form:
 
     M(X,Y) + Z - (1/2) * sum_{m=1}^{(Q-1)/2} binom((Q+1)/2, m) X^m tq(Y)^m tq(Z)^(Q-m)
 
@@ -325,7 +339,12 @@ def build_nonreduced_T(ctx: FieldCtx) -> TriPoly:
     identically to the piecewise operation.
     """
     minus_half = ctx.p - ctx.half().index
-    return _emit(ctx, [*_m_blocks(ctx), _Z, *_binom_blocks(ctx, minus_half, 0)])
+    return [*_m_blocks(ctx), _Z, *_binom_blocks(ctx, minus_half, 0)]
+
+
+def build_nonreduced_T(ctx: FieldCtx) -> TriPoly:
+    """The binomial-coefficient form (``nonreduced_blocks``) as a TriPoly."""
+    return _emit(ctx, nonreduced_blocks(ctx))
 
 
 def _inv_neg4_pow(ctx: FieldCtx, i: int) -> int:
@@ -364,8 +383,8 @@ def h_poly(ctx: FieldCtx, i: int) -> TriPoly:
     return _univariate(ctx, _h_factor(ctx, i))
 
 
-def build_reduced_T(ctx: FieldCtx) -> TriPoly:
-    """The reduced form with Catalan-number coefficients:
+def reduced_blocks(ctx: FieldCtx) -> list[Block]:
+    """Blocks of the reduced form with Catalan-number coefficients:
 
     M(X,Y) + Z - sum_{i=0}^{q-2} g_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i)
     """
@@ -374,15 +393,20 @@ def build_reduced_T(ctx: FieldCtx) -> TriPoly:
     for i in range(q - 1):
         exps, res = _g_factor(ctx, i)
         blocks.append(((exps, (p - res) % p), _tq_pow(ctx, i + 1), _tq_pow(ctx, q - 1 - i)))
-    return _emit(ctx, blocks)
+    return blocks
 
 
-def build_T2(ctx: FieldCtx) -> TriPoly:
-    """The generalized-Catalan form:
+def build_reduced_T(ctx: FieldCtx) -> TriPoly:
+    """The reduced form (``reduced_blocks``) as a TriPoly."""
+    return _emit(ctx, reduced_blocks(ctx))
+
+
+def t2_blocks(ctx: FieldCtx) -> list[Block]:
+    """Blocks of the generalized-Catalan form:
 
     M(X,Y) + Z + tq(X) tq(Y) tq(Z) * sum_{i=0}^{q-2} h_i(X) tq(Y)^i tq(Z)^(q-2-i)
 
-    It is emitted as M + Z + sum_i (X^q - X) h_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i).
+    Its blocks are M, Z and (X^q - X) h_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i).
     Equal to the reduced form after reduction: tq(X) * h_i(X) = -g_i(X)
     coefficientwise mod p, which the test suite asserts directly; h_i is
     taken from the generalized Catalan numbers, not from g_i.
@@ -393,7 +417,152 @@ def build_T2(ctx: FieldCtx) -> TriPoly:
         exps, res = _h_factor(ctx, i)
         tq_x_h = _factor(np.concatenate([exps + q, exps + 1]), np.concatenate([res, (p - res) % p]))
         blocks.append((tq_x_h, _tq_pow(ctx, i + 1), _tq_pow(ctx, q - 1 - i)))
-    return _emit(ctx, blocks)
+    return blocks
+
+
+def build_T2(ctx: FieldCtx) -> TriPoly:
+    """The generalized-Catalan form (``t2_blocks``) as a TriPoly."""
+    return _emit(ctx, t2_blocks(ctx))
+
+
+# ---------------------------------------------------------------------------
+# The main theorem on Q*q points
+# ---------------------------------------------------------------------------
+
+
+def _factor_values(t, factor: Factor, V) -> np.ndarray:
+    """sum_n c_n V^n on an index array; a GF(p) residue is its own index."""
+    exps, res = factor
+    out = np.zeros(np.shape(V), dtype=np.int32)
+    for n, c in zip(exps.tolist(), (res % t.ctx.p).tolist()):
+        out = t.add(out, t.mul(c, t.pow(V, n)))
+    return out
+
+
+def evaluate_blocks(ctx: FieldCtx, blocks: list[Block], X, Y, Z) -> np.ndarray:
+    """The sum of the blocks on broadcastable index arrays: the values of the
+    polynomial ``_emit`` writes out from the same list."""
+    t = ctx.tables
+    out = np.zeros(np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z)), dtype=np.int32)
+    for fx, fy, fz in blocks:
+        xy = t.mul(_factor_values(t, fx, X), _factor_values(t, fy, Y))
+        out = t.add(out, t.mul(xy, _factor_values(t, fz, Z)))
+    return out
+
+
+def _canonical(p: int, factor: Factor) -> Factor:
+    """Distinct ascending exponents, each with the nonzero sum of its residues."""
+    exps, where = np.unique(factor[0], return_inverse=True)
+    res = np.zeros(exps.size, dtype=np.int64)
+    np.add.at(res, where, factor[1])
+    res %= p
+    keep = res != 0
+    return exps[keep], res[keep]
+
+
+def _tq_exponent(ctx: FieldCtx, factor: Factor) -> int | None:
+    """n when the factor is tq(V)^n, else None.
+
+    tq(V)^n has its lowest term at V^n and one term per Lucas digit choice,
+    prod(n_d + 1) of them (``_tq_pow``); the count is compared first, so a
+    stray huge exponent is never expanded.
+    """
+    exps, res = _canonical(ctx.p, factor)
+    if exps.size == 0:
+        return None
+    n = int(exps[0])
+    terms, rest = 1, n
+    while rest:
+        terms, rest = terms * (rest % ctx.p + 1), rest // ctx.p
+    if exps.size != terms:
+        return None
+    want_exps, want_res = _canonical(ctx.p, _tq_pow(ctx, n))
+    return n if np.array_equal(exps, want_exps) and np.array_equal(res, want_res) else None
+
+
+def _monomial(p: int, block: Block) -> tuple | None:
+    """((i, j, k), c) when the block is the one monomial c X^i Y^j Z^k, else None."""
+    factors = [_canonical(p, f) for f in block]
+    if any(exps.size != 1 for exps, _ in factors):
+        return None
+    c = 1
+    for _, res in factors:
+        c = c * int(res[0]) % p
+    return tuple(int(exps[0]) for exps, _ in factors), c
+
+
+_LINEAR = {((1, 1, 0), 1): "X*Y", ((0, 0, 1), 1): "Z"}
+
+
+def _shape_witness(ctx: FieldCtx, blocks: list[Block]) -> tuple | None:
+    """Why the block list falls outside ``piecewise_match``'s reduction, or None.
+
+    Every block must be f(X) tq(Y)^a tq(Z)^b with a >= 1 and
+    a + b = 1 mod (q-1), apart from exactly one block X*Y and one block Z.
+    The witness is ("block_shape", i) for the first block i that is neither
+    (a second X*Y or Z included), or ("missing_block", "X*Y" or "Z").
+    """
+    seen = set()
+    for i, (fx, fy, fz) in enumerate(blocks):
+        a, b = _tq_exponent(ctx, fy), _tq_exponent(ctx, fz)
+        if a is not None and b is not None and a >= 1 and (a + b - 1) % (ctx.q - 1) == 0:
+            continue
+        mono = _monomial(ctx.p, (fx, fy, fz))
+        if mono not in _LINEAR or mono in seen:
+            return ("block_shape", i)
+        seen.add(mono)
+    for mono, name in _LINEAR.items():
+        if mono not in seen:
+            return ("missing_block", name)
+    return None
+
+
+def piecewise_match(ctx: FieldCtx, blocks: list[Block]) -> PtrReport:
+    """Whether the polynomial of the blocks equals the piecewise operation on
+    all of GF(Q)^3, decided exactly on the Q*q points (x, w, k*w).
+
+    Here w is the element with index q (w^2 = n, w^q = -w), x runs over
+    GF(Q) and k over GF(q), so k*w has index q*idx(k).  Write
+    tq(v) = v^q - v.  The reduction is exact:
+
+    * Every block apart from X*Y and Z has the form f(X) tq(Y)^a tq(Z)^b
+      with a >= 1 and a + b = 1 mod (q-1) (``_shape_witness``; a list that
+      breaks this is a failed report, never an exception).  In the reduced
+      and T2 forms a + b = q, in the nonreduced form a + b = Q, and in M
+      a = 1, b = 0.
+    * For y in GF(q), tq(y) = 0 kills every such block, so T = xy + z, and
+      so is the oracle.
+    * For y outside GF(q), u = tq(y) satisfies u^q = -u, so u lies in
+      w GF(q)^*, and so does tq(z) up to zero; k = tq(z)/u lies in GF(q).
+      Then u^(a+b) = w^(a+b-1) u, since u/w is in GF(q)^* and
+      a + b - 1 is a multiple of q-1, and each block equals
+      f(x) k^b w^(a+b-1) u.  The oracle's F - xy - z is u (x + k) on the
+      twisted branch and 0 on the square branch.  So T - F = u R(x, k) for
+      a function R of x and k alone.
+    * Every k in GF(q) is reached from y = w: z = k*w gives
+      tq(z) = k tq(w).  So T = F on the grid exactly when T = F at the
+      points (x, w, k*w).
+
+    The witness is the lexicographically first failing grid triple.  A
+    failing pair (x, k) fails at every (x, y, z) with y outside GF(q) and
+    tq(z)/tq(y) = k.  The least such y is w (index q).  Given y = w, the
+    z are c + k*w with c in GF(q), and the least of them is k*w.  So the
+    first failing (x, k) in scan order gives the witness (x, q, q*idx(k)),
+    the same as a comparison of the full Q^3 grid would.
+    """
+    label = "polynomial_matches_piecewise"
+    bad = _shape_witness(ctx, blocks)
+    if bad is not None:
+        return PtrReport(label, False, bad)
+    q = ctx.q
+    X = np.arange(ctx.Q, dtype=np.int32)[:, None]
+    w = np.int32(q)
+    kw = q * np.arange(q, dtype=np.int32)[None, :]
+    fails = np.flatnonzero(evaluate_blocks(ctx, blocks, X, w, kw) != ptr_values(ctx, X, w, kw))
+    if fails.size == 0:
+        return PtrReport(label, True)
+    x, k = divmod(int(fails[0]), q)
+    return PtrReport(label, False, (x, q, q * k))
 
 
 # ---------------------------------------------------------------------------

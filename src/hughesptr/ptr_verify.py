@@ -265,11 +265,12 @@ def _lines_through(points_on: np.ndarray) -> np.ndarray:
 def check_plane(plane: IncidencePlane) -> PtrReport:
     """Counts, regularity, and the uniqueness axioms, by one pair-count pass.
 
-    Every line must hold Q+1 distinct point ids in [0, N) and every point
-    must lie on Q+1 lines; then the point -> lines array is read off the
-    line -> points array by a counting sort.  For a chunk of points, the
-    points on the lines through each of them are counted with one bincount
-    (offset by row); any two distinct points must share exactly one line.
+    Every line must hold Q+1 distinct point ids in [0, N) (sorted a chunk
+    of lines at a time) and every point must lie on Q+1 lines; then the
+    point -> lines array is read off the line -> points array by a
+    counting sort.  For a chunk of points, the points on the lines through
+    each of them are counted with one bincount (offset by row); any two
+    distinct points must share exactly one line.
     The first count != 1 in (row, column) order is the witness.
 
     The dual axiom, any two lines meet in exactly one point, needs no pass
@@ -285,12 +286,9 @@ def check_plane(plane: IncidencePlane) -> PtrReport:
     if points_on.shape != (N, Q + 1):
         return PtrReport("projective_plane", False, ("shape", points_on.shape))
 
-    ordered = np.sort(points_on, axis=1)
-    bad_line = (ordered[:, 0] < 0) | (ordered[:, -1] >= N)
-    bad_line |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    del ordered
-    if bad_line.any():
-        return PtrReport("projective_plane", False, ("line_size", int(np.argmax(bad_line))))
+    bad_line = _first_bad_line(points_on, N)
+    if bad_line is not None:
+        return PtrReport("projective_plane", False, ("line_size", bad_line))
     per_point = sum(np.bincount(col, minlength=N) for col in points_on.T)  # no N x (Q+1) intp copy
     if not (per_point == Q + 1).all():
         return PtrReport("projective_plane", False,
@@ -305,6 +303,22 @@ def check_plane(plane: IncidencePlane) -> PtrReport:
 # entries per count array in the plane check: at Q=81 on a 2-core x86-64 VM,
 # 2^15-2^18 ran equally fast and 2^20 ran slower at a 38 MiB higher peak
 _PAIR_COUNT_BUDGET = 2**17
+
+
+def _first_bad_line(points_on: np.ndarray, N: int) -> int | None:
+    """First line whose points are not distinct ids in [0, N), or None.
+
+    Sorted a chunk of about ``_PAIR_COUNT_BUDGET`` entries at a time, so no
+    sorted copy of the whole plane is made.
+    """
+    chunk = max(1, _PAIR_COUNT_BUDGET // points_on.shape[1])
+    for lo in range(0, len(points_on), chunk):
+        ordered = np.sort(points_on[lo:lo + chunk], axis=1)
+        bad = (ordered[:, 0] < 0) | (ordered[:, -1] >= N)
+        bad |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if bad.any():
+            return lo + int(np.argmax(bad))
+    return None
 
 
 def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray) -> tuple | None:

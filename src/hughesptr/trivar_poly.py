@@ -10,7 +10,10 @@ point, including 0.
 ``evaluate_grid`` evaluates a polynomial on the whole Q^3 grid as two
 matrix products over GF(p), on the base-p digits of the context's vectorized
 tables; it must agree pointwise with ``evaluate``, and the tests also hold it
-to a direct evaluation, one masked Q^3 pass per (Y, Z) exponent group.
+to a direct evaluation, one masked Q^3 pass per (Y, Z) exponent group.  It
+is the tests' oracle: the CLI proves the polynomial equal to the piecewise
+operation on Q*q points (``hughes_core.piecewise_match``) and never builds
+the Q^3 grid of the polynomial.
 
 JSON schema: {"p": p, "e": e, "terms": [{"ex": i, "ey": j, "ez": k, "c": c},
 ...]} with c the canonical element index and terms sorted lexicographically

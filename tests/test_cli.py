@@ -74,6 +74,31 @@ def test_verify_with_plane(capsys):
     assert json.loads(out)["projective_plane"]["pass"]
 
 
+def test_verify_reports_the_grid_witness(capsys, monkeypatch):
+    # the last g block dropped: the Q*q check fails at the first grid mismatch
+    from hughesptr import hughes_core
+
+    full = hughes_core.reduced_blocks
+    monkeypatch.setattr(hughes_core, "reduced_blocks", lambda ctx: full(ctx)[:-1])
+    code, out = run_cli(capsys, ["verify", "--p", "3", "--e", "1"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["polynomial_matches_piecewise"] == {"pass": False, "witness": [3, 3, 3]}
+    assert all(report[label]["pass"] for label in ["A", "B", "C", "D", "E", "z_sections"])
+
+
+def test_verify_does_not_tabulate_the_polynomial(capsys, monkeypatch):
+    from hughesptr import trivar_poly
+
+    def refuse(poly):
+        raise AssertionError("verify evaluated the polynomial on the Q^3 grid")
+
+    monkeypatch.setattr(trivar_poly, "evaluate_grid", refuse)
+    assert not hasattr(cli, "evaluate_grid")
+    code, _ = run_cli(capsys, ["verify", "--p", "3", "--e", "1"])
+    assert code == 0
+
+
 def test_plane_subcommand(capsys):
     code, out = run_cli(capsys, ["plane", "--p", "3", "--e", "1"])
     assert code == 0

@@ -21,7 +21,20 @@ from hughesptr import (
     sigma_poly,
     solve_kkprime,
 )
-from hughesptr.hughes_core import g_poly, h_poly, render_text
+from hughesptr.hughes_core import (
+    _emit,
+    _tq_exponent,
+    _tq_pow,
+    evaluate_blocks,
+    g_poly,
+    h_poly,
+    nonreduced_blocks,
+    piecewise_match,
+    reduced_blocks,
+    render_text,
+    t2_blocks,
+)
+from hughesptr.ptr_verify import PtrReport
 from conftest import random_elements
 from ring_forms import RING_FORMS, ring_sigma, tq_poly
 
@@ -302,3 +315,119 @@ def test_render_text_forms(ctx9):
         assert "M(X,Y)" in text and "tq(" in text
     with pytest.raises(ValueError):
         render_text(ctx9, "other")
+
+
+# ---------------------------------------------------------------------------
+# The main theorem on Q*q points against the full grid
+# ---------------------------------------------------------------------------
+
+BLOCKS = {"nonreduced": nonreduced_blocks, "reduced": reduced_blocks, "t2": t2_blocks}
+
+
+def _with_x_factor(blocks, i, residues):
+    (exps, _), fy, fz = blocks[i]
+    return blocks[:i] + [((exps, np.asarray(residues, dtype=np.int64)), fy, fz)] + blocks[i + 1:]
+
+
+def _mutant(ctx, kind):
+    """The reduced form, or a copy with one coefficient or block wrong."""
+    p, blocks = ctx.p, reduced_blocks(ctx)
+    if kind == "g_residue":  # g_3 (g_(q-2) at q = 3) with its first residue +1
+        i = 2 + min(3, ctx.q - 2)
+        res = blocks[i][0][1].copy()
+        res[0] = (res[0] + 1) % p
+        return _with_x_factor(blocks, i, res)
+    if kind == "half":  # M with 1/2 + 1 in place of 1/2
+        h = (ctx.half().index + 1) % p
+        return _with_x_factor(blocks, 1, [(p - h) % p, h])
+    if kind == "drop_g":
+        return blocks[:-1]
+    return blocks
+
+
+@pytest.mark.parametrize("kind", ["hughes", "g_residue", "half", "drop_g"])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)])
+def test_piecewise_match_equals_full_grid(p, e, kind):
+    ctx = field_ctx(p, e)
+    blocks = _mutant(ctx, kind)
+    mismatch = evaluate_grid(_emit(ctx, blocks)) != ptr_table(ctx)
+    first = np.argwhere(mismatch)[:1]
+    want = tuple(int(v) for v in first[0]) if len(first) else None
+    report = piecewise_match(ctx, blocks)
+    assert report == PtrReport("polynomial_matches_piecewise", want is None, want)
+    assert (kind == "hughes") == report.passed
+    # each failing (x, k) fails at every y outside GF(q) and the q values z
+    # with tq(z)/tq(y) = k, and nowhere else
+    q = ctx.q
+    X, kw = np.arange(ctx.Q)[:, None], q * np.arange(q)[None, :]
+    fails = evaluate_blocks(ctx, blocks, X, q, kw) != ptr_values(ctx, X, q, kw)
+    assert mismatch.sum() == fails.sum() * (ctx.Q - q) * q
+
+
+@pytest.mark.parametrize("form", sorted(BLOCKS))
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2)])
+def test_evaluate_blocks_matches_emitted_polynomial(p, e, form):
+    ctx = field_ctx(p, e)
+    blocks = BLOCKS[form](ctx)
+    grid = evaluate_grid(_emit(ctx, blocks))
+    X, Y, Z = np.random.default_rng(p).integers(0, ctx.Q, (3, 500))
+    assert np.array_equal(evaluate_blocks(ctx, blocks, X, Y, Z), grid[X, Y, Z])
+    assert np.array_equal(evaluate_blocks(ctx, blocks, X[:, None], Y[0], Z[None, :50]),
+                          grid[X[:, None], Y[0], Z[None, :50]])
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_tq_exponent_reads_back_tq_powers(p, e):
+    ctx = field_ctx(p, e)
+    for n in range(2 * ctx.Q):
+        assert _tq_exponent(ctx, _tq_pow(ctx, n)) == n
+    exps, res = _tq_pow(ctx, 5)
+    assert _tq_exponent(ctx, (exps, (res + 1) % p)) is None  # every coefficient off by one
+    assert _tq_exponent(ctx, (exps[1:], res[1:])) is None    # lowest term dropped
+    assert _tq_exponent(ctx, (np.array([10**15]), np.array([1]))) is None
+
+
+def _block(x, y, z, c=1):
+    return ((np.array([x]), np.array([c])), (np.array([y]), np.array([1])), (np.array([z]), np.array([1])))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
+def test_shape_check_rejects_stray_blocks(p, e):
+    ctx = field_ctx(p, e)
+    blocks = reduced_blocks(ctx)
+    label = "polynomial_matches_piecewise"
+    cases = {
+        "stray X*Y^2": (blocks + [_block(1, 2, 0)], ("block_shape", len(blocks))),
+        "second Z": (blocks + [_block(0, 0, 1)], ("block_shape", len(blocks))),
+        "2 X*Y": ([_block(1, 1, 0, 2)] + blocks[1:], ("block_shape", 0)),
+        "no X*Y": (blocks[1:], ("missing_block", "X*Y")),
+        "no Z": (blocks[:2] + blocks[3:], ("missing_block", "Z")),
+        # tq(Y) tq(Z): a + b = 2 is not 1 mod q-1
+        "a + b = 2": (blocks + [(blocks[0][0], _tq_pow(ctx, 1), _tq_pow(ctx, 1))], ("block_shape", len(blocks))),
+        # tq(Z)^q alone: a = 0
+        "a = 0": (blocks + [(blocks[0][0], _tq_pow(ctx, 0), _tq_pow(ctx, ctx.q))], ("block_shape", len(blocks))),
+    }
+    for name, (mutant, witness) in cases.items():
+        assert piecewise_match(ctx, mutant) == PtrReport(label, False, witness), name
+    # the same polynomial in another order, with X*Y as (2X)(Y/2), or with
+    # the last g block split in two, passes
+    half = ctx.half().index
+    xy = ((np.array([1]), np.array([2])), (np.array([1]), np.array([half])), blocks[0][2])
+    (exps, res), fy, fz = blocks[-1]
+    split = [((exps[:1], res[:1]), fy, fz), ((exps[1:], res[1:]), fy, fz)]
+    for same in (blocks[::-1], [xy] + blocks[1:], blocks[:-1] + split):
+        assert piecewise_match(ctx, same).passed
+
+
+@pytest.mark.parametrize("form", ["reduced", "t2"])
+@pytest.mark.parametrize("p,e", [(7, 2), (3, 4)])
+def test_main_theorem_past_the_grid_cap(p, e, form):
+    # Q = 2401 and 6561, far above the Q^3 grid's reach
+    ctx = field_ctx(p, e)
+    assert piecewise_match(ctx, BLOCKS[form](ctx)) == PtrReport("polynomial_matches_piecewise", True)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2)])
+def test_nonreduced_theorem_up_to_625(p, e):
+    ctx = field_ctx(p, e)
+    assert piecewise_match(ctx, nonreduced_blocks(ctx)).passed

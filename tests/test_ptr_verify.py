@@ -358,6 +358,22 @@ def test_plane_malformed_lines_fail_without_raising(ctx9, corrupt, witness):
     assert check_plane(bad) == PtrReport("projective_plane", False, witness)
 
 
+@pytest.mark.parametrize("budget", [10, 64])  # line-size chunks of 1 line and of 6 lines
+def test_chunked_line_size_check_matches_dense_oracle(ctx9, monkeypatch, budget):
+    monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
+    base = build_plane(hughes_table(ctx9)).points_on
+    for line in (0, 5, 6, 90):  # first and last line of a chunk, and the last line
+        plane = IncidencePlane(ctx9.Q, base.copy())
+        plane.points_on[line, 2] = plane.points_on[line, 7]
+        assert check_plane(plane) == dense_plane_report(plane)
+        assert check_plane(plane).witness == ("line_size", line)
+    rng = np.random.default_rng(budget)
+    for _ in range(50):
+        plane = IncidencePlane(ctx9.Q, base.copy())
+        _random_perturbation(plane.points_on, rng)
+        assert check_plane(plane) == dense_plane_report(plane)
+
+
 def test_hughes_plane_differs_from_classical(ctx9):
     # quadrangles with collinear diagonal points exist in the Hughes plane
     # and never in the classical plane of odd order
