@@ -3,18 +3,22 @@
 Subcommands: gen, verify, du, plane, identities.  Exit codes: 0 on success,
 1 when a verification sweep fails, 2 on usage errors, 3 on an internal error
 (an unexpected exception, whose traceback goes to stderr).  JSON output is
-byte-identical for a fixed configuration regardless of worker count.
+byte-identical for a fixed configuration regardless of worker count.  Each
+subcommand writes to the output stream (stdout or ``--out``) itself, after
+all of its computation: ``gen`` streams its JSON a chunk of terms at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import traceback
 
 from . import du_analysis, hughes_core, modcomb, ptr_verify
 from .gf_tower import field_ctx, is_odd_prime
+from .trivar_poly import write_json
 
 DEFAULT_MAX_ORDER = 6561
 
@@ -109,18 +113,24 @@ def _get_ctx(parser: argparse.ArgumentParser, args):
     return field_ctx(args.p, args.e)
 
 
-def _cmd_gen(ctx, args) -> tuple[int, str]:
-    builders = {
-        "reduced": hughes_core.build_reduced_T,
-        "nonreduced": hughes_core.build_nonreduced_T,
-        "t2": hughes_core.build_T2,
-    }
+_FORM_BLOCKS = {
+    "reduced": hughes_core.reduced_blocks,
+    "nonreduced": hughes_core.nonreduced_blocks,
+    "t2": hughes_core.t2_blocks,
+}
+
+
+def _cmd_gen(ctx, args, out) -> int:
     if args.format == "text":
-        return 0, hughes_core.render_text(ctx, args.form)
-    return 0, builders[args.form](ctx).to_json_text()
+        out.write(hughes_core.render_text(ctx, args.form))
+    else:
+        # every term is computed before the first byte is written
+        arrays = hughes_core.emit_arrays(ctx, _FORM_BLOCKS[args.form](ctx))
+        write_json(ctx.p, ctx.e, arrays, out)
+    return 0
 
 
-def _cmd_verify(ctx, args) -> tuple[int, str]:
+def _cmd_verify(ctx, args, out) -> int:
     # the sections are read off the oracle's table, which is the reduced
     # polynomial's whenever polynomial_matches_piecewise passes
     table = hughes_core.ptr_table(ctx)
@@ -132,11 +142,10 @@ def _cmd_verify(ctx, args) -> tuple[int, str]:
         plane = ptr_verify.build_plane(table)
         del table  # not needed by the plane check, which sets the peak
         payload["projective_plane"] = ptr_verify.check_plane(plane).to_json_dict()
-    ok = all(v["pass"] for v in payload.values())
-    return (0 if ok else 1), _dumps(payload)
+    return _report(out, payload, all(v["pass"] for v in payload.values()))
 
 
-def _cmd_du(ctx, args) -> tuple[int, str]:
+def _cmd_du(ctx, args, out) -> int:
     families = args.section if args.section else "xyz"
     sample = None if args.exhaustive else args.samples
     report = du_analysis.du_sections(ctx, families=families, sample=sample,
@@ -152,11 +161,10 @@ def _cmd_du(ctx, args) -> tuple[int, str]:
         }
         for fam, res in report.items()
     }
-    ok = all(res["passed"] for res in report.values())
-    return (0 if ok else 1), _dumps(payload)
+    return _report(out, payload, all(res["passed"] for res in report.values()))
 
 
-def _cmd_plane(ctx, args) -> tuple[int, str]:
+def _cmd_plane(ctx, args, out) -> int:
     plane = ptr_verify.build_plane(hughes_core.ptr_table(ctx))  # the table is freed here
     report = ptr_verify.check_plane(plane)
     payload = {
@@ -165,10 +173,10 @@ def _cmd_plane(ctx, args) -> tuple[int, str]:
         "points_per_line": plane.Q + 1,
         "projective_plane": report.to_json_dict(),
     }
-    return (0 if report.passed else 1), _dumps(payload)
+    return _report(out, payload, report.passed)
 
 
-def _cmd_identities(ctx, args) -> tuple[int, str]:
+def _cmd_identities(ctx, args, out) -> int:
     suite = modcomb.identity_suite(args.p, args.e, max_n=args.max_n)
     payload = {
         label: {
@@ -178,12 +186,13 @@ def _cmd_identities(ctx, args) -> tuple[int, str]:
         }
         for label, chk in suite.items()
     }
-    ok = all(chk.passed for chk in suite.values())
-    return (0 if ok else 1), _dumps(payload)
+    return _report(out, payload, all(chk.passed for chk in suite.values()))
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _report(out, payload, ok: bool) -> int:
+    """Write a report as canonical JSON; exit code 0 when it passed, else 1."""
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return 0 if ok else 1
 
 
 _COMMANDS = {
@@ -199,19 +208,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     ctx = _get_ctx(parser, args)
-    out = None
+    out = contextlib.nullcontext(sys.stdout)
     if args.out:
         try:  # before computing, so that a bad path costs nothing
             out = open(args.out, "w")
         except OSError as exc:
             parser.error(f"cannot write --out: {exc}")
-    code, text = _COMMANDS[args.command](ctx, args)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with out:
-            out.write(text)
-    return code
+    with out as stream:
+        return _COMMANDS[args.command](ctx, args, stream)
 
 
 def run(argv=None) -> None:

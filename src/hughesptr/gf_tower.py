@@ -92,15 +92,6 @@ def _poly_rem(f: list[int], g: tuple[int, ...], p: int) -> list[int]:
     return f[:dg]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _monic_polys(p: int, deg: int):
     """All monic polynomials of the given degree, in canonical index order."""
     for t in range(p**deg):
@@ -140,6 +131,30 @@ def _find_base_modulus(p: int, e: int) -> tuple[int, ...]:
         if _is_irreducible(cand, p):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _subfield_tables(p: int, modulus: tuple[int, ...]) -> tuple[list, list, list]:
+    """Addition, negation and multiplication tables of GF(p)[x] / modulus.
+
+    Elements are indexed by their base-p digits, constant coefficient first.
+    The q x q products are one broadcast convolution of the digit vectors,
+    then one reduction step by the monic modulus per degree above e - 1.
+    """
+    e = len(modulus) - 1
+    q = p**e
+    place = p ** np.arange(e, dtype=np.int64)
+    D = np.arange(q, dtype=np.int64)[:, None] // place % p  # D[i, k]: digit k of i
+    add = (D[:, None, :] + D[None, :, :]) % p @ place
+    neg = -D % p @ place
+    prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+    for k in range(e):
+        prod[:, :, k:k + e] += D[:, None, k, None] * D[None, :, :]
+    prod %= p
+    low = np.array(modulus[:e], dtype=np.int64)
+    for k in range(2 * e - 2, e - 1, -1):
+        prod[:, :, k - e:k] = (prod[:, :, k - e:k] - prod[:, :, k, None] * low) % p
+    mul = prod[:, :, :e] @ place
+    return add.tolist(), neg.tolist(), mul.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +277,7 @@ class FieldCtx:
         self.Q = self.params.Q
 
         self.base_modulus = _find_base_modulus(p, e)
-        self._build_subfield_tables()
+        self._q_add, self._q_neg, self._q_mul = _subfield_tables(p, self.base_modulus)
 
         # quadratic character of GF(q): a^((q-1)/2) is 1 or -1 for a != 0
         half = (self.q - 1) // 2
@@ -274,40 +289,6 @@ class FieldCtx:
         self._tables: FieldTables | None = None
 
     # -- construction helpers ------------------------------------------------
-
-    def _build_subfield_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-
-        def digits(i: int) -> tuple[int, ...]:
-            out = []
-            for _ in range(e):
-                out.append(i % p)
-                i //= p
-            return tuple(out)
-
-        def undigits(cs) -> int:
-            v = 0
-            for c in reversed(list(cs)):
-                v = v * p + c
-            return v
-
-        all_digits = [digits(i) for i in range(q)]
-        self._q_add = [
-            [undigits((x + y) % p for x, y in zip(da, db)) for db in all_digits]
-            for da in all_digits
-        ]
-        self._q_neg = [undigits((-x) % p for x in da) for da in all_digits]
-        mul = []
-        for a in range(q):
-            row = []
-            for b in range(q):
-                if b < a:
-                    row.append(mul[b][a])
-                else:
-                    prod = _poly_mul(all_digits[a], all_digits[b], p)
-                    row.append(undigits(_poly_rem(prod, self.base_modulus, p)))
-            mul.append(row)
-        self._q_mul = mul
 
     def _q_pow(self, a: int, n: int) -> int:
         r = 1

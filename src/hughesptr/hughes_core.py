@@ -33,11 +33,14 @@ sparse univariate factors, nearly all of them f(X) * tq(Y)^a * tq(Z)^b with
 tq(V) = V^q - V.  One block list per form (``reduced_blocks``,
 ``t2_blocks``, ``nonreduced_blocks``) feeds two consumers:
 
-* ``_emit`` writes the form out in closed form: tq(V)^n is expanded by
-  Lucas' theorem (``_tq_pow``), the term products of each block are formed
-  by numpy broadcasting, and equal exponent triples are summed mod p after
-  one sort.  No ring product is taken; the tests hold every form to its
-  expansion by ``TriPoly`` products.
+* ``emit_arrays`` writes the form out in closed form, as sorted int64
+  arrays of exponents and GF(p) residues: tq(V)^n is expanded by Lucas'
+  theorem (``_tq_pow``), the term products of each block are formed by
+  numpy broadcasting, and equal exponent triples are summed mod p after
+  one sort.  No ring product is taken.  ``gen`` streams those arrays to
+  JSON (``trivar_poly.write_json``) and builds no ``TriPoly``; the
+  ``build_*`` functions and ``sigma_poly`` wrap them in one (``_emit``),
+  and the tests hold every form to its expansion by ``TriPoly`` products.
 * ``piecewise_match`` proves the main theorem, that the form equals the
   piecewise operation on all of GF(Q)^3, by evaluating the blocks
   (``evaluate_blocks``) on Q*q points only; its docstring has the proof.
@@ -77,6 +80,7 @@ __all__ = [
     "nonreduced_blocks",
     "reduced_blocks",
     "t2_blocks",
+    "emit_arrays",
     "build_nonreduced_T",
     "build_reduced_T",
     "build_T2",
@@ -251,14 +255,15 @@ def _tq_pow(ctx: FieldCtx, n: int) -> Factor:
     return ctx.q * js + n - js, res
 
 
-def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
-    """The sum of the blocks as a TriPoly, with no ring products.
+def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
+    """The sum of the blocks as term arrays (ex, ey, ez, c), with no ring products.
 
     Every product of one term from each factor of a block is formed by
     broadcasting, as a packed key ((ex * RY + ey) * RZ + ez) * p + c; one
     sort brings equal exponent triples together in (ex, ey, ez) order, their
-    residues are summed mod p and the zero sums dropped.  A GF(p) element's
-    index is its residue, so each residue maps to one shared FieldElement.
+    residues are summed mod p and the zero sums dropped.  The int64 arrays
+    come out in that order, and c is a residue mod p, which is the index of
+    a GF(p) element.
     """
     p = ctx.p
     rx, ry, rz = (1 + max(int(block[v][0].max(initial=0)) for block in blocks) for v in range(3))
@@ -273,16 +278,31 @@ def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
         packed[at:at + size] = (key + c).ravel()
         at += size
     packed.sort()
-    key, c = np.divmod(packed, p)
-    del packed
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    c = np.add.reduceat(c, starts) % p
-    key = key[starts]
+    c = packed % p
+    packed //= p  # the sorted exponent keys
+    first = np.empty(packed.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    c = np.add.reduceat(c, starts)
+    c %= p
+    key = packed[starts]
+    del packed, starts
     keep = c != 0
     key, c = key[keep], c[keep]
-    exy, ez = np.divmod(key, rz)
-    ex, ey = np.divmod(exy, ry)
-    elems = [FieldElement(ctx, r) for r in range(p)]
+    ez = key % rz
+    key //= rz
+    ey = key % ry
+    key //= ry
+    return key, ey, ez, c
+
+
+def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
+    """The sum of the blocks (``emit_arrays``) as a TriPoly; each residue maps
+    to one shared FieldElement."""
+    ex, ey, ez, c = emit_arrays(ctx, blocks)
+    elems = [FieldElement(ctx, r) for r in range(ctx.p)]
     terms = dict(zip(zip(ex.tolist(), ey.tolist(), ez.tolist()), map(elems.__getitem__, c.tolist())))
     return TriPoly(ctx, terms)
 
@@ -317,7 +337,8 @@ def sigma_poly(ctx: FieldCtx) -> TriPoly:
 
 def _m_blocks(ctx: FieldCtx) -> list[Block]:
     """M(X,Y) = X*Y - (1/2) * (X^((Q+1)/2) - X) * tq(Y), shared by all three forms."""
-    p, half = ctx.p, ctx.half().index
+    p = ctx.p
+    half = (p + 1) // 2  # 1/2 in GF(p), whose index is its residue
     t_half_x = _factor([(ctx.Q + 1) // 2, 1], [p - half, half])
     return [(_VAR, _VAR, _ONE), (t_half_x, _tq_pow(ctx, 1), _ONE)]
 
@@ -338,7 +359,7 @@ def nonreduced_blocks(ctx: FieldCtx) -> list[Block]:
     Z-exponents reach (Q-1)*q, so this form is not reduced, but it evaluates
     identically to the piecewise operation.
     """
-    minus_half = ctx.p - ctx.half().index
+    minus_half = (ctx.p - 1) // 2  # -1/2 in GF(p)
     return [*_m_blocks(ctx), _Z, *_binom_blocks(ctx, minus_half, 0)]
 
 
@@ -441,7 +462,7 @@ def _factor_values(t, factor: Factor, V) -> np.ndarray:
 
 def evaluate_blocks(ctx: FieldCtx, blocks: list[Block], X, Y, Z) -> np.ndarray:
     """The sum of the blocks on broadcastable index arrays: the values of the
-    polynomial ``_emit`` writes out from the same list."""
+    polynomial ``emit_arrays`` writes out from the same list."""
     t = ctx.tables
     out = np.zeros(np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z)), dtype=np.int32)
     for fx, fy, fz in blocks:

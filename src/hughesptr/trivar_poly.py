@@ -22,14 +22,21 @@ by exponent triple, so output is byte-stable.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement, field_ctx
 
-__all__ = ["TriPoly", "variables", "evaluate_grid"]
+__all__ = ["TriPoly", "variables", "evaluate_grid", "write_json"]
 
 # float64 elements in one chunk of the Y-stage product of evaluate_grid (32 MiB)
 _MATMUL_CHUNK = 1 << 22
+
+# terms in one write of write_json (about 1.3 MB of JSON)
+_JSON_CHUNK = 1 << 14
+
+_JSON_TERM = '    {\n      "c": %d,\n      "ex": %d,\n      "ey": %d,\n      "ez": %d\n    }'
 
 
 class TriPoly:
@@ -212,15 +219,13 @@ class TriPoly:
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\\n"``,
-        byte for byte, written from a template instead of by ``json``'s
-        pure-Python indent encoder."""
-        head = f'{{\n  "e": {self.ctx.e},\n  "p": {self.ctx.p},\n  "terms": '
-        if not self.terms:
-            return head + "[]\n}\n"
-        term = '    {\n      "c": %d,\n      "ex": %d,\n      "ey": %d,\n      "ez": %d\n    }'
-        terms = self.terms
-        body = ",\n".join([term % (terms[e].index, *e) for e in sorted(terms)])
-        return head + "[\n" + body + "\n  ]\n}\n"
+        byte for byte, written by ``write_json``."""
+        keys = sorted(self.terms)
+        exps = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        c = np.array([self.terms[k].index for k in keys], dtype=np.int64)
+        out = io.StringIO()
+        write_json(self.ctx.p, self.ctx.e, (*exps, c), out)
+        return out.getvalue()
 
     @classmethod
     def from_json_dict(cls, data: dict, ctx: FieldCtx | None = None) -> "TriPoly":
@@ -235,6 +240,35 @@ class TriPoly:
     def __repr__(self):
         n = len(self.terms)
         return f"TriPoly(GF({self.ctx.Q}), {n} term{'s' if n != 1 else ''})"
+
+
+def write_json(p: int, e: int, arrays, stream) -> None:
+    """Write the JSON of a polynomial to a text stream, a chunk of terms at a time.
+
+    ``arrays`` is (ex, ey, ez, c): integer arrays of one length, sorted by
+    exponent triple, with c the nonzero coefficient indices.  The bytes are
+    ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` of the schema
+    above; each chunk of ``_JSON_CHUNK`` terms is formatted by one
+    ``%`` on a repeated term template, so no string holds the whole output.
+    """
+    ex, ey, ez, c = arrays
+    stream.write(f'{{\n  "e": {e},\n  "p": {p},\n  "terms": ')
+    n = len(c)
+    if n == 0:
+        stream.write("[]\n}\n")
+        return
+    stream.write("[\n")
+    template, size = "", 0
+    for start in range(0, n, _JSON_CHUNK):
+        stop = min(start + _JSON_CHUNK, n)
+        if stop - start != size:  # a full chunk, or the last one
+            size = stop - start
+            template = ",\n".join([_JSON_TERM] * size)
+        values = np.column_stack((c[start:stop], ex[start:stop], ey[start:stop], ez[start:stop]))
+        if start:
+            stream.write(",\n")
+        stream.write(template % tuple(values.ravel().tolist()))
+    stream.write("\n  ]\n}\n")
 
 
 def variables(ctx: FieldCtx) -> tuple[TriPoly, TriPoly, TriPoly]:

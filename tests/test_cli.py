@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hughesptr import build_reduced_T, build_T2, field_ctx
-from hughesptr import cli
+from hughesptr import cli, gf_tower, trivar_poly
 from hughesptr.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_sha256.json"
+GEN_DIGESTS = {cmd: digest for cmd, digest in json.loads(REFERENCE.read_text()).items()
+               if cmd.startswith("gen ")}
 
 
 def run_cli(capsys, argv):
@@ -35,6 +40,37 @@ def test_gen_t2_and_text(capsys):
     code, out = run_cli(capsys, ["gen", "--p", "3", "--e", "1", "--format", "text"])
     assert code == 0
     assert "M(X,Y)" in out
+
+
+@pytest.mark.parametrize("cmd", sorted(GEN_DIGESTS))
+def test_gen_matches_reference_digest(capsys, cmd):
+    code, out = run_cli(capsys, cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[cmd]
+
+
+def test_gen_out_file_equals_stdout(tmp_path, capsys):
+    argv = ["gen", "--p", "5", "--e", "2", "--form", "nonreduced"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert out.count('"c": ') > 20 * trivar_poly._JSON_CHUNK  # many chunks
+    target = tmp_path / "T.json"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("form", ["reduced", "nonreduced", "t2"])
+def test_gen_json_builds_no_field_element_or_tripoly(capsys, monkeypatch, form):
+    field_ctx(5, 1)  # cached, so the CLI builds no context either
+
+    def refuse(self, *args):
+        raise AssertionError(f"gen built a {type(self).__name__}")
+
+    monkeypatch.setattr(gf_tower.FieldElement, "__init__", refuse)
+    monkeypatch.setattr(trivar_poly.TriPoly, "__init__", refuse)
+    code, out = run_cli(capsys, ["gen", "--p", "5", "--e", "1", "--form", form])
+    assert code == 0 and json.loads(out)["terms"]
 
 
 def test_gen_rejects_composite_p(capsys):
@@ -174,7 +210,7 @@ def test_rejects_out_of_range_integer_flags(capsys, argv):
 
 
 def test_unwritable_out_rejected_before_computing(tmp_path, capsys, monkeypatch):
-    def never(ctx, args):
+    def never(ctx, args, out):
         raise AssertionError("the subcommand ran before --out was opened")
 
     monkeypatch.setitem(cli._COMMANDS, "du", never)
@@ -200,9 +236,9 @@ def test_plane_order_cap(capsys, argv):
 def _stub_command(monkeypatch, name):
     ran = []
 
-    def stub(ctx, args):
+    def stub(ctx, args, out):
         ran.append(ctx.Q)
-        return 0, ""
+        return 0
 
     monkeypatch.setitem(cli._COMMANDS, name, stub)
     return ran
@@ -240,7 +276,7 @@ def test_huge_field_arguments_exit_2_at_once(argv):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    def broken(ctx, args):
+    def broken(ctx, args, out):
         raise RuntimeError("kernel fault")
 
     monkeypatch.setitem(cli._COMMANDS, "verify", broken)
@@ -264,7 +300,11 @@ def test_run_keeps_success_and_usage_codes(capsys, argv, code):
 
 
 def test_run_passes_verification_failure_through(capsys, monkeypatch):
-    monkeypatch.setitem(cli._COMMANDS, "verify", lambda ctx, args: (1, "{}\n"))
+    def failing(ctx, args, out):
+        out.write("{}\n")
+        return 1
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", failing)
     with pytest.raises(SystemExit) as exc:
         cli.run(["verify", "--p", "3", "--e", "1"])
     assert exc.value.code == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hughesptr import FieldParams, field_ctx
+from hughesptr.gf_tower import _poly_rem
 from conftest import random_elements
 
 
@@ -37,6 +38,37 @@ def test_base_modulus_irreducible_by_roots():
     c0, c1, c2 = ctx.base_modulus
     for r in range(3):
         assert (c0 + c1 * r + c2 * r * r) % 3 != 0
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+@pytest.mark.parametrize("p,e", [
+    (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (23, 1),
+    (3, 2), (5, 2), (7, 2), (11, 2), (3, 4), (3, 5),
+])
+def test_subfield_tables_match_polynomial_products(p, e):
+    # every q <= 243 the suite builds, and q = 121: the vectorized GF(q) tables
+    # against one digit-vector sum, negation and reduced product per pair
+    ctx = field_ctx(p, e)
+    q = ctx.q
+    digits = [tuple(i // p**k % p for k in range(e)) for i in range(q)]
+
+    def undigits(cs):
+        return sum(c * p**k for k, c in enumerate(cs))
+
+    assert ctx._q_add == [[undigits((x + y) % p for x, y in zip(da, db)) for db in digits] for da in digits]
+    assert ctx._q_neg == [undigits(-x % p for x in da) for da in digits]
+    assert ctx._q_mul == [
+        [undigits(_poly_rem(_poly_mul(da, db, p), ctx.base_modulus, p)) for db in digits]
+        for da in digits
+    ]
 
 
 def test_additive_identities(ctx9):

@@ -13,6 +13,7 @@ from hughesptr import (
     ptr_table,
     variables,
 )
+from hughesptr.trivar_poly import _JSON_CHUNK
 from conftest import random_elements
 
 
@@ -240,10 +241,20 @@ def test_json_round_trip(ctx9):
     assert json.dumps(P.to_json_dict()) == json.dumps(again.to_json_dict())
 
 
+def _chunk_poly(ctx, n):
+    """n terms with distinct exponent triples, for the chunk boundaries of write_json."""
+    rng = np.random.default_rng(n)
+    coeffs = rng.integers(1, ctx.Q, n).tolist()
+    return TriPoly(ctx, {(i // 900, i // 30 % 30, i % 30): ctx.element_from_index(c)
+                         for i, c in enumerate(coeffs)})
+
+
 def _json_text_cases():
     ctx = field_ctx(3, 1)
     yield "zero", TriPoly.zero(ctx)
     yield "one-term", TriPoly.monomial(ctx, ctx.element_from_index(7), (0, 12, 3))
+    yield "one-chunk", _chunk_poly(ctx, _JSON_CHUNK)
+    yield "one-chunk-plus-one", _chunk_poly(ctx, _JSON_CHUNK + 1)
     for p in (3, 5, 7):
         for build in (build_nonreduced_T, build_reduced_T, build_T2):
             yield f"{build.__name__}-q{p * p}", build(field_ctx(p, 1))
