@@ -5,11 +5,13 @@ element index), never symbolically, so the results are immune to algebra
 slips.  The differential uniformity of f is the largest number of solutions
 x of f(x + a) - f(x) = b over a != 0 and all b (K. Nyberg, *Differentially
 uniform mappings for cryptography*, EUROCRYPT '93).  ``du`` counts them
-exhaustively, in O(Q^2) per function: for each direction the differences
-f(x + a) - f(x) over all x come from one gather along the shift grid and
-one carry-free packed addition (see ``FieldTables``), and one bincount per
-chunk of directions counts the fibres.  Since a and -a give difference
-maps with equal fibre sizes, only one direction of each pair is counted.
+exhaustively, in O(Q^2) per function: the differences f(x + a) - f(x)
+come a chunk of directions at a time from ``FieldTables.shift_differences``,
+two gathers per entry from tables of (2p-1)^(2e) entries and no grid of
+shifts, and one bincount per chunk counts the fibres on intp offsets.
+Since a and -a give difference maps with equal fibre sizes, only one
+direction of each pair is counted.  A section sweep stops a section at the
+first chunk whose largest fibre has Q points, the most any map can have.
 
 For the ternary operation of the Hughes plane the section families behave
 as follows, and ``du_sections`` re-derives it by enumeration:
@@ -86,10 +88,27 @@ def diff_op(ctx: FieldCtx, f, a: FieldElement):
     return delta
 
 
-# count entries per chunk of rows in _row_maxima: at Q = 2401 and 6561 on a
-# 2-core x86-64 VM, 2^16-2^18 ran equally fast (22-24 and 186-191 ms a
-# section), 2^14 10-25% slower and 2^20 up to 30% slower
-_ROW_COUNT_BUDGET = 2**17
+# count entries per chunk of rows in _chunk_maxima: with intp offsets, on a
+# 2-core x86-64 VM with 2 MiB of L2 per core, an X-section took a median 29,
+# 266 and 1245 ms at Q = 2401, 6561 and 14641 with 2^16, 26, 271 and 1339 ms
+# with 2^15, and 43, 294 and 1358 ms with 2^17
+_ROW_COUNT_BUDGET = 2**16
+
+
+def _chunk_maxima(t, tbl: np.ndarray):
+    """Yield (lo, hi, u) with u = u(difference map) for directions
+    ``t.shift_reps[lo:hi]``, a chunk of about ``_ROW_COUNT_BUDGET`` counts.
+
+    The one counting kernel: ``_row_maxima`` reads every chunk, and
+    ``_section_delta`` stops at the first chunk that reaches Q.
+    """
+    Q = len(tbl)
+    rows = max(1, _ROW_COUNT_BUDGET // Q)
+    base = np.arange(rows, dtype=np.intp)[:, None] * Q
+    for lo, hi, offs in t.shift_differences(tbl, rows):
+        offs += base[:hi - lo]
+        counts = np.bincount(offs.ravel(), minlength=(hi - lo) * Q)
+        yield lo, hi, counts.reshape(hi - lo, Q).max(axis=1)
 
 
 def _row_maxima(t, tbl: np.ndarray) -> np.ndarray:
@@ -99,23 +118,30 @@ def _row_maxima(t, tbl: np.ndarray) -> np.ndarray:
     fibre of D_a f over b onto the fibre of D_{-a}f over -b, and the two
     maps have the same u; this holds for any f on any abelian group.  So
     only the directions in ``t.shift_reps`` are counted, and each maximum
-    is written to a and to -a.  The rows go in chunks of about
-    ``_ROW_COUNT_BUDGET`` counts, with int32 offsets.
+    is written to a and to -a.
     """
-    Q = len(tbl)
-    n = len(t.shift_reps)
-    chunk = max(1, _ROW_COUNT_BUDGET // Q)
-    um = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        offs = t.shift_differences(tbl, lo, hi)
-        offs += (np.arange(hi - lo, dtype=np.int32) * Q)[:, None]
-        counts = np.bincount(offs.ravel(), minlength=(hi - lo) * Q)
-        um[lo:hi] = counts.reshape(hi - lo, Q).max(axis=1)
-    full = np.empty(Q - 1, dtype=np.int64)
+    um = np.empty(len(t.shift_reps), dtype=np.int64)
+    for lo, hi, u in _chunk_maxima(t, tbl):
+        um[lo:hi] = u
+    full = np.empty(len(tbl) - 1, dtype=np.int64)
     full[t.shift_reps - 1] = um
     full[t.neg[t.shift_reps] - 1] = um
     return full
+
+
+def _section_delta(t, tbl: np.ndarray) -> int:
+    """The differential uniformity of ``tbl``: ``_row_maxima(t, tbl).max()``.
+
+    No fibre of a map on GF(Q) holds more than Q points, so the count stops
+    at the first chunk whose maximum is Q; the value is then exact.
+    """
+    Q = len(tbl)
+    delta = 0
+    for _, _, u in _chunk_maxima(t, tbl):
+        delta = max(delta, int(u.max()))
+        if delta == Q:
+            break
+    return delta
 
 
 def du(ctx: FieldCtx, f) -> DuProfile:
@@ -155,8 +181,7 @@ def piecewise_section(ctx: FieldCtx, family: str, i1: int, i2: int) -> np.ndarra
 
 def _section_deltas(ctx: FieldCtx, family: str, fixings: list[tuple[int, int]]) -> list[int]:
     t = ctx.tables
-    return [int(_row_maxima(t, piecewise_section(ctx, family, i1, i2)).max())
-            for i1, i2 in fixings]
+    return [_section_delta(t, piecewise_section(ctx, family, i1, i2)) for i1, i2 in fixings]
 
 
 def _worker_deltas(args) -> list[int]:

@@ -443,6 +443,10 @@ class FieldTables:
     ``add(A, B) = _canon[_packed[A] + _packed[B]]``.  Negation and the
     Frobenius are read off the digits too, so no table here comes from the
     scalar side; results are required to be bit-identical to it.
+
+    ``shift_differences`` gives the difference maps x -> f(x + a) - f(x)
+    that the differential-uniformity count needs, a chunk of directions at a
+    time, from tables of (2p-1)^(2e) entries; nothing of size Q^2 is kept.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -507,27 +511,31 @@ class FieldTables:
         return self._canon[self._packed[A] + self._packed_neg[B]]
 
     @cached_property
-    def shifts(self) -> np.ndarray:
-        """((Q-1)/2, Q) grid [i, x] -> x + shift_reps[i].
+    def _canon_intp(self) -> np.ndarray:
+        """``_canon`` as intp, read only by ``shift_differences``: its output
+        goes straight to ``np.bincount``, which copies any other dtype."""
+        return self._canon.astype(np.intp)
 
-        Built on first use and kept, read-only: every differential-uniformity
-        section reads the same grid, and one direction of each pair {a, -a}
-        is all the count needs (see ``du_analysis._row_maxima``).
+    def shift_differences(self, tbl, rows: int):
+        """Yield (lo, hi, D) over ``shift_reps`` in chunks of ``rows`` rows,
+        where D[i - lo, x] = tbl[x + shift_reps[i]] - tbl[x], as intp.
+
+        ``moved = _packed[tbl][_canon]`` is built once per call, with
+        (2p-1)^(2e) entries: since ``_canon[_packed[x] + _packed[a]]`` is
+        x + a, ``moved[_packed[x] + _packed[a]]`` is ``_packed[tbl[x + a]]``.
+        So each entry costs one gather from ``moved`` and one from ``_canon``,
+        and no grid of shifts x + a is ever formed.  (``np.take`` gathers
+        these flat tables faster than fancy indexing does.)
         """
-        reps, ar = self.shift_reps, np.arange(self.ctx.Q, dtype=np.int32)
-        grid = np.empty((len(reps), len(ar)), dtype=np.int32)
-        for lo in range(0, len(reps), 64):  # no grid-sized temporary next to the grid
-            grid[lo:lo + 64] = self.add(reps[lo:lo + 64, None], ar)
-        grid.flags.writeable = False
-        return grid
-
-    def shift_differences(self, tbl, lo: int, hi: int):
-        """Rows lo:hi of [i, x] -> tbl[x + shift_reps[i]] - tbl[x].
-
-        ``tbl`` is a function's value table; it is packed once per call, so
-        each entry costs one gather from the grid and one from ``_canon``.
-        """
-        return self._canon[self._packed[tbl][self.shifts[lo:hi]] + self._packed_neg[tbl]]
+        moved = np.take(self._packed[tbl], self._canon)
+        back = self._packed_neg[tbl]
+        start = self._packed[self.shift_reps]
+        canon = self._canon_intp
+        for lo in range(0, len(start), rows):
+            hi = min(lo + rows, len(start))
+            packed = np.take(moved, start[lo:hi, None] + self._packed)
+            packed += back
+            yield lo, hi, np.take(canon, packed)
 
     def mul(self, A, B):
         return self.exp_pad[self.log[A] + self.log[B]]

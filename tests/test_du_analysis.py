@@ -10,6 +10,7 @@ import hughesptr
 from hughesptr import du_analysis, field_ctx, ptr_table
 from hughesptr.du_analysis import (
     _row_maxima,
+    _section_delta,
     diff_op,
     du,
     du_sections,
@@ -136,6 +137,84 @@ def test_row_maxima_partial_last_chunk(monkeypatch, p, e, rows):
     assert_du_matches_reference(ctx, rng.integers(0, ctx.Q, ctx.Q).astype(np.int32))
 
 
+def along_last_rep(ctx, kind):
+    """A table whose largest fibres sit in the last row ``shift_reps[-1]`` = a.
+
+    "periodic": f(x + a) = f(x), random on the cosets of <a>, so u = Q at a
+    and its multiples; for p = 3 the last row is the only one that reaches Q.
+    "bump": f = 1 at x0 and x0 + a, else 0; D_a f is nonzero at x0 - a and
+    x0 + a only, so u = Q - 2 at a and -a; at every other b, D_b f is
+    nonzero at four points and u = Q - 4.
+    """
+    t = ctx.tables
+    a = int(t.shift_reps[-1])
+    if kind == "bump":
+        tbl = np.zeros(ctx.Q, dtype=np.int32)
+        tbl[[5, t.add(5, a)]] = 1
+        return tbl
+    coset = orbit = np.arange(ctx.Q, dtype=np.int32)
+    for _ in range(ctx.p - 1):
+        orbit = t.add(orbit, a)
+        coset = np.minimum(coset, orbit)
+    return np.random.default_rng(ctx.Q).integers(0, ctx.Q, ctx.Q).astype(np.int32)[coset]
+
+
+@pytest.mark.parametrize("p,e,rows", [(3, 1, 1), (3, 1, 3), (5, 1, 1), (5, 1, 5),
+                                      (3, 2, 1), (3, 2, 3), (13, 1, 1), (13, 1, 5)])
+def test_section_delta_stops_only_at_q(monkeypatch, p, e, rows):
+    """The early stop is exact: the section delta equals the full row maximum.
+
+    Stopping at a threshold Q - 1, Q - 2 or Q - 3 instead of Q cannot change
+    any result, so no table can tell those apart: D_a f sums to 0 over each
+    coset of <a>, so no fibre has Q - 1 points; a row at Q makes every other
+    fibre size a multiple of p, and at most Q - 2p; and a row at Q - 2 leaves
+    every other row at most Q - 4.  The "bump" table has exactly that pair,
+    with its Q - 2 in the last chunk, so a stop at Q - 4 or below, or one that
+    skips the last chunk, fails here.
+    """
+    ctx = field_ctx(p, e)
+    t, Q = ctx.tables, ctx.Q
+    monkeypatch.setattr(du_analysis, "_ROW_COUNT_BUDGET", rows * Q + (Q // 2 if rows > 1 else 0))
+    assert rows == 1 or len(t.shift_reps) % rows  # the last chunk is partial
+    rng = np.random.default_rng(p * 100 + e * 10 + rows)
+    tables = [piecewise_section(ctx, family, i1, i2) for family in "xyz"
+              for i1, i2 in rng.integers(0, Q, (2, 2)).tolist() + [[1, 0], [ctx.q + 1, 3]]]
+    tables += [rng.integers(0, Q, Q).astype(np.int32) for _ in range(3)]
+    tables += [rng.permutation(Q).astype(np.int32) for _ in range(3)]
+    for tbl in tables:
+        assert _section_delta(t, tbl) == _row_maxima(t, tbl).max()
+
+    last = [t.shift_reps[-1] - 1, t.neg[t.shift_reps[-1]] - 1]
+    periodic, bump = along_last_rep(ctx, "periodic"), along_last_rep(ctx, "bump")
+    um = _row_maxima(t, periodic)
+    assert um[last].tolist() == [Q, Q] and (p > 3 or np.count_nonzero(um == Q) == 2)
+    assert _section_delta(t, periodic) == Q
+    um = _row_maxima(t, bump)
+    assert um[last].tolist() == [Q - 2, Q - 2] and np.count_nonzero(um == Q - 2) == 2
+    assert set(um.tolist()) == {Q - 4, Q - 2}
+    assert _section_delta(t, bump) == Q - 2
+
+
+def test_section_delta_reads_one_chunk_when_the_first_reaches_q(monkeypatch, ctx81):
+    # an X-section with y in GF(q) is linear: every row has u = Q
+    t, Q = ctx81.tables, ctx81.Q
+    monkeypatch.setattr(du_analysis, "_ROW_COUNT_BUDGET", 3 * Q)
+    read = []
+    chunk_maxima = du_analysis._chunk_maxima
+
+    def counted(t, tbl):
+        for chunk in chunk_maxima(t, tbl):
+            read.append(chunk[:2])
+            yield chunk
+
+    monkeypatch.setattr(du_analysis, "_chunk_maxima", counted)
+    assert _section_delta(t, piecewise_section(ctx81, "x", 2, 5)) == Q
+    assert read == [(0, 3)]
+    read.clear()
+    assert _section_delta(t, along_last_rep(ctx81, "bump")) == Q - 2
+    assert len(read) == -(-len(t.shift_reps) // 3)
+
+
 def test_half_power_difference_case_formula(ctx9):
     # away from the character's zeros the difference map of x^((Q+1)/2) is
     # a / 2x+a / -2x-a / -a according to the sign pattern of (x, x+a)
@@ -230,9 +309,14 @@ def test_du_sections_sampled_fixings_index_all_pairs(ctx81, sample, seed):
 
 
 def test_du_sections_workers_match(ctx9, ctx25):
-    seq = du_sections(ctx9, families="x")
-    par = du_sections(ctx9, families="x", workers=2)
-    assert seq == par
+    seq = du_sections(ctx9)
+    for workers in (1, 2):
+        assert du_sections(ctx9, workers=workers) == seq
+    for family in "yz":
+        sampled = du_sections(ctx25, families=family, sample=30, seed=7)
+        assert all(d == ctx25.Q for d in sampled[family]["deltas"])
+        for workers in (1, 2):
+            assert du_sections(ctx25, families=family, sample=30, seed=7, workers=workers) == sampled
     # contiguous chunks of 34, 34 and 32 fixings, and fewer fixings than workers
     for sample in (100, 2):
         seq = du_sections(ctx25, families="x", sample=sample, seed=5)
