@@ -2,7 +2,10 @@
 
 Subcommands: gen, verify, du, plane, identities.  Exit codes: 0 on success,
 1 when a verification sweep fails, 2 on usage errors, 3 on an internal error
-(an unexpected exception, whose traceback goes to stderr).  JSON output is
+(an unexpected exception, whose traceback goes to stderr), and 141
+(128 + SIGPIPE, as a shell reports a process killed by that signal) when
+the reader of stdout closes it early, as ``head`` does; no traceback is
+printed then, and the output is cut short.  JSON output is
 byte-identical for a fixed configuration regardless of worker count.  Each
 subcommand writes to the output stream (stdout or ``--out``) itself, after
 all of its computation: ``gen`` streams its JSON a chunk of terms at a time.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import traceback
 
@@ -218,10 +222,22 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](ctx, args, stream)
 
 
+# exit status when stdout is closed by its reader: 128 + SIGPIPE
+EXIT_CLOSED_PIPE = 141
+
+
 def run(argv=None) -> None:
-    """Console entry point: exit 3, not 1, when the program itself fails."""
+    """Console entry point: exit 3, not 1, when the program itself fails, and
+    ``EXIT_CLOSED_PIPE`` when the reader of stdout goes away."""
     try:
         code = main(argv)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at shutdown cannot
+        # raise again (the recipe of the signal module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
     except Exception:
         traceback.print_exc()
         code = 3

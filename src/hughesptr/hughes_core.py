@@ -33,7 +33,7 @@ sparse univariate factors, nearly all of them f(X) * tq(Y)^a * tq(Z)^b with
 tq(V) = V^q - V.  One block list per form (``reduced_blocks``,
 ``t2_blocks``, ``nonreduced_blocks``) feeds two consumers:
 
-* ``emit_arrays`` writes the form out in closed form, as sorted int64
+* ``emit_arrays`` writes the form out in closed form, as sorted int32
   arrays of exponents and GF(p) residues: tq(V)^n is expanded by Lucas'
   theorem (``_tq_pow``), the term products of each block are formed by
   numpy broadcasting, and equal exponent triples are summed mod p after
@@ -192,10 +192,11 @@ def phi_poly(ctx: FieldCtx, k: FieldElement) -> TriPoly:
     a <= (q-1)/2 and b <= (q+1)/2.
     """
     half_exp = (ctx.Q + 1) // 2
+    binoms = binom_mod_lucas(half_exp, np.arange(half_exp + 1), ctx.p).tolist()
     terms: dict[tuple[int, int, int], FieldElement] = {}
     kpow = ctx.one
     for m in range(half_exp, -1, -1):
-        b = binom_mod_lucas(half_exp, m, ctx.p)
+        b = binoms[m]
         if b:
             coeff = ctx.from_int(b) * kpow
             if coeff.index:
@@ -229,6 +230,9 @@ def _factor(exps, residues) -> Factor:
     return np.asarray(exps, dtype=np.int64), np.asarray(residues, dtype=np.int64)
 
 
+# raw terms summed per step of emit_arrays' pass over its sorted keys
+_SUM_CHUNK = 1 << 16
+
 _ONE = _factor([0], [1])
 _VAR = _factor([1], [1])
 
@@ -239,18 +243,16 @@ def _tq_pow(ctx: FieldCtx, n: int) -> Factor:
     By Lucas' theorem binom(n, j) is nonzero mod p exactly when every base-p
     digit of j is at most the matching digit of n, and it is then the
     product of the digit binomials; so the j are enumerated digit by digit,
-    prod(n_d + 1) of them (N. J. Fine, Amer. Math. Monthly 54, 1947).
+    prod(n_d + 1) of them (N. J. Fine, Amer. Math. Monthly 54, 1947), and
+    their binomials come from one call of the Lucas kernel.
     """
     p = ctx.p
     js = np.zeros(1, dtype=np.int64)
-    res = np.ones(1, dtype=np.int64)
     place, rest = 1, n
     while rest:
-        d = rest % p
-        digit = np.array([binom_mod_lucas(d, k, p) for k in range(d + 1)], dtype=np.int64)
-        js = (js[:, None] + place * np.arange(d + 1)).ravel()
-        res = (res[:, None] * digit % p).ravel()
+        js = (js[:, None] + place * np.arange(rest % p + 1)).ravel()
         place, rest = place * p, rest // p
+    res = binom_mod_lucas(n, js, p)
     res = np.where((n - js) % 2, p - res, res)
     return ctx.q * js + n - js, res
 
@@ -261,7 +263,7 @@ def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
     Every product of one term from each factor of a block is formed by
     broadcasting, as a packed key ((ex * RY + ey) * RZ + ez) * p + c; one
     sort brings equal exponent triples together in (ex, ey, ez) order, their
-    residues are summed mod p and the zero sums dropped.  The int64 arrays
+    residues are summed mod p and the zero sums dropped.  The int32 arrays
     come out in that order, and c is a residue mod p, which is the index of
     a GF(p) element.
     """
@@ -269,6 +271,8 @@ def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
     rx, ry, rz = (1 + max(int(block[v][0].max(initial=0)) for block in blocks) for v in range(3))
     if rx * ry * rz * p >= 2**63:
         raise OverflowError("exponents too large to pack into one int64 key")
+    if max(rx, ry, rz, p) > 2**31:
+        raise OverflowError("exponents too large for int32 term arrays")
     sizes = [fx[0].size * fy[0].size * fz[0].size for fx, fy, fz in blocks]
     packed = np.empty(sum(sizes), dtype=np.int64)
     at = 0
@@ -278,24 +282,36 @@ def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
         packed[at:at + size] = (key + c).ravel()
         at += size
     packed.sort()
-    c = packed % p
-    packed //= p  # the sorted exponent keys
-    first = np.empty(packed.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(packed[1:], packed[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    c = np.add.reduceat(c, starts)
-    c %= p
-    key = packed[starts]
-    del packed, starts
-    keep = c != 0
-    key, c = key[keep], c[keep]
-    ez = key % rz
+    # One pass over the sorted raw terms, a chunk at a time, each chunk ending
+    # where an exponent key does.  Equal keys are summed mod p, and each
+    # nonzero sum goes back, packed with its key, over the front of
+    # ``packed``, which the pass has read by then; no second raw-size array
+    # is made.
+    kept, lo = 0, 0
+    while lo < packed.size:
+        hi = min(lo + _SUM_CHUNK, packed.size)
+        hi += int(np.searchsorted(packed[hi:], (packed[hi - 1] // p + 1) * p))
+        keys, res = np.divmod(packed[lo:hi], p)
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(res, starts) % p
+        nonzero = sums != 0
+        summed = keys[starts[nonzero]] * p + sums[nonzero]
+        packed[kept:kept + summed.size] = summed
+        kept += summed.size
+        lo = hi
+    key = packed[:kept]
+    c, ez, ey = (np.empty(kept, dtype=np.int32) for _ in range(3))
+    # an unsafe cast on a ufunc's out is buffered: no int64 temporary
+    np.remainder(key, p, out=c, casting="unsafe")
+    key //= p
+    np.remainder(key, rz, out=ez, casting="unsafe")
     key //= rz
-    ey = key % ry
+    np.remainder(key, ry, out=ey, casting="unsafe")
     key //= ry
-    return key, ey, ez, c
+    return key.astype(np.int32), ey, ez, c
 
 
 def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
@@ -310,13 +326,10 @@ def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
 def _binom_blocks(ctx: FieldCtx, scale: int, y_shift: int) -> list[Block]:
     """scale * binom((Q+1)/2, m) X^m tq(Y)^(m + y_shift) tq(Z)^(Q-m), m = 1 .. (Q-1)/2."""
     Q, p = ctx.Q, ctx.p
-    half_exp = (Q + 1) // 2
-    blocks = []
-    for m in range(1, (Q - 1) // 2 + 1):
-        b = binom_mod_lucas(half_exp, m, p)
-        if b:
-            blocks.append((_factor([m], [scale * b % p]), _tq_pow(ctx, m + y_shift), _tq_pow(ctx, Q - m)))
-    return blocks
+    ms = np.arange(1, (Q - 1) // 2 + 1)
+    bs = binom_mod_lucas((Q + 1) // 2, ms, p)
+    return [(_factor([m], [scale * b % p]), _tq_pow(ctx, m + y_shift), _tq_pow(ctx, Q - m))
+            for m, b in zip(ms[bs != 0].tolist(), bs[bs != 0].tolist())]
 
 
 def sigma_poly(ctx: FieldCtx) -> TriPoly:
@@ -376,9 +389,9 @@ def _inv_neg4_pow(ctx: FieldCtx, i: int) -> int:
 def _g_factor(ctx: FieldCtx, i: int) -> Factor:
     """g_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i+1} C[j(q-1)+i] X^(j(q-1)+i+1) mod p."""
     q, p = ctx.q, ctx.p
-    scale = _inv_neg4_pow(ctx, i)
-    cs = [(j * (q - 1) + i + 1, catalan_mod(j * (q - 1) + i, p)) for j in range(i + 2)]
-    return _factor([n for n, c in cs if c], [scale * c % p for _, c in cs if c])
+    ns = np.arange(i + 2) * (q - 1) + i
+    cs = catalan_mod(ns, p)
+    return ns[cs != 0] + 1, _inv_neg4_pow(ctx, i) * cs[cs != 0] % p
 
 
 def _h_factor(ctx: FieldCtx, i: int) -> Factor:
@@ -625,12 +638,12 @@ def render_text(ctx: FieldCtx, form: str) -> str:
         for i in range(q - 1):
             lines.append(f"h_{i}(X) = {_univar_str(h_poly(ctx, i))}")
     elif form == "nonreduced":
-        half_exp = (Q + 1) // 2
         lines.append(
             f"T(X,Y,Z) = M(X,Y) + Z - {ctx.half().index} * sum_(m=1..{(Q - 1) // 2}) B(m) * X^m * tq(Y)^m * tq(Z)^({Q}-m)"
         )
+        ms = np.arange(1, (Q - 1) // 2 + 1)
         bs = ", ".join(
-            f"B({m})={binom_mod_lucas(half_exp, m, p)}" for m in range(1, (Q - 1) // 2 + 1)
+            f"B({m})={b}" for m, b in zip(ms.tolist(), binom_mod_lucas((Q + 1) // 2, ms, p).tolist())
         )
         lines.append(f"binomial coefficients mod {p}: {bs}")
     else:

@@ -3,25 +3,32 @@ exactly and modulo a prime.
 
 Conventions: binom(n, k) = 0 whenever k < 0, n < 0, or k > n, and the
 generalized Catalan number is 0 whenever either index is negative.  The
-mod-p Catalan value is computed division-free as
-binom(2n, n) - binom(2n, n+1) through Lucas' theorem, since (n+1) need not
-be invertible mod p.  Generalized Catalan values are computed exactly as
-big integers and then reduced, for the same reason.
+mod-p binomial ``binom_mod_lucas`` is one broadcasting kernel over index
+arrays: by Lucas' theorem it is the product of the binomials of the base-p
+digits, read from a p x p table.  The mod-p Catalan value is computed
+division-free as binom(2n, n) - binom(2n, n+1) through that kernel, since
+(n+1) need not be invertible mod p.  Generalized Catalan values are computed
+exactly as big integers and then reduced, for the same reason.
 
-``identity_suite`` re-verifies, by exact integer arithmetic, every
-congruence identity the polynomial construction relies on.  Its Lucas sweep
-takes the exact binomials row by row from Pascal's triangle, each row from
-the one before by big-integer addition, and every sweep takes its exact
-Catalan numbers from one run of C[m+1] = C[m] * 2(2m+1) / (m+2), rather
-than one ``math.comb`` per entry; ``catalan_exact`` is the reference both
-are tested against.
+``identity_suite`` re-verifies every congruence identity the polynomial
+construction relies on, exactly.  Its Lucas sweep compares the kernel with
+Pascal's triangle built mod p row by row: reduction mod p is a ring
+homomorphism, so every entry of that triangle is binom(a, b) mod p.  The
+other sweeps compare exact big integers, reduced mod p where the identity is
+a congruence.  They take their binomials from rows built with
+binom(n, k+1) = binom(n, k) (n-k) / (k+1), and their Catalan numbers from one
+run of C[m+1] = C[m] * 2(2m+1) / (m+2), rather than one ``math.comb`` per
+entry; ``binom_exact`` and ``catalan_exact`` are the references both are
+tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import add
+
+import numpy as np
 
 __all__ = [
     "binom_exact",
@@ -41,19 +48,34 @@ def binom_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def binom_mod_lucas(alpha: int, beta: int, p: int) -> int:
-    """binom(alpha, beta) mod p as the product of base-p digit binomials."""
-    if beta < 0 or alpha < 0:
-        return 0
-    r = 1
-    while beta or alpha:
-        ad, bd = alpha % p, beta % p
-        if bd > ad:
-            return 0
-        r = r * math.comb(ad, bd) % p
-        alpha //= p
-        beta //= p
-    return r
+@functools.lru_cache(maxsize=None)
+def _digit_table(p: int) -> np.ndarray:
+    """binom(a, b) mod p for digits a, b < p, indexed [a, b]; read-only."""
+    table = np.array([[math.comb(a, b) % p for b in range(p)] for a in range(p)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def binom_mod_lucas(alpha, beta, p: int):
+    """binom(alpha, beta) mod p, elementwise on broadcastable integer arrays.
+
+    By Lucas' theorem, the product of the binomials of the base-p digits,
+    one table gather per digit position.  0 where either argument is
+    negative.  Given two ints, it returns an int.
+    """
+    table = _digit_table(p)
+    a = np.asarray(alpha, dtype=np.int64)
+    b = np.asarray(beta, dtype=np.int64)
+    valid = (a >= 0) & (b >= 0)
+    r = valid.astype(np.int64)
+    a, b = np.where(valid, a, 0), np.where(valid, b, 0)
+    top = max(int(a.max(initial=0)), int(b.max(initial=0)))
+    while top:  # one pass per base-p digit of the largest argument
+        (a, ad), (b, bd) = np.divmod(a, p), np.divmod(b, p)
+        r *= table[ad, bd]
+        r %= p
+        top //= p
+    return int(r) if r.ndim == 0 else r
 
 
 def catalan_exact(n: int) -> int:
@@ -63,22 +85,28 @@ def catalan_exact(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def catalan_mod(n: int, p: int) -> int:
-    """Catalan number mod p, division-free: binom(2n,n) - binom(2n,n+1)."""
-    if n < 0:
-        return 0
+def catalan_mod(n, p: int):
+    """Catalan numbers mod p, division-free: binom(2n,n) - binom(2n,n+1).
+
+    Elementwise on an integer array, an int for an int; 0 for negative n.
+    """
+    n = np.asarray(n, dtype=np.int64)
     return (binom_mod_lucas(2 * n, n, p) - binom_mod_lucas(2 * n, n + 1, p)) % p
+
+
+def _gen_catalan(n: int, k: int, central) -> int:
+    """T'[n, k] = binom(2n,n) binom(2k,k) (2k+1) / (n+k+1), with central(m) = binom(2m, m)."""
+    if n < 0 or k < 0:
+        return 0
+    quotient, rem = divmod(central(n) * central(k) * (2 * k + 1), n + k + 1)
+    if rem:  # always divides; guard against silent misuse
+        raise ArithmeticError(f"generalized Catalan ({n},{k}) is not an integer")
+    return quotient
 
 
 def gen_catalan_exact(n: int, k: int) -> int:
     """binom(2n,n) * binom(2k,k) * (2k+1) / (n+k+1); 0 on negative indices."""
-    if n < 0 or k < 0:
-        return 0
-    num = math.comb(2 * n, n) * math.comb(2 * k, k) * (2 * k + 1)
-    quotient, rem = divmod(num, n + k + 1)
-    if rem:  # always divides; guard against silent misuse
-        raise ArithmeticError(f"generalized Catalan ({n},{k}) is not an integer")
-    return quotient
+    return _gen_catalan(n, k, lambda m: math.comb(2 * m, m))
 
 
 def gen_catalan_mod(n: int, k: int, p: int) -> int:
@@ -99,15 +127,35 @@ class IdentityCheck:
     checked: int = 0
     witness: tuple | None = None
 
-    def record(self, ok: bool, where: tuple) -> None:
-        self.checked += 1
-        if not ok and self.passed:
+    def record(self, ok, where) -> None:
+        """Record a batch of instances in scan order.
+
+        ``ok`` holds one verdict per instance; ``where(i)`` names instance i
+        and is called only for the first violator of the sweep.
+        """
+        ok = np.asarray(ok, dtype=bool)
+        self.checked += ok.size
+        if self.passed and not ok.all():
             self.passed = False
-            self.witness = where
+            self.witness = tuple(where(int(np.argmin(ok))))
 
 
-def _neg4_pow(n: int, p: int) -> int:
-    return pow(-4 % p, n, p)
+def _neg4_powers(count: int, p: int) -> np.ndarray:
+    """(-4)^n mod p for n = 0 .. count-1."""
+    return np.array([pow(-4 % p, n, p) for n in range(count)], dtype=np.int64)
+
+
+def _binom_row(n: int, upto: int, p: int) -> np.ndarray:
+    """binom(n, k) mod p for k = 0 .. upto, exact big integers reduced mod p.
+
+    Built with binom(n, k+1) = binom(n, k) (n-k) / (k+1); 0 past k = n.
+    """
+    out = np.zeros(upto + 1, dtype=np.int64)
+    c = 1
+    for k in range(min(n, upto) + 1):
+        out[k] = c % p
+        c = c * (n - k) // (k + 1)
+    return out
 
 
 def _catalan_run():
@@ -122,16 +170,42 @@ def _catalan_run():
     return catalan
 
 
+def _pascal_chunks(max_n: int, p: int, size: int):
+    """Rows 0 .. max_n of Pascal's triangle mod p, in chunks of whole rows.
+
+    Each row is built from the one before, mod p.  Yields (a, b, entry)
+    arrays in scan order, at least ``size`` entries per chunk but the last.
+    """
+    row = np.ones(1, dtype=np.int64)
+    rows, first = [], 0
+    for a in range(max_n + 1):
+        if a:
+            prev, row = row, np.ones(a + 1, dtype=np.int64)
+            np.add(prev[1:], prev[:-1], out=row[1:a])
+            row[1:a] %= p
+        rows.append(row)
+        if (a + 1) * (a + 2) // 2 - first * (first + 1) // 2 >= size or a == max_n:
+            rows_a = np.repeat(np.arange(first, a + 1), np.arange(first + 1, a + 2))
+            # entry (a, b) is number a(a+1)/2 + b of the triangle
+            rows_b = np.arange(rows_a.size) + first * (first + 1) // 2 - rows_a * (rows_a + 1) // 2
+            yield rows_a, rows_b, np.concatenate(rows)
+            rows, first = [], a + 1
+
+
 # index ceiling of the exact integer identity gen_catalan_diff
 EXACT_CAP = 60
+
+# triangle entries per chunk of the Lucas sweep
+_LUCAS_CHUNK = 1 << 16
 
 
 def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]:
     """Verify the binomial/Catalan congruences over their full index ranges.
 
-    All checks compare exact big-integer evaluations of both sides (reduced
-    mod p where the identity is a congruence); nothing is routed through the
-    fast Lucas path except the check of that path itself.
+    Every check is exact.  The Lucas sweep holds ``binom_mod_lucas`` to
+    Pascal's triangle mod p; every other sweep compares exact big-integer
+    binomials and Catalan numbers (reduced mod p where the identity is a
+    congruence) and never goes through the Lucas kernel.
 
     ``max_n`` also caps the per-identity index ranges, since exact values at
     indices of order q^2 get expensive for large fields.  With the default
@@ -141,64 +215,66 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     Q = q * q
     cap = max_n + 1
     catalan = _catalan_run()
+
+    def central(m: int) -> int:  # binom(2m, m) = (m+1) C[m]
+        return (m + 1) * catalan(m)
+
+    def tprime(n: int, k: int) -> int:
+        return _gen_catalan(n, k, central)
+
     out: dict[str, IdentityCheck] = {}
 
-    # Lucas' theorem against exact binomials, row a of Pascal's triangle
-    # built from row a-1 by big-integer addition.
+    # Lucas' theorem against Pascal's triangle mod p, rows 0 .. max_n.
     chk = out.setdefault("lucas", IdentityCheck("lucas"))
-    row = [1]
-    for a in range(max_n + 1):
-        if a:
-            row = [1, *map(add, row, row[1:]), 1]
-        for b, exact in enumerate(row):
-            chk.record(binom_mod_lucas(a, b, p) == exact % p, (a, b))
+    for a, b, entry in _pascal_chunks(max_n, p, _LUCAS_CHUNK):
+        chk.record(binom_mod_lucas(a, b, p) == entry, lambda i: (int(a[i]), int(b[i])))
 
     # binom((Q+1)/2, aq+b) = binom((q-1)/2, a) * binom((q+1)/2, b) mod p.
     chk = out.setdefault("central_binom_split", IdentityCheck("central_binom_split"))
-    for a in range(min(q, cap)):
-        for b in range(min(q, cap)):
-            lhs = binom_exact((Q + 1) // 2, a * q + b) % p
-            rhs = binom_exact((q - 1) // 2, a) * binom_exact((q + 1) // 2, b) % p
-            chk.record(lhs == rhs, (a, b))
+    side = min(q, cap)
+    lhs = _binom_row((Q + 1) // 2, (side - 1) * (q + 1), p)[(q * np.arange(side))[:, None] + np.arange(side)]
+    rhs = _binom_row((q - 1) // 2, side - 1, p)[:, None] * _binom_row((q + 1) // 2, side - 1, p) % p
+    chk.record((lhs == rhs).ravel(), lambda i: divmod(i, side))
 
-    # 2 * binom(2n-1, n) = (-4)^n * binom((p^t - 1)/2, n) mod p, 1 <= n < p^t.
+    # 2 * binom(2n-1, n) = (-4)^n * binom((p^t - 1)/2, n) mod p, 1 <= n < p^t,
+    # where 2 * binom(2n-1, n) = binom(2n, n).
     chk = out.setdefault("doubled_binom", IdentityCheck("doubled_binom"))
     for t in range(1, 2 * e + 1):
         pt = p**t
-        for n in range(1, min(pt, max_n + 1)):
-            lhs = 2 * binom_exact(2 * n - 1, n) % p
-            rhs = _neg4_pow(n, p) * binom_exact((pt - 1) // 2, n) % p
-            chk.record(lhs == rhs, (t, n))
+        top = min(pt, max_n + 1)
+        lhs = np.array([central(n) % p for n in range(1, top)], dtype=np.int64)
+        rhs = _neg4_powers(top, p)[1:] * _binom_row((pt - 1) // 2, top - 1, p)[1:] % p
+        chk.record(lhs == rhs, lambda i: (t, i + 1))
 
     # C[n] = 2 * (-4)^n * binom((p^t + 1)/2, n+1) mod p, 0 <= n < p^t - 1.
     chk = out.setdefault("catalan_binom", IdentityCheck("catalan_binom"))
     for t in range(1, 2 * e + 1):
         pt = p**t
-        for n in range(min(pt - 1, max_n + 1)):
-            lhs = catalan(n) % p
-            rhs = 2 * _neg4_pow(n, p) * binom_exact((pt + 1) // 2, n + 1) % p
-            chk.record(lhs == rhs, (t, n))
+        top = min(pt - 1, max_n + 1)
+        lhs = np.array([catalan(n) % p for n in range(top)], dtype=np.int64)
+        rhs = 2 * _neg4_powers(top, p) * _binom_row((pt + 1) // 2, top, p)[1:] % p
+        chk.record(lhs == rhs, lambda i: (t, i))
 
     # Exact integer identity: T'[n,k] - T'[n+1,k-1] = 2 * binom(2k-1, k) * C[n].
     chk = out.setdefault("gen_catalan_diff", IdentityCheck("gen_catalan_diff"))
-    for n in range(EXACT_CAP + 1):
-        for k in range(1, EXACT_CAP + 1):
-            lhs = gen_catalan_exact(n, k) - gen_catalan_exact(n + 1, k - 1)
-            rhs = 2 * binom_exact(2 * k - 1, k) * catalan(n)
-            chk.record(lhs == rhs, (n, k))
+    chk.record(
+        [tprime(n, k) - tprime(n + 1, k - 1) == central(k) * catalan(n)
+         for n in range(EXACT_CAP + 1) for k in range(1, EXACT_CAP + 1)],
+        lambda i: (i // EXACT_CAP, i % EXACT_CAP + 1),
+    )
 
     # C[kq+n] = T'[n,k] - T'[n+1,k-1] mod p, 0 <= n < q-1, 0 <= k < q.
     chk = out.setdefault("catalan_block", IdentityCheck("catalan_block"))
-    for k in range(min(q, cap)):
-        for n in range(min(q - 1, cap)):
-            lhs = catalan(k * q + n) % p
-            rhs = (gen_catalan_exact(n, k) - gen_catalan_exact(n + 1, k - 1)) % p
-            chk.record(lhs == rhs, (n, k))
+    ns = min(q - 1, cap)
+    chk.record(
+        [catalan(k * q + n) % p == (tprime(n, k) - tprime(n + 1, k - 1)) % p
+         for k in range(min(q, cap)) for n in range(ns)],
+        lambda i: (i % ns, i // ns),
+    )
 
     # C[j(q-1)+i] = 0 mod p for 0 <= i < i+1 < j <= (q-1)/2.
     chk = out.setdefault("catalan_zero", IdentityCheck("catalan_zero"))
-    for j in range(min((q - 1) // 2, cap) + 1):
-        for i in range(max(j - 1, 0)):
-            chk.record(catalan(j * (q - 1) + i) % p == 0, (i, j))
+    pairs = [(i, j) for j in range(min((q - 1) // 2, cap) + 1) for i in range(max(j - 1, 0))]
+    chk.record([catalan(j * (q - 1) + i) % p == 0 for i, j in pairs], pairs.__getitem__)
 
     return out

@@ -36,7 +36,10 @@ _MATMUL_CHUNK = 1 << 22
 # terms in one write of write_json (about 1.3 MB of JSON)
 _JSON_CHUNK = 1 << 14
 
-_JSON_TERM = '    {\n      "c": %d,\n      "ex": %d,\n      "ey": %d,\n      "ez": %d\n    }'
+# the constant text around the four values of one term, in key order c, ex,
+# ey, ez; every term but the first is written with its leading comma
+_JSON_PIECES = (',\n    {\n      "c": ', ',\n      "ex": ', ',\n      "ey": ', ',\n      "ez": ',
+                "\n    }")
 
 
 class TriPoly:
@@ -242,14 +245,34 @@ class TriPoly:
         return f"TriPoly(GF({self.ctx.Q}), {n} term{'s' if n != 1 else ''})"
 
 
+def _decimal_table(values: np.ndarray) -> np.ndarray:
+    """The ASCII digits of 0 .. values.max(), one fixed-width void item each,
+    right-aligned behind 0 bytes, so that item v is the text of v."""
+    if values.min(initial=0) < 0:
+        raise ValueError("write_json takes non-negative exponents and coefficient indices")
+    top = int(values.max(initial=0))
+    width = len(str(top))
+    v = np.arange(top + 1)
+    table = np.zeros((top + 1, width), dtype=np.uint8)
+    rest = v
+    for j in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        table[:, j] = np.where(v >= 10 ** (width - 1 - j), digit + ord("0"), 0)
+    table[0, -1] = ord("0")
+    return table.view(np.dtype((np.void, width))).ravel()
+
+
 def write_json(p: int, e: int, arrays, stream) -> None:
     """Write the JSON of a polynomial to a text stream, a chunk of terms at a time.
 
-    ``arrays`` is (ex, ey, ez, c): integer arrays of one length, sorted by
-    exponent triple, with c the nonzero coefficient indices.  The bytes are
-    ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` of the schema
-    above; each chunk of ``_JSON_CHUNK`` terms is formatted by one
-    ``%`` on a repeated term template, so no string holds the whole output.
+    ``arrays`` is (ex, ey, ez, c): non-negative integer arrays of one length,
+    sorted by exponent triple, with c the nonzero coefficient indices.  The
+    bytes are ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` of the
+    schema above.  Each chunk of ``_JSON_CHUNK`` terms is an array of
+    fixed-width records that already hold the constant text; one gather per
+    column from that column's ``_decimal_table`` fills in the digits, and one
+    compress drops the 0 bytes of their padding.  No string holds the whole
+    output.
     """
     ex, ey, ez, c = arrays
     stream.write(f'{{\n  "e": {e},\n  "p": {p},\n  "terms": ')
@@ -257,17 +280,28 @@ def write_json(p: int, e: int, arrays, stream) -> None:
     if n == 0:
         stream.write("[]\n}\n")
         return
-    stream.write("[\n")
-    template, size = "", 0
+    stream.write("[")
+    columns = {"c": np.asarray(c), "ex": np.asarray(ex), "ey": np.asarray(ey), "ez": np.asarray(ez)}
+    tables = {name: _decimal_table(col) for name, col in columns.items()}
+    template, offsets = bytearray(), []
+    for piece, table in zip(_JSON_PIECES, tables.values()):
+        template += piece.encode()
+        offsets.append(len(template))
+        template += bytes(table.itemsize)
+    template += _JSON_PIECES[-1].encode()
+    record = np.dtype({"names": list(tables), "formats": [t.dtype for t in tables.values()],
+                       "offsets": offsets, "itemsize": len(template)})
+    template = np.frombuffer(template, dtype=np.uint8)
     for start in range(0, n, _JSON_CHUNK):
         stop = min(start + _JSON_CHUNK, n)
-        if stop - start != size:  # a full chunk, or the last one
-            size = stop - start
-            template = ",\n".join([_JSON_TERM] * size)
-        values = np.column_stack((c[start:stop], ex[start:stop], ey[start:stop], ez[start:stop]))
-        if start:
-            stream.write(",\n")
-        stream.write(template % tuple(values.ravel().tolist()))
+        buf = np.empty((stop - start, template.size), dtype=np.uint8)
+        buf[:] = template
+        records = buf.view(record)[:, 0]
+        for name, col in columns.items():
+            records[name] = tables[name][col[start:stop]]
+        text = buf.ravel()
+        text = text[text != 0]
+        stream.write(str(text[1 if start == 0 else 0:].data, "ascii"))  # no comma before the first term
     stream.write("\n  ]\n}\n")
 
 

@@ -19,6 +19,8 @@ from hughesptr.cli import main
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_sha256.json"
 GEN_DIGESTS = {cmd: digest for cmd, digest in json.loads(REFERENCE.read_text()).items()
                if cmd.startswith("gen ")}
+IDENTITY_DIGESTS = {cmd: digest for cmd, digest in json.loads(REFERENCE.read_text()).items()
+                    if cmd.startswith("identities ")}
 
 
 def run_cli(capsys, argv):
@@ -47,6 +49,14 @@ def test_gen_matches_reference_digest(capsys, cmd):
     code, out = run_cli(capsys, cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(IDENTITY_DIGESTS))
+def test_identities_match_reference_digest(capsys, cmd):
+    # the checked counts of the batched sweeps, byte for byte
+    code, out = run_cli(capsys, cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_DIGESTS[cmd]
 
 
 def test_gen_out_file_equals_stdout(tmp_path, capsys):
@@ -273,6 +283,25 @@ def test_huge_field_arguments_exit_2_at_once(argv):
     assert time.monotonic() - start < 5
     assert proc.returncode == 2
     assert "exceeds the configured bound" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # the reader goes away after 10 bytes, as `gen ... | head -c 10` does
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "hughesptr.cli", "gen", "--p", "5", "--e", "2",
+                             "--form", "nonreduced"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head == b'{\n  "e": 2'
+    assert code == cli.EXIT_CLOSED_PIPE == 141
+    assert "Traceback" not in err and "Error" not in err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -21,10 +21,12 @@ from hughesptr import (
     sigma_poly,
     solve_kkprime,
 )
+from hughesptr import hughes_core
 from hughesptr.hughes_core import (
     _emit,
     _tq_exponent,
     _tq_pow,
+    emit_arrays,
     evaluate_blocks,
     g_poly,
     h_poly,
@@ -256,6 +258,40 @@ def test_closed_forms_match_ring_products(p, e, form):
     # the closed-form emitter against the same formula expanded by TriPoly products
     ctx = field_ctx(p, e)
     assert BUILDERS[form](ctx).terms == RING_FORMS[form](ctx).terms
+
+
+def _summed_terms(p, blocks):
+    """The sum of the blocks term by term in a dict, as sorted (ex, ey, ez, c) lists."""
+    acc = {}
+    for block in blocks:
+        (xe, xc), (ye, yc), (ze, zc) = (tuple(map(np.ndarray.tolist, f)) for f in block)
+        for i, ci in zip(xe, xc):
+            for j, cj in zip(ye, yc):
+                for k, ck in zip(ze, zc):
+                    acc[i, j, k] = (acc.get((i, j, k), 0) + ci * cj * ck) % p
+    keys = sorted(key for key, c in acc.items() if c)
+    return [[key[v] for key in keys] for v in range(3)] + [[acc[key] for key in keys]]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+def test_emit_arrays_sums_across_chunks(monkeypatch, chunk):
+    # equal keys from many blocks, including a key repeated more often than
+    # a chunk holds, summed by the chunked pass as by a dict
+    ctx = field_ctx(5, 1)
+    blocks = nonreduced_blocks(ctx) + t2_blocks(ctx) + reduced_blocks(ctx)[:3] * 4
+    monkeypatch.setattr(hughes_core, "_SUM_CHUNK", chunk)
+    got = emit_arrays(ctx, blocks)
+    assert all(a.dtype == np.int32 for a in got)
+    assert [a.tolist() for a in got] == _summed_terms(ctx.p, blocks)
+
+
+def test_emit_arrays_refuses_exponents_past_int32(ctx9):
+    one = (np.array([0]), np.array([1]))
+    huge = (np.array([2**31]), np.array([1]))
+    with pytest.raises(OverflowError, match="int32"):
+        emit_arrays(ctx9, [(one, one, one), (huge, one, one)])
+    assert [a.tolist() for a in emit_arrays(ctx9, [(one, one, one), ((huge[0] - 1, huge[1]), one, one)])] == \
+        [[0, 2**31 - 1], [0, 0], [0, 0], [1, 1]]
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from hughesptr import modcomb
 from hughesptr.modcomb import (
     _catalan_run,
     binom_exact,
@@ -12,6 +14,7 @@ from hughesptr.modcomb import (
     gen_catalan_mod,
     identity_suite,
 )
+from scalar_identities import identity_suite_scalar, lucas_scalar
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -34,11 +37,36 @@ def test_lucas_spot_values():
             assert binom_mod_lucas(a, a, p) == 1
 
 
+def _triangle(n):
+    """(a, b) for 0 <= b <= a <= n, row by row."""
+    a = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
+    return a, np.arange(a.size) - a * (a + 1) // 2
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_lucas_matches_exact(p):
-    for a in range(301):
-        for b in range(a + 1):
-            assert binom_mod_lucas(a, b, p) == math.comb(a, b) % p
+    # the array kernel on the whole triangle against the scalar digit loop
+    # and against math.comb
+    a, b = _triangle(300)
+    got = binom_mod_lucas(a, b, p)
+    assert got.dtype == np.int64 and got.shape == a.shape
+    assert got.tolist() == [lucas_scalar(x, y, p) for x, y in zip(a.tolist(), b.tolist())]
+    assert got.tolist() == [math.comb(x, y) % p for x, y in zip(a.tolist(), b.tolist())]
+    # b > a and negative arguments, broadcast against a column of a
+    col = np.arange(-3, 40)[:, None]
+    row = np.arange(-3, 60)[None, :]
+    want = [[lucas_scalar(x, y, p) for y in range(-3, 60)] for x in range(-3, 40)]
+    assert binom_mod_lucas(col, row, p).tolist() == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lucas_ints_in_int_out(p):
+    for a, b in [(0, 0), (10, 4), (300, 150), (p**4 + 3, p**2), (5, -1), (-2, 1), (-1, -1), (3, 7)]:
+        got = binom_mod_lucas(a, b, p)
+        assert type(got) is int and got == lucas_scalar(a, b, p)
+    got = catalan_mod(12, p)
+    assert type(got) is int and got == catalan_exact(12) % p
+    assert catalan_mod(-1, p) == 0
 
 
 def test_catalan_exact_values():
@@ -51,8 +79,8 @@ def test_catalan_exact_values():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_catalan_mod_matches_exact(p):
-    for n in range(301):
-        assert catalan_mod(n, p) == catalan_exact(n) % p
+    got = catalan_mod(np.arange(-2, 301), p)
+    assert got.tolist() == [0, 0] + [catalan_exact(n) % p for n in range(301)]
 
 
 def test_catalan_recurrence():
@@ -109,9 +137,85 @@ def test_identity_suite_all_pass(p, e):
         assert suite["catalan_zero"].checked > 0
 
 
-def test_identity_suite_detects_violation():
-    # sanity: the harness records witnesses, not just counts
-    suite = identity_suite(3, 1, max_n=20)
-    chk = suite["lucas"]
-    chk.record(False, (99, 1))
-    assert not chk.passed and chk.witness == (99, 1)
+def _summary(suite):
+    return {label: (chk.passed, chk.checked, chk.witness) for label, chk in suite.items()}
+
+
+@pytest.mark.parametrize("p,e,max_n", [(3, 1, 60), (3, 2, 300), (5, 1, 130), (7, 1, 61), (5, 2, 400),
+                                       (13, 1, 20), (3, 3, 2)])
+def test_identity_suite_matches_scalar_sweep(p, e, max_n):
+    assert _summary(identity_suite(p, e, max_n)) == identity_suite_scalar(p, e, max_n)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_lucas_sweep_chunking_keeps_counts_and_witness(monkeypatch, chunk):
+    monkeypatch.setattr(modcomb, "_LUCAS_CHUNK", chunk)
+    assert _summary(identity_suite(5, 1, 40)) == identity_suite_scalar(5, 1, 40)
+    bad = _wrong_digit_table(5, 3, 1)
+    monkeypatch.setattr(modcomb, "_digit_table", lambda p: bad)
+    got = identity_suite(5, 1, 40)["lucas"]
+    assert (got.passed, got.checked, got.witness) == identity_suite_scalar(
+        5, 1, 40, digit=lambda a, b: int(bad[a, b]))["lucas"]
+
+
+def _wrong_digit_table(p, a, b):
+    table = modcomb._digit_table(p).copy()
+    table[a, b] = (table[a, b] + 1) % p
+    return table
+
+
+def test_identity_suite_detects_violation(monkeypatch):
+    # one wrong digit binomial in the kernel's table: the Lucas sweep fails at
+    # the scalar oracle's first witness, given the same wrong digit, and
+    # nothing else moves
+    for p, a, b in [(3, 2, 1), (5, 3, 1), (7, 6, 6), (7, 4, 0)]:
+        bad = _wrong_digit_table(p, a, b)
+        want = identity_suite_scalar(p, 1, 400, digit=lambda x, y: int(bad[x, y]))
+        assert not want["lucas"][0]
+        with monkeypatch.context() as patch:
+            patch.setattr(modcomb, "_digit_table", lambda p: bad)
+            assert _summary(identity_suite(p, 1, 400)) == want
+
+
+@pytest.mark.parametrize("fault", [(0, 0), (10, 4), (380, 17), (400, 400)])
+def test_identity_suite_detects_wrong_pascal_residue(monkeypatch, fault):
+    # one wrong residue of Pascal's triangle, in the first chunk, the second
+    # or the last entry: the sweep fails with the oracle's witness
+    real = modcomb._pascal_chunks
+
+    def corrupted(max_n, p, size):
+        for a, b, entry in real(max_n, p, size):
+            hit = (a == fault[0]) & (b == fault[1])
+            yield a, b, np.where(hit, (entry + 1) % p, entry)
+
+    monkeypatch.setattr(modcomb, "_pascal_chunks", corrupted)
+    want = identity_suite_scalar(3, 1, 400, pascal_fault=fault)
+    assert want["lucas"] == (False, 401 * 402 // 2, fault)
+    assert _summary(identity_suite(3, 1, 400)) == want
+
+
+@pytest.mark.parametrize("p,e,n,k", [(3, 2, 41, 20), (3, 2, 5, 2), (5, 1, 13, 4), (3, 2, 4, 1)])
+def test_identity_suite_detects_wrong_binomial(monkeypatch, p, e, n, k):
+    # one wrong big-integer binomial, the same in the exact rows and in the
+    # oracle's binom_exact: every sweep reading it fails at the same witness
+    real_row, real_exact = modcomb._binom_row, modcomb.binom_exact
+
+    def row(m, upto, p):
+        out = real_row(m, upto, p)
+        if m == n and k <= upto:
+            out[k] = (out[k] + 1) % p
+        return out
+
+    monkeypatch.setattr(modcomb, "binom_exact", lambda m, j: real_exact(m, j) + ((m, j) == (n, k)))
+    want = identity_suite_scalar(p, e, 300)
+    assert not all(passed for passed, _, _ in want.values())
+    monkeypatch.setattr(modcomb, "binom_exact", real_exact)
+    monkeypatch.setattr(modcomb, "_binom_row", row)
+    assert _summary(identity_suite(p, e, 300)) == want
+
+
+def test_binom_row_matches_exact():
+    for n in (0, 1, 5, 41, 200):
+        for p in PRIMES:
+            assert modcomb._binom_row(n, n + 3, p).tolist() == [binom_exact(n, k) % p for k in range(n + 4)]
+            assert modcomb._binom_row(n, n // 2, p).tolist() == [binom_exact(n, k) % p for k in range(n // 2 + 1)]

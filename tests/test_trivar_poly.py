@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from hughesptr import (
     ptr_table,
     variables,
 )
-from hughesptr.trivar_poly import _JSON_CHUNK
+from hughesptr.trivar_poly import _JSON_CHUNK, write_json
 from conftest import random_elements
 
 
@@ -265,6 +266,33 @@ def test_json_text_matches_json_dumps(P):
     text = P.to_json_text()
     assert text == json.dumps(P.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert TriPoly.from_json_dict(json.loads(text)) == P
+
+
+def _columns(n, dtype, seed):
+    """(ex, ey, ez, c) whose values have 1 to 6 digits, 0, 9, 10 and 99999 among them."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0, 9, 10, 99, 100, 99999, 123456], dtype=dtype)
+    cols = [rng.choice(values, n), rng.integers(0, 10, n), rng.choice(values[:6], n),
+            rng.integers(0, 7, n)]
+    return [col.astype(dtype) for col in cols]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("n", [0, 1, 2, _JSON_CHUNK, _JSON_CHUNK + 1, 2 * _JSON_CHUNK + 3])
+def test_write_json_matches_json_dumps(n, dtype):
+    for arrays in (_columns(n, dtype, n), [np.zeros(n, dtype=dtype)] * 4):
+        out = io.StringIO()
+        write_json(7, 2, arrays, out)
+        ex, ey, ez, c = (a.tolist() for a in arrays)
+        data = {"p": 7, "e": 2, "terms": [{"ex": i, "ey": j, "ez": k, "c": v}
+                                          for i, j, k, v in zip(ex, ey, ez, c)]}
+        assert out.getvalue() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_rejects_negative_values():
+    arrays = [np.array([0, 1]), np.array([0, -1]), np.array([0, 0]), np.array([1, 1])]
+    with pytest.raises(ValueError):
+        write_json(3, 1, arrays, io.StringIO())
 
 
 def test_negative_exponent_rejected(ctx9):
