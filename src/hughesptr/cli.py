@@ -7,8 +7,9 @@ Subcommands: gen, verify, du, plane, identities.  Exit codes: 0 on success,
 the reader of stdout closes it early, as ``head`` does; no traceback is
 printed then, and the output is cut short.  JSON output is
 byte-identical for a fixed configuration regardless of worker count.  Each
-subcommand writes to the output stream (stdout or ``--out``) itself, after
-all of its computation: ``gen`` streams its JSON a chunk of terms at a time.
+subcommand writes bytes to the output stream (the buffer under stdout, or
+``--out`` opened in binary mode) itself, after all of its computation:
+``gen`` streams its JSON a chunk of terms at a time.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ DEFAULT_MAX_ORDER = 6561
 
 # verify and plane tabulate the oracle on all of GF(Q)^3 (the polynomial is
 # checked on Q*q points only): at Q=361, the largest order below this cap,
-# verify took 91 s at a peak RSS of 435 MiB, verify --plane 260 s at 435 MiB
-# and plane 169 s at 401 MiB; at Q=169 verify took 4.1 s at 72 MiB (shared
-# 2-core x86-64 VM with 7 GB, Python 3.11, numpy 2.4); Q=529 was not run
+# verify took 112 s at a peak RSS of 214 MiB, verify --plane 324 s at
+# 401 MiB and plane 169 s at 401 MiB; at Q=169 verify took 5.0 s at 50 MiB
+# (shared 2-core x86-64 VM with 7 GB, Python 3.11, numpy 2.4); Q=529 was not
+# run
 FULL_GRID_MAX_ORDER = 400
 
 
@@ -126,10 +128,11 @@ _FORM_BLOCKS = {
 
 def _cmd_gen(ctx, args, out) -> int:
     if args.format == "text":
-        out.write(hughes_core.render_text(ctx, args.form))
+        out.write(hughes_core.render_text(ctx, args.form).encode())
     else:
         # every term is computed before the first byte is written
-        arrays = hughes_core.emit_arrays(ctx, _FORM_BLOCKS[args.form](ctx))
+        blocks = hughes_core.expand_blocks(ctx, _FORM_BLOCKS[args.form](ctx))
+        arrays = hughes_core.emit_arrays(ctx, blocks)
         write_json(ctx.p, ctx.e, arrays, out)
     return 0
 
@@ -195,7 +198,7 @@ def _cmd_identities(ctx, args, out) -> int:
 
 def _report(out, payload, ok: bool) -> int:
     """Write a report as canonical JSON; exit code 0 when it passed, else 1."""
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
     return 0 if ok else 1
 
 
@@ -212,10 +215,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     ctx = _get_ctx(parser, args)
-    out = contextlib.nullcontext(sys.stdout)
+    out = contextlib.nullcontext(sys.stdout.buffer)
     if args.out:
         try:  # before computing, so that a bad path costs nothing
-            out = open(args.out, "w")
+            out = open(args.out, "wb")
         except OSError as exc:
             parser.error(f"cannot write --out: {exc}")
     with out as stream:

@@ -28,21 +28,24 @@ sweep are calls to it.  Three polynomial forms are provided:
   reduced form.
 
 Every coefficient of these forms lies in GF(p), whose elements are indexed by
-their residues, and each form is a sum of blocks f(X) * g(Y) * h(Z) of
-sparse univariate factors, nearly all of them f(X) * tq(Y)^a * tq(Z)^b with
-tq(V) = V^q - V.  One block list per form (``reduced_blocks``,
-``t2_blocks``, ``nonreduced_blocks``) feeds two consumers:
+their residues, and each form is X*Y + Z plus blocks f(X) * tq(Y)^a * tq(Z)^b
+with tq(V) = V^q - V and f a sparse polynomial in X.  A block is recorded as
+(f, a, b), with its exponents.  One record list per form (``reduced_blocks``,
+``t2_blocks``, ``nonreduced_blocks``) feeds two consumers, both through
+``expand_blocks``, which adds X*Y + Z and expands each tq(V)^n by Lucas'
+theorem (``_tq_pow``) into a triple of univariate factors:
 
 * ``emit_arrays`` writes the form out in closed form, as sorted int32
-  arrays of exponents and GF(p) residues: tq(V)^n is expanded by Lucas'
-  theorem (``_tq_pow``), the term products of each block are formed by
-  numpy broadcasting, and equal exponent triples are summed mod p after
-  one sort.  No ring product is taken.  ``gen`` streams those arrays to
-  JSON (``trivar_poly.write_json``) and builds no ``TriPoly``; the
-  ``build_*`` functions and ``sigma_poly`` wrap them in one (``_emit``),
-  and the tests hold every form to its expansion by ``TriPoly`` products.
+  arrays of exponents and GF(p) residues: the term products of each
+  factor triple are formed by numpy broadcasting, and equal exponent
+  triples are summed mod p after one sort.  No ring product is taken.
+  ``gen`` streams those arrays to JSON (``trivar_poly.write_json``) and
+  builds no ``TriPoly``; the ``build_*`` functions and ``sigma_poly`` wrap
+  them in one (``_emit``), and the tests hold every form to its expansion
+  by ``TriPoly`` products.
 * ``piecewise_match`` proves the main theorem, that the form equals the
-  piecewise operation on all of GF(Q)^3, by evaluating the blocks
+  piecewise operation on all of GF(Q)^3: it checks the shape of every
+  record on its exponents (a, b) alone, then evaluates the expanded blocks
   (``evaluate_blocks``) on Q*q points only; its docstring has the proof.
   ``trivar_poly.evaluate_grid`` on the whole grid is kept as the tests'
   oracle for it.
@@ -80,6 +83,7 @@ __all__ = [
     "nonreduced_blocks",
     "reduced_blocks",
     "t2_blocks",
+    "expand_blocks",
     "emit_arrays",
     "build_nonreduced_T",
     "build_reduced_T",
@@ -221,9 +225,11 @@ def sigma_eval(ctx: FieldCtx, x: FieldElement, y: FieldElement, z: FieldElement)
 
 # A univariate factor is a pair (exponents, residues mod p) of int64 arrays; a
 # repeated exponent stands for the sum of its residues.  A block is a triple
-# of factors in X, Y and Z and stands for their product.
+# of factors in X, Y and Z and stands for their product.  A record (f, a, b)
+# stands for the block f(X) tq(Y)^a tq(Z)^b before its powers are expanded.
 Factor = tuple[np.ndarray, np.ndarray]
 Block = tuple[Factor, Factor, Factor]
+Record = tuple[Factor, int, int]
 
 
 def _factor(exps, residues) -> Factor:
@@ -235,6 +241,8 @@ _SUM_CHUNK = 1 << 16
 
 _ONE = _factor([0], [1])
 _VAR = _factor([1], [1])
+_XY = (_VAR, _VAR, _ONE)
+_Z = (_ONE, _ONE, _VAR)
 
 
 def _tq_pow(ctx: FieldCtx, n: int) -> Factor:
@@ -255,6 +263,16 @@ def _tq_pow(ctx: FieldCtx, n: int) -> Factor:
     res = binom_mod_lucas(n, js, p)
     res = np.where((n - js) % 2, p - res, res)
     return ctx.q * js + n - js, res
+
+
+def expand_blocks(ctx: FieldCtx, records: list[Record], linear: tuple[Block, ...] = (_XY, _Z)) -> list[Block]:
+    """The blocks of ``linear``, then each record (f, a, b) as the block
+    (f, tq(Y)^a, tq(Z)^b).
+
+    ``linear`` defaults to X*Y + Z, which the three forms share; M takes X*Y
+    alone and sigma nothing.
+    """
+    return [*linear, *((f, _tq_pow(ctx, a), _tq_pow(ctx, b)) for f, a, b in records)]
 
 
 def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
@@ -323,12 +341,12 @@ def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
     return TriPoly(ctx, terms)
 
 
-def _binom_blocks(ctx: FieldCtx, scale: int, y_shift: int) -> list[Block]:
+def _binom_blocks(ctx: FieldCtx, scale: int, y_shift: int) -> list[Record]:
     """scale * binom((Q+1)/2, m) X^m tq(Y)^(m + y_shift) tq(Z)^(Q-m), m = 1 .. (Q-1)/2."""
     Q, p = ctx.Q, ctx.p
     ms = np.arange(1, (Q - 1) // 2 + 1)
     bs = binom_mod_lucas((Q + 1) // 2, ms, p)
-    return [(_factor([m], [scale * b % p]), _tq_pow(ctx, m + y_shift), _tq_pow(ctx, Q - m))
+    return [(_factor([m], [scale * b % p]), m + y_shift, Q - m)
             for m, b in zip(ms[bs != 0].tolist(), bs[bs != 0].tolist())]
 
 
@@ -339,8 +357,8 @@ def sigma_poly(ctx: FieldCtx) -> TriPoly:
                    + sum_{m=1}^{(Q-1)/2} binom((Q+1)/2, m) X^m tq(Y)^(m-1) tq(Z)^(Q-m))
     """
     Q = ctx.Q
-    head = (_factor([(Q + 1) // 2], [1]), _tq_pow(ctx, Q - 1), _ONE)
-    return _emit(ctx, [head, *_binom_blocks(ctx, 1, Q - 2)])
+    head = (_factor([(Q + 1) // 2], [1]), Q - 1, 0)
+    return _emit(ctx, expand_blocks(ctx, [head, *_binom_blocks(ctx, 1, Q - 2)], ()))
 
 
 # ---------------------------------------------------------------------------
@@ -348,24 +366,22 @@ def sigma_poly(ctx: FieldCtx) -> TriPoly:
 # ---------------------------------------------------------------------------
 
 
-def _m_blocks(ctx: FieldCtx) -> list[Block]:
-    """M(X,Y) = X*Y - (1/2) * (X^((Q+1)/2) - X) * tq(Y), shared by all three forms."""
+def _m_record(ctx: FieldCtx) -> Record:
+    """-(1/2) * (X^((Q+1)/2) - X) * tq(Y): M(X,Y) is X*Y plus this record,
+    which all three forms share."""
     p = ctx.p
     half = (p + 1) // 2  # 1/2 in GF(p), whose index is its residue
     t_half_x = _factor([(ctx.Q + 1) // 2, 1], [p - half, half])
-    return [(_VAR, _VAR, _ONE), (t_half_x, _tq_pow(ctx, 1), _ONE)]
-
-
-_Z = (_ONE, _ONE, _VAR)
+    return t_half_x, 1, 0
 
 
 def build_M(ctx: FieldCtx) -> TriPoly:
     """M(X, Y) = X*Y - (1/2) * (X^((Q+1)/2) - X) * (Y^q - Y); already reduced."""
-    return _emit(ctx, _m_blocks(ctx))
+    return _emit(ctx, expand_blocks(ctx, [_m_record(ctx)], (_XY,)))
 
 
-def nonreduced_blocks(ctx: FieldCtx) -> list[Block]:
-    """Blocks of the binomial-coefficient form:
+def nonreduced_blocks(ctx: FieldCtx) -> list[Record]:
+    """Records of the binomial-coefficient form:
 
     M(X,Y) + Z - (1/2) * sum_{m=1}^{(Q-1)/2} binom((Q+1)/2, m) X^m tq(Y)^m tq(Z)^(Q-m)
 
@@ -373,12 +389,12 @@ def nonreduced_blocks(ctx: FieldCtx) -> list[Block]:
     identically to the piecewise operation.
     """
     minus_half = (ctx.p - 1) // 2  # -1/2 in GF(p)
-    return [*_m_blocks(ctx), _Z, *_binom_blocks(ctx, minus_half, 0)]
+    return [_m_record(ctx), *_binom_blocks(ctx, minus_half, 0)]
 
 
 def build_nonreduced_T(ctx: FieldCtx) -> TriPoly:
     """The binomial-coefficient form (``nonreduced_blocks``) as a TriPoly."""
-    return _emit(ctx, nonreduced_blocks(ctx))
+    return _emit(ctx, expand_blocks(ctx, nonreduced_blocks(ctx)))
 
 
 def _inv_neg4_pow(ctx: FieldCtx, i: int) -> int:
@@ -417,46 +433,46 @@ def h_poly(ctx: FieldCtx, i: int) -> TriPoly:
     return _univariate(ctx, _h_factor(ctx, i))
 
 
-def reduced_blocks(ctx: FieldCtx) -> list[Block]:
-    """Blocks of the reduced form with Catalan-number coefficients:
+def reduced_blocks(ctx: FieldCtx) -> list[Record]:
+    """Records of the reduced form with Catalan-number coefficients:
 
     M(X,Y) + Z - sum_{i=0}^{q-2} g_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i)
     """
     q, p = ctx.q, ctx.p
-    blocks = [*_m_blocks(ctx), _Z]
+    records = [_m_record(ctx)]
     for i in range(q - 1):
         exps, res = _g_factor(ctx, i)
-        blocks.append(((exps, (p - res) % p), _tq_pow(ctx, i + 1), _tq_pow(ctx, q - 1 - i)))
-    return blocks
+        records.append(((exps, (p - res) % p), i + 1, q - 1 - i))
+    return records
 
 
 def build_reduced_T(ctx: FieldCtx) -> TriPoly:
     """The reduced form (``reduced_blocks``) as a TriPoly."""
-    return _emit(ctx, reduced_blocks(ctx))
+    return _emit(ctx, expand_blocks(ctx, reduced_blocks(ctx)))
 
 
-def t2_blocks(ctx: FieldCtx) -> list[Block]:
-    """Blocks of the generalized-Catalan form:
+def t2_blocks(ctx: FieldCtx) -> list[Record]:
+    """Records of the generalized-Catalan form:
 
     M(X,Y) + Z + tq(X) tq(Y) tq(Z) * sum_{i=0}^{q-2} h_i(X) tq(Y)^i tq(Z)^(q-2-i)
 
-    Its blocks are M, Z and (X^q - X) h_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i).
+    Its records are M's and (X^q - X) h_i(X) tq(Y)^(i+1) tq(Z)^(q-1-i).
     Equal to the reduced form after reduction: tq(X) * h_i(X) = -g_i(X)
     coefficientwise mod p, which the test suite asserts directly; h_i is
     taken from the generalized Catalan numbers, not from g_i.
     """
     q, p = ctx.q, ctx.p
-    blocks = [*_m_blocks(ctx), _Z]
+    records = [_m_record(ctx)]
     for i in range(q - 1):
         exps, res = _h_factor(ctx, i)
         tq_x_h = _factor(np.concatenate([exps + q, exps + 1]), np.concatenate([res, (p - res) % p]))
-        blocks.append((tq_x_h, _tq_pow(ctx, i + 1), _tq_pow(ctx, q - 1 - i)))
-    return blocks
+        records.append((tq_x_h, i + 1, q - 1 - i))
+    return records
 
 
 def build_T2(ctx: FieldCtx) -> TriPoly:
     """The generalized-Catalan form (``t2_blocks``) as a TriPoly."""
-    return _emit(ctx, t2_blocks(ctx))
+    return _emit(ctx, expand_blocks(ctx, t2_blocks(ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,86 +500,20 @@ def evaluate_blocks(ctx: FieldCtx, blocks: list[Block], X, Y, Z) -> np.ndarray:
     return out
 
 
-def _canonical(p: int, factor: Factor) -> Factor:
-    """Distinct ascending exponents, each with the nonzero sum of its residues."""
-    exps, where = np.unique(factor[0], return_inverse=True)
-    res = np.zeros(exps.size, dtype=np.int64)
-    np.add.at(res, where, factor[1])
-    res %= p
-    keep = res != 0
-    return exps[keep], res[keep]
-
-
-def _tq_exponent(ctx: FieldCtx, factor: Factor) -> int | None:
-    """n when the factor is tq(V)^n, else None.
-
-    tq(V)^n has its lowest term at V^n and one term per Lucas digit choice,
-    prod(n_d + 1) of them (``_tq_pow``); the count is compared first, so a
-    stray huge exponent is never expanded.
-    """
-    exps, res = _canonical(ctx.p, factor)
-    if exps.size == 0:
-        return None
-    n = int(exps[0])
-    terms, rest = 1, n
-    while rest:
-        terms, rest = terms * (rest % ctx.p + 1), rest // ctx.p
-    if exps.size != terms:
-        return None
-    want_exps, want_res = _canonical(ctx.p, _tq_pow(ctx, n))
-    return n if np.array_equal(exps, want_exps) and np.array_equal(res, want_res) else None
-
-
-def _monomial(p: int, block: Block) -> tuple | None:
-    """((i, j, k), c) when the block is the one monomial c X^i Y^j Z^k, else None."""
-    factors = [_canonical(p, f) for f in block]
-    if any(exps.size != 1 for exps, _ in factors):
-        return None
-    c = 1
-    for _, res in factors:
-        c = c * int(res[0]) % p
-    return tuple(int(exps[0]) for exps, _ in factors), c
-
-
-_LINEAR = {((1, 1, 0), 1): "X*Y", ((0, 0, 1), 1): "Z"}
-
-
-def _shape_witness(ctx: FieldCtx, blocks: list[Block]) -> tuple | None:
-    """Why the block list falls outside ``piecewise_match``'s reduction, or None.
-
-    Every block must be f(X) tq(Y)^a tq(Z)^b with a >= 1 and
-    a + b = 1 mod (q-1), apart from exactly one block X*Y and one block Z.
-    The witness is ("block_shape", i) for the first block i that is neither
-    (a second X*Y or Z included), or ("missing_block", "X*Y" or "Z").
-    """
-    seen = set()
-    for i, (fx, fy, fz) in enumerate(blocks):
-        a, b = _tq_exponent(ctx, fy), _tq_exponent(ctx, fz)
-        if a is not None and b is not None and a >= 1 and (a + b - 1) % (ctx.q - 1) == 0:
-            continue
-        mono = _monomial(ctx.p, (fx, fy, fz))
-        if mono not in _LINEAR or mono in seen:
-            return ("block_shape", i)
-        seen.add(mono)
-    for mono, name in _LINEAR.items():
-        if mono not in seen:
-            return ("missing_block", name)
-    return None
-
-
-def piecewise_match(ctx: FieldCtx, blocks: list[Block]) -> PtrReport:
-    """Whether the polynomial of the blocks equals the piecewise operation on
+def piecewise_match(ctx: FieldCtx, records: list[Record]) -> PtrReport:
+    """Whether X*Y + Z plus the records equals the piecewise operation on
     all of GF(Q)^3, decided exactly on the Q*q points (x, w, k*w).
 
     Here w is the element with index q (w^2 = n, w^q = -w), x runs over
     GF(Q) and k over GF(q), so k*w has index q*idx(k).  Write
     tq(v) = v^q - v.  The reduction is exact:
 
-    * Every block apart from X*Y and Z has the form f(X) tq(Y)^a tq(Z)^b
-      with a >= 1 and a + b = 1 mod (q-1) (``_shape_witness``; a list that
-      breaks this is a failed report, never an exception).  In the reduced
-      and T2 forms a + b = q, in the nonreduced form a + b = Q, and in M
-      a = 1, b = 0.
+    * Every record (f, a, b), the block f(X) tq(Y)^a tq(Z)^b, must have
+      a >= 1, b >= 0 and a + b = 1 mod (q-1).  This is checked on the
+      integers a and b before anything is expanded; the first record i that
+      breaks it gives the failed report ("block_shape", i), never an
+      exception.  In the reduced and T2 forms a + b = q, in the nonreduced
+      form a + b = Q, and in M a = 1, b = 0.
     * For y in GF(q), tq(y) = 0 kills every such block, so T = xy + z, and
       so is the oracle.
     * For y outside GF(q), u = tq(y) satisfies u^q = -u, so u lies in
@@ -577,6 +527,8 @@ def piecewise_match(ctx: FieldCtx, blocks: list[Block]) -> PtrReport:
       tq(z) = k tq(w).  So T = F on the grid exactly when T = F at the
       points (x, w, k*w).
 
+    The comparison evaluates the blocks ``expand_blocks`` makes, the ones
+    ``gen`` writes out, so it covers the Lucas expansion of every power.
     The witness is the lexicographically first failing grid triple.  A
     failing pair (x, k) fails at every (x, y, z) with y outside GF(q) and
     tq(z)/tq(y) = k.  The least such y is w (index q).  Given y = w, the
@@ -585,14 +537,15 @@ def piecewise_match(ctx: FieldCtx, blocks: list[Block]) -> PtrReport:
     the same as a comparison of the full Q^3 grid would.
     """
     label = "polynomial_matches_piecewise"
-    bad = _shape_witness(ctx, blocks)
-    if bad is not None:
-        return PtrReport(label, False, bad)
     q = ctx.q
+    for i, (_, a, b) in enumerate(records):
+        if a < 1 or b < 0 or (a + b - 1) % (q - 1):
+            return PtrReport(label, False, ("block_shape", i))
     X = np.arange(ctx.Q, dtype=np.int32)[:, None]
     w = np.int32(q)
     kw = q * np.arange(q, dtype=np.int32)[None, :]
-    fails = np.flatnonzero(evaluate_blocks(ctx, blocks, X, w, kw) != ptr_values(ctx, X, w, kw))
+    values = evaluate_blocks(ctx, expand_blocks(ctx, records), X, w, kw)
+    fails = np.flatnonzero(values != ptr_values(ctx, X, w, kw))
     if fails.size == 0:
         return PtrReport(label, True)
     x, k = divmod(int(fails[0]), q)

@@ -26,6 +26,7 @@ under canonical element indexing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,19 +71,39 @@ def value_table(ctx: FieldCtx, T_eval) -> np.ndarray:
     return out
 
 
-def _non_permutations(tbl: np.ndarray, axis: int) -> np.ndarray:
-    """Mask over the other axes: where the values along ``axis`` are not a
-    permutation of 0..Q-1."""
-    ar = np.arange(tbl.shape[axis]).reshape([-1 if i == axis else 1 for i in range(tbl.ndim)])
-    return ~(np.sort(tbl, axis=axis) == ar).all(axis=axis)
-
-
 def _first_true(mask: np.ndarray) -> tuple | None:
     """Lexicographically first index where mask holds, or None."""
     flat = int(np.argmax(mask))  # stops at the first True
     if not mask.flat[flat]:
         return None
     return tuple(int(v) for v in np.unravel_index(flat, mask.shape))
+
+
+# entries per sort or count array in the chunked checks: at Q=81 on a 2-core
+# x86-64 VM, 2^15-2^18 ran equally fast in the plane check and 2^20 ran slower
+# at a 38 MiB higher peak
+_PAIR_COUNT_BUDGET = 2**17
+
+
+def _first_bad_row(values: np.ndarray, M: int) -> tuple | None:
+    """Index of the first row, in scan order, whose values are not distinct
+    ids in [0, M), or None.
+
+    A row runs along the last axis and is indexed by the others; a row of
+    length M passes exactly when it is a permutation of 0..M-1, so an
+    ``np.moveaxis`` view tests the sections along any axis.  The rows are
+    sorted a chunk of leading indices at a time, about
+    ``_PAIR_COUNT_BUDGET`` entries, so no sorted copy of ``values`` is made.
+    """
+    chunk = max(1, _PAIR_COUNT_BUDGET // math.prod(values.shape[1:]))
+    for lo in range(0, len(values), chunk):
+        ordered = np.sort(values[lo:lo + chunk], axis=-1)
+        bad = (ordered[..., 0] < 0) | (ordered[..., -1] >= M)
+        bad |= (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
+        first = _first_true(bad)
+        if first is not None:
+            return (lo + first[0],) + first[1:]
+    return None
 
 
 def _axiom_c_direct(tbl: np.ndarray) -> PtrReport:
@@ -161,7 +182,7 @@ def check_axioms(table: np.ndarray) -> list[PtrReport]:
         reports.append(PtrReport("B", False, (bad[0], 1, 0)))
 
     # (D): z -> T(a,b,z) is a bijection for every (a,b)
-    bad = _first_true(_non_permutations(table, 2))
+    bad = _first_bad_row(table, Q)
     report_d = PtrReport("D", bad is None, bad)
     report_e = _axiom_e(table)
     if report_d.passed and report_e.passed:
@@ -179,11 +200,13 @@ def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
     * T(x, Y, z) for every x != 0 and every z,
     * T(x, y, Z) for every (x, y).
     """
+    Q = table.shape[0]
     reports = []
     for label, axis in (("x_sections", 0), ("y_sections", 1)):
-        bad = _first_true(_non_permutations(table, axis)[1:])  # index 0 gives a constant section
+        # index 0 of the first remaining axis gives a constant section
+        bad = _first_bad_row(np.moveaxis(table, axis, -1)[1:], Q)
         reports.append(PtrReport(label, bad is None, None if bad is None else (bad[0] + 1, bad[1])))
-    bad = _first_true(_non_permutations(table, 2))
+    bad = _first_bad_row(table, Q)  # the test of (D), for callers without check_axioms
     reports.append(PtrReport("z_sections", bad is None, bad))
     return reports
 
@@ -286,9 +309,9 @@ def check_plane(plane: IncidencePlane) -> PtrReport:
     if points_on.shape != (N, Q + 1):
         return PtrReport("projective_plane", False, ("shape", points_on.shape))
 
-    bad_line = _first_bad_line(points_on, N)
+    bad_line = _first_bad_row(points_on, N)
     if bad_line is not None:
-        return PtrReport("projective_plane", False, ("line_size", bad_line))
+        return PtrReport("projective_plane", False, ("line_size",) + bad_line)
     per_point = sum(np.bincount(col, minlength=N) for col in points_on.T)  # no N x (Q+1) intp copy
     if not (per_point == Q + 1).all():
         return PtrReport("projective_plane", False,
@@ -298,27 +321,6 @@ def check_plane(plane: IncidencePlane) -> PtrReport:
     if bad is not None:
         return PtrReport("projective_plane", False, ("points_on_common_line",) + bad)
     return PtrReport("projective_plane", True)
-
-
-# entries per count array in the plane check: at Q=81 on a 2-core x86-64 VM,
-# 2^15-2^18 ran equally fast and 2^20 ran slower at a 38 MiB higher peak
-_PAIR_COUNT_BUDGET = 2**17
-
-
-def _first_bad_line(points_on: np.ndarray, N: int) -> int | None:
-    """First line whose points are not distinct ids in [0, N), or None.
-
-    Sorted a chunk of about ``_PAIR_COUNT_BUDGET`` entries at a time, so no
-    sorted copy of the whole plane is made.
-    """
-    chunk = max(1, _PAIR_COUNT_BUDGET // points_on.shape[1])
-    for lo in range(0, len(points_on), chunk):
-        ordered = np.sort(points_on[lo:lo + chunk], axis=1)
-        bad = (ordered[:, 0] < 0) | (ordered[:, -1] >= N)
-        bad |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        if bad.any():
-            return lo + int(np.argmax(bad))
-    return None
 
 
 def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray) -> tuple | None:

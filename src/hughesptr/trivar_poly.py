@@ -226,9 +226,9 @@ class TriPoly:
         keys = sorted(self.terms)
         exps = np.array(keys, dtype=np.int64).reshape(-1, 3).T
         c = np.array([self.terms[k].index for k in keys], dtype=np.int64)
-        out = io.StringIO()
+        out = io.BytesIO()
         write_json(self.ctx.p, self.ctx.e, (*exps, c), out)
-        return out.getvalue()
+        return out.getvalue().decode("ascii")
 
     @classmethod
     def from_json_dict(cls, data: dict, ctx: FieldCtx | None = None) -> "TriPoly":
@@ -263,7 +263,7 @@ def _decimal_table(values: np.ndarray) -> np.ndarray:
 
 
 def write_json(p: int, e: int, arrays, stream) -> None:
-    """Write the JSON of a polynomial to a text stream, a chunk of terms at a time.
+    """Write the JSON of a polynomial to a binary stream, a chunk of terms at a time.
 
     ``arrays`` is (ex, ey, ez, c): non-negative integer arrays of one length,
     sorted by exponent triple, with c the nonzero coefficient indices.  The
@@ -271,16 +271,16 @@ def write_json(p: int, e: int, arrays, stream) -> None:
     schema above.  Each chunk of ``_JSON_CHUNK`` terms is an array of
     fixed-width records that already hold the constant text; one gather per
     column from that column's ``_decimal_table`` fills in the digits, and one
-    compress drops the 0 bytes of their padding.  No string holds the whole
-    output.
+    compress drops the 0 bytes of their padding; the stream gets each chunk
+    as a memoryview of that array, copied into no ``bytes`` or ``str``.
     """
     ex, ey, ez, c = arrays
-    stream.write(f'{{\n  "e": {e},\n  "p": {p},\n  "terms": ')
+    stream.write(f'{{\n  "e": {e},\n  "p": {p},\n  "terms": '.encode())
     n = len(c)
     if n == 0:
-        stream.write("[]\n}\n")
+        stream.write(b"[]\n}\n")
         return
-    stream.write("[")
+    stream.write(b"[")
     columns = {"c": np.asarray(c), "ex": np.asarray(ex), "ey": np.asarray(ey), "ez": np.asarray(ez)}
     tables = {name: _decimal_table(col) for name, col in columns.items()}
     template, offsets = bytearray(), []
@@ -301,8 +301,8 @@ def write_json(p: int, e: int, arrays, stream) -> None:
             records[name] = tables[name][col[start:stop]]
         text = buf.ravel()
         text = text[text != 0]
-        stream.write(str(text[1 if start == 0 else 0:].data, "ascii"))  # no comma before the first term
-    stream.write("\n  ]\n}\n")
+        stream.write(text[1 if start == 0 else 0:].data)  # no comma before the first term
+    stream.write(b"\n  ]\n}\n")
 
 
 def variables(ctx: FieldCtx) -> tuple[TriPoly, TriPoly, TriPoly]:

@@ -330,7 +330,7 @@ def test_run_keeps_success_and_usage_codes(capsys, argv, code):
 
 def test_run_passes_verification_failure_through(capsys, monkeypatch):
     def failing(ctx, args, out):
-        out.write("{}\n")
+        out.write(b"{}\n")
         return 1
 
     monkeypatch.setitem(cli._COMMANDS, "verify", failing)
@@ -388,7 +388,7 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback():
     @settings(max_examples=60, deadline=None)
     @given(_argv())
     def check(argv):
-        out, err = io.StringIO(), io.StringIO()
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # the CLI writes to out.buffer
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 pytest.raises(SystemExit) as exc:
             cli.run(argv)

@@ -24,10 +24,11 @@ from hughesptr import (
 from hughesptr import hughes_core
 from hughesptr.hughes_core import (
     _emit,
-    _tq_exponent,
+    _factor_values,
     _tq_pow,
     emit_arrays,
     evaluate_blocks,
+    expand_blocks,
     g_poly,
     h_poly,
     nonreduced_blocks,
@@ -278,7 +279,8 @@ def test_emit_arrays_sums_across_chunks(monkeypatch, chunk):
     # equal keys from many blocks, including a key repeated more often than
     # a chunk holds, summed by the chunked pass as by a dict
     ctx = field_ctx(5, 1)
-    blocks = nonreduced_blocks(ctx) + t2_blocks(ctx) + reduced_blocks(ctx)[:3] * 4
+    blocks = (expand_blocks(ctx, nonreduced_blocks(ctx)) + expand_blocks(ctx, t2_blocks(ctx))
+              + expand_blocks(ctx, reduced_blocks(ctx)[:1]) * 4)
     monkeypatch.setattr(hughes_core, "_SUM_CHUNK", chunk)
     got = emit_arrays(ctx, blocks)
     assert all(a.dtype == np.int32 for a in got)
@@ -360,36 +362,37 @@ def test_render_text_forms(ctx9):
 BLOCKS = {"nonreduced": nonreduced_blocks, "reduced": reduced_blocks, "t2": t2_blocks}
 
 
-def _with_x_factor(blocks, i, residues):
-    (exps, _), fy, fz = blocks[i]
-    return blocks[:i] + [((exps, np.asarray(residues, dtype=np.int64)), fy, fz)] + blocks[i + 1:]
+def _with_x_factor(records, i, residues):
+    (exps, _), a, b = records[i]
+    return records[:i] + [((exps, np.asarray(residues, dtype=np.int64)), a, b)] + records[i + 1:]
 
 
 def _mutant(ctx, kind):
-    """The reduced form, or a copy with one coefficient or block wrong."""
-    p, blocks = ctx.p, reduced_blocks(ctx)
-    if kind == "g_residue":  # g_3 (g_(q-2) at q = 3) with its first residue +1
-        i = 2 + min(3, ctx.q - 2)
-        res = blocks[i][0][1].copy()
+    """The reduced form's records, or a copy with one coefficient or record wrong."""
+    p, records = ctx.p, reduced_blocks(ctx)
+    if kind == "g_residue":  # g_2 (g_0 at q = 3) with its first residue +1
+        i = min(3, ctx.q - 2)
+        res = records[i][0][1].copy()
         res[0] = (res[0] + 1) % p
-        return _with_x_factor(blocks, i, res)
+        return _with_x_factor(records, i, res)
     if kind == "half":  # M with 1/2 + 1 in place of 1/2
         h = (ctx.half().index + 1) % p
-        return _with_x_factor(blocks, 1, [(p - h) % p, h])
+        return _with_x_factor(records, 0, [(p - h) % p, h])
     if kind == "drop_g":
-        return blocks[:-1]
-    return blocks
+        return records[:-1]
+    return records
 
 
 @pytest.mark.parametrize("kind", ["hughes", "g_residue", "half", "drop_g"])
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)])
 def test_piecewise_match_equals_full_grid(p, e, kind):
     ctx = field_ctx(p, e)
-    blocks = _mutant(ctx, kind)
+    records = _mutant(ctx, kind)
+    blocks = expand_blocks(ctx, records)
     mismatch = evaluate_grid(_emit(ctx, blocks)) != ptr_table(ctx)
     first = np.argwhere(mismatch)[:1]
     want = tuple(int(v) for v in first[0]) if len(first) else None
-    report = piecewise_match(ctx, blocks)
+    report = piecewise_match(ctx, records)
     assert report == PtrReport("polynomial_matches_piecewise", want is None, want)
     assert (kind == "hughes") == report.passed
     # each failing (x, k) fails at every y outside GF(q) and the q values z
@@ -404,7 +407,7 @@ def test_piecewise_match_equals_full_grid(p, e, kind):
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 2)])
 def test_evaluate_blocks_matches_emitted_polynomial(p, e, form):
     ctx = field_ctx(p, e)
-    blocks = BLOCKS[form](ctx)
+    blocks = expand_blocks(ctx, BLOCKS[form](ctx))
     grid = evaluate_grid(_emit(ctx, blocks))
     X, Y, Z = np.random.default_rng(p).integers(0, ctx.Q, (3, 500))
     assert np.array_equal(evaluate_blocks(ctx, blocks, X, Y, Z), grid[X, Y, Z])
@@ -413,45 +416,43 @@ def test_evaluate_blocks_matches_emitted_polynomial(p, e, form):
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
-def test_tq_exponent_reads_back_tq_powers(p, e):
+def test_tq_pow_evaluates_to_tq_powers(p, e):
+    # the Lucas expansion of tq(V)^n, as a function on GF(Q), for every n < 2Q
     ctx = field_ctx(p, e)
+    t = ctx.tables
+    V = np.arange(ctx.Q, dtype=np.int32)
     for n in range(2 * ctx.Q):
-        assert _tq_exponent(ctx, _tq_pow(ctx, n)) == n
-    exps, res = _tq_pow(ctx, 5)
-    assert _tq_exponent(ctx, (exps, (res + 1) % p)) is None  # every coefficient off by one
-    assert _tq_exponent(ctx, (exps[1:], res[1:])) is None    # lowest term dropped
-    assert _tq_exponent(ctx, (np.array([10**15]), np.array([1]))) is None
-
-
-def _block(x, y, z, c=1):
-    return ((np.array([x]), np.array([c])), (np.array([y]), np.array([1])), (np.array([z]), np.array([1])))
+        assert np.array_equal(_factor_values(t, _tq_pow(ctx, n), V), t.pow(t.tq, n)), n
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
-def test_shape_check_rejects_stray_blocks(p, e):
+def test_shape_check_rejects_stray_blocks(p, e, monkeypatch):
     ctx = field_ctx(p, e)
-    blocks = reduced_blocks(ctx)
+    records = reduced_blocks(ctx)
+    q, f = ctx.q, records[1][0]
+    expand = hughes_core._tq_pow
+
+    def nonnegative_only(ctx, n):
+        # _tq_pow loops forever on a negative n: fail at once instead
+        assert n >= 0, "a negative exponent reached the expansion"
+        return expand(ctx, n)
+
+    monkeypatch.setattr(hughes_core, "_tq_pow", nonnegative_only)
     label = "polynomial_matches_piecewise"
+    end = len(records)
     cases = {
-        "stray X*Y^2": (blocks + [_block(1, 2, 0)], ("block_shape", len(blocks))),
-        "second Z": (blocks + [_block(0, 0, 1)], ("block_shape", len(blocks))),
-        "2 X*Y": ([_block(1, 1, 0, 2)] + blocks[1:], ("block_shape", 0)),
-        "no X*Y": (blocks[1:], ("missing_block", "X*Y")),
-        "no Z": (blocks[:2] + blocks[3:], ("missing_block", "Z")),
-        # tq(Y) tq(Z): a + b = 2 is not 1 mod q-1
-        "a + b = 2": (blocks + [(blocks[0][0], _tq_pow(ctx, 1), _tq_pow(ctx, 1))], ("block_shape", len(blocks))),
-        # tq(Z)^q alone: a = 0
-        "a = 0": (blocks + [(blocks[0][0], _tq_pow(ctx, 0), _tq_pow(ctx, ctx.q))], ("block_shape", len(blocks))),
+        "a = 0": (records + [(f, 0, q)], end),                   # tq(Z)^q alone
+        "a + b = 2": (records + [(f, 1, 1)], end),               # not 1 mod q-1
+        "negative a": ([(f, -1, 2)] + records, 0),               # a + b = 1
+        "negative b": (records[:2] + [(f, q, -q + 1)] + records[2:], 2),  # a + b = 1
     }
-    for name, (mutant, witness) in cases.items():
-        assert piecewise_match(ctx, mutant) == PtrReport(label, False, witness), name
-    # the same polynomial in another order, with X*Y as (2X)(Y/2), or with
-    # the last g block split in two, passes
-    half = ctx.half().index
-    xy = ((np.array([1]), np.array([2])), (np.array([1]), np.array([half])), blocks[0][2])
-    (exps, res), fy, fz = blocks[-1]
-    split = [((exps[:1], res[:1]), fy, fz), ((exps[1:], res[1:]), fy, fz)]
-    for same in (blocks[::-1], [xy] + blocks[1:], blocks[:-1] + split):
+    for name, (mutant, i) in cases.items():
+        assert piecewise_match(ctx, mutant) == PtrReport(label, False, ("block_shape", i)), name
+    # the same polynomial in another order, or with the last g record split
+    # in two, passes
+    (exps, res), a, b = records[-1]
+    split = [((exps[:1], res[:1]), a, b), ((exps[1:], res[1:]), a, b)]
+    for same in (records[::-1], records[:-1] + split):
         assert piecewise_match(ctx, same).passed
 
 

@@ -172,6 +172,40 @@ def test_axiom_random_controls_match_direct(p):
     assert {(True, True), (True, False), (False, False)} <= seen
 
 
+def _full_sort_reports(tbl):
+    """The section reports by one sorted copy of the whole table per axis."""
+    Q = tbl.shape[0]
+    reports = []
+    for label, axis, skip in (("x_sections", 0, 1), ("y_sections", 1, 1), ("z_sections", 2, 0)):
+        ar = np.arange(Q).reshape([-1 if i == axis else 1 for i in range(3)])
+        bad = np.argwhere(~(np.sort(tbl, axis=axis) == ar).all(axis=axis)[skip:])
+        witness = (int(bad[0][0]) + skip, int(bad[0][1])) if len(bad) else None
+        reports.append(PtrReport(label, witness is None, witness))
+    return reports
+
+
+@pytest.mark.parametrize("budget", [None, 3, 2**14])
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+def test_chunked_section_checks_match_full_sort(p, e, budget, monkeypatch):
+    # chunks of many leading indices, of one, and of two at Q = 81
+    if budget is not None:
+        monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
+    ctx = field_ctx(p, e)
+    rng = np.random.default_rng(p * budget if budget else p)
+    base = hughes_table(ctx)
+    for n in range(20):
+        tbl = base.copy()
+        for _ in range(rng.integers(1, 3)):
+            _perturb_table(tbl, rng)
+        if n % 5 == 0:  # an id out of range
+            tbl[tuple(rng.integers(ctx.Q, size=3))] = rng.choice([-1, ctx.Q])
+        want = _full_sort_reports(tbl)
+        assert check_pp_classes(tbl) == want
+        # (C) is a Q^5 scan once (D) fails, and (E) counts ids in [0, Q) only
+        if n % 5 and (ctx.Q <= 25 or want[2].passed):
+            assert check_axioms(tbl)[3] == PtrReport("D", want[2].passed, want[2].witness)
+
+
 def test_pp_classes_hughes(ctx9):
     poly = build_reduced_T(ctx9)
     reports = check_pp_classes(evaluate_grid(poly))

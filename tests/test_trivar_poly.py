@@ -281,18 +281,18 @@ def _columns(n, dtype, seed):
 @pytest.mark.parametrize("n", [0, 1, 2, _JSON_CHUNK, _JSON_CHUNK + 1, 2 * _JSON_CHUNK + 3])
 def test_write_json_matches_json_dumps(n, dtype):
     for arrays in (_columns(n, dtype, n), [np.zeros(n, dtype=dtype)] * 4):
-        out = io.StringIO()
+        out = io.BytesIO()
         write_json(7, 2, arrays, out)
         ex, ey, ez, c = (a.tolist() for a in arrays)
         data = {"p": 7, "e": 2, "terms": [{"ex": i, "ey": j, "ez": k, "c": v}
                                           for i, j, k, v in zip(ex, ey, ez, c)]}
-        assert out.getvalue() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert out.getvalue() == (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_write_json_rejects_negative_values():
     arrays = [np.array([0, 1]), np.array([0, -1]), np.array([0, 0]), np.array([1, 1])]
     with pytest.raises(ValueError):
-        write_json(3, 1, arrays, io.StringIO())
+        write_json(3, 1, arrays, io.BytesIO())
 
 
 def test_negative_exponent_rejected(ctx9):

@@ -1,0 +1,74 @@
+"""Run CLI commands under peak-RSS bounds, and check some against reference digests.
+
+    python tools/bounded_runs.py
+
+Run from the root of the repository, with ``hughesptr`` importable.  Each
+row of ``RUNS`` starts ``python -m hughesptr.cli COMMAND`` in a child
+process, prints its exit code, wall time and peak RSS (the child's own
+``ru_maxrss``, from ``os.wait4``), and fails when the command exits non-zero,
+its peak exceeds the bound or, where asked, its stdout's SHA-256 differs from
+``perfbench/reference_sha256.json``.  Every row runs; the exit code is 1 if
+any row failed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+
+# (command, peak RSS bound in MiB, compare stdout with the reference digest)
+RUNS = [
+    ("plane --p 13 --e 1", 128, False),
+    ("verify --p 13 --e 1", 128, False),
+    ("du --p 3 --e 4 --samples 2", 96, False),
+    ("du --p 11 --e 2 --samples 2 --max-order 14641", 128, False),
+    # measured 243 MiB (the sorted raw-term keys and the int32 term arrays);
+    # the bound leaves 45 MiB for other allocators and numpy versions
+    ("gen --p 7 --e 2 --form nonreduced", 288, False),
+    # about 4.5M Lucas entries, checked 2^16 at a time: measured 38 MiB
+    ("identities --p 7 --e 2 --max-n 3000", 64, False),
+    # a child's ru_maxrss starts at this process's high-water RSS, which
+    # holds each captured stdout (28.5 MB for the nonreduced form); so the
+    # rows that capture stdout run last
+    ("gen --p 5 --e 2 --form nonreduced", 128, True),
+    ("gen --p 3 --e 4 --form t2", 128, True),
+    ("identities --p 7 --e 2 --max-n 1000", 128, True),
+]
+
+
+def run(command: str, bound: int, digest: bool, reference: dict) -> bool:
+    """Run one row and print its line; True when it passed."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "hughesptr.cli", *command.split()],
+                            stdout=subprocess.PIPE if digest else subprocess.DEVNULL)
+    out = b""
+    if digest:
+        with proc.stdout:
+            out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = code = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    peak = usage.ru_maxrss / 1024
+    line = f"{command}: exit {code}, {wall:.1f} s"
+    ok = code == 0 and peak <= bound
+    if digest:
+        match = hashlib.sha256(out).hexdigest() == reference[command]
+        line += f", digest {'matches' if match else 'MISMATCH'}"
+        ok &= match
+    print(f"{line}, peak RSS {peak:.0f} MiB (bound {bound} MiB)", flush=True)
+    return ok
+
+
+def main() -> int:
+    with open("perfbench/reference_sha256.json") as fh:
+        reference = json.load(fh)
+    results = [run(command, bound, digest, reference) for command, bound, digest in RUNS]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
