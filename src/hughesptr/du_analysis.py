@@ -42,7 +42,6 @@ __all__ = [
     "k_sets",
     "square_shift_partition",
     "linearized_table",
-    "is_permutation",
 ]
 
 
@@ -248,17 +247,17 @@ def k_sets(ctx: FieldCtx, a: FieldElement) -> tuple[int, int]:
     Squares include zero here; that is the convention under which the
     square/square count for square a equals (Q+3)/4, the X-section
     differential uniformity.
+
+    Both counts are read off ``square_shift_partition``.  Zero is no
+    non-square, so the second is its "nonsquare_nonsquare" class.  The first
+    is the "square_square" class plus the two boundary points x = 0 and
+    x = -a, distinct since a != 0, at which the other value is a and -a.
+    Q = q^2 is 1 mod 4, so -1 = g^((Q-1)/2) is a square for a generator g,
+    and a and -a are squares together: both points count when a is a square
+    and neither does otherwise.
     """
-    if a.index == 0:
-        raise ValueError("shift must be nonzero")
-    t = ctx.tables
-    ar = np.arange(ctx.Q, dtype=np.int32)
-    xa = t.add(ar, np.int32(a.index))
-    sq = t.quad >= 0
-    nsq = t.quad == -1
-    k1 = int(np.count_nonzero(sq & sq[xa]))
-    k4 = int(np.count_nonzero(nsq & nsq[xa]))
-    return k1, k4
+    parts = square_shift_partition(ctx, a)
+    return parts["square_square"] + 2 * (ctx.quad_char(a) == 1), parts["nonsquare_nonsquare"]
 
 
 def square_shift_partition(ctx: FieldCtx, a: FieldElement) -> dict[str, int]:
@@ -289,13 +288,5 @@ def square_shift_partition(ctx: FieldCtx, a: FieldElement) -> dict[str, int]:
 
 def linearized_table(ctx: FieldCtx, coeffs: list[FieldElement]) -> np.ndarray:
     """Value table of sum_i c_i * x^(p^i) for the given coefficient list."""
-    t = ctx.tables
-    ar = np.arange(ctx.Q, dtype=np.int32)
-    acc = np.zeros(ctx.Q, dtype=np.int32)
-    for i, c in enumerate(coeffs):
-        acc = t.add(acc, t.mul(np.int32(c.index), t.pow(ar, ctx.p**i)))
-    return acc
-
-
-def is_permutation(table: np.ndarray) -> bool:
-    return bool((np.sort(np.asarray(table)) == np.arange(len(table))).all())
+    exps = [ctx.p**i for i in range(len(coeffs))]
+    return ctx.tables.poly(exps, [c.index for c in coeffs], np.arange(ctx.Q, dtype=np.int32))

@@ -444,6 +444,10 @@ class FieldTables:
     Frobenius are read off the digits too, so no table here comes from the
     scalar side; results are required to be bit-identical to it.
 
+    ``add`` and ``mul`` are this layer's only field arithmetic: ``sub``,
+    ``pow`` and ``poly`` (a univariate polynomial on an index array) are
+    built on them, and so is every vectorized evaluation in the package.
+
     ``shift_differences`` gives the difference maps x -> f(x + a) - f(x)
     that the differential-uniformity count needs, a chunk of directions at a
     time, from tables of (2p-1)^(2e) entries; nothing of size Q^2 is kept.
@@ -481,22 +485,22 @@ class FieldTables:
 
         ar = np.arange(Q, dtype=np.int32)
         D = 2 * ctx.e
-        self._place = np.array([p**d for d in range(D)], dtype=np.int32)
-        self._digits = np.stack([(ar // p**d) % p for d in range(D)]).astype(np.int32)
+        place = np.array([p**d for d in range(D)], dtype=np.int32)
+        digits = ar // place[:, None] % p  # digits[d, i]: digit d of i
 
         # digits respaced to radix 2p-1: a sum of two packed values holds each
         # digit sum in [0, 2p-2], and _canon reduces every digit mod p
         r = 2 * p - 1
-        self._packed = np.array([r**d for d in range(D)], dtype=np.int32) @ self._digits
+        self._packed = np.array([r**d for d in range(D)], dtype=np.int32) @ digits
         canon = np.zeros(1, dtype=np.int32)
         for d in range(D):
-            canon = np.add.outer(np.arange(r, dtype=np.int32) % p * self._place[d], canon).ravel()
+            canon = np.add.outer(np.arange(r, dtype=np.int32) % p * place[d], canon).ravel()
         self._canon = canon
 
-        self.neg = self.from_digit_planes(-self._digits)
+        self.neg = place @ (-digits % p)
         self._packed_neg = self._packed[self.neg]
         flip = np.repeat(np.array([1, -1], dtype=np.int32), ctx.e)
-        self.frob = self.from_digit_planes(self._digits * flip[:, None])  # (a + b*w)^q = a - b*w
+        self.frob = place @ (digits * flip[:, None] % p)  # (a + b*w)^q = a - b*w
         self.tq = self.add(self.frob, self.neg)
         self.in_subfield = ar < q
         # one direction of each pair {a, -a}: the nonzero a with a < -a
@@ -540,16 +544,6 @@ class FieldTables:
     def mul(self, A, B):
         return self.exp_pad[self.log[A] + self.log[B]]
 
-    def mul_matrix(self, C):
-        """Matrices over GF(p) of v -> c*v on base-p digits, shape C.shape + (2e, 2e).
-
-        Column d holds the digits of c * p^d (the regular representation), so
-        the matrix of c times the digit vector of v is, mod p, the digit
-        vector of c * v.  Built on demand from ``mul``; nothing is cached.
-        """
-        cols = self.mul(np.asarray(C)[..., None], self._place)
-        return np.moveaxis(self._digits[:, cols], 0, -2)
-
     def pow(self, A, n: int):
         """Elementwise A**n for a fixed non-negative integer exponent."""
         if n == 0:
@@ -557,17 +551,14 @@ class FieldTables:
         r = self.exp_pad[(self.log[A] * (n % self.Qm1)) % self.Qm1]  # no int64 wrap
         return np.where(np.asarray(A) == 0, 0, r).astype(np.int32)
 
-    def digit_planes(self, A):
-        """Base-p digits of an index array, shape (2e,) + A.shape."""
-        return self._digits[:, A]
-
-    def from_digit_planes(self, planes):
-        """Inverse of digit_planes; planes need not be reduced mod p yet."""
-        out = None
-        for d in range(len(self._place)):
-            term = (planes[d] % self.ctx.p) * self._place[d]
-            out = term if out is None else out + term
-        return out.astype(np.int32)
+    def poly(self, exps, coeffs, V):
+        """sum_n c_n V^n on an index array V, with each coefficient c_n given
+        as an element index; a repeated exponent adds its coefficients, and
+        0^0 = 1, as in ``TriPoly.evaluate``."""
+        out = np.zeros(np.shape(V), dtype=np.int32)
+        for n, c in zip(np.asarray(exps).tolist(), np.asarray(coeffs).tolist()):
+            out = self.add(out, self.mul(c, self.pow(V, n)))
+        return out
 
 
 @lru_cache(maxsize=None)

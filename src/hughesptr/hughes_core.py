@@ -46,9 +46,10 @@ theorem (``_tq_pow``) into a triple of univariate factors:
 * ``piecewise_match`` proves the main theorem, that the form equals the
   piecewise operation on all of GF(Q)^3: it checks the shape of every
   record on its exponents (a, b) alone, then evaluates the expanded blocks
-  (``evaluate_blocks``) on Q*q points only; its docstring has the proof.
-  ``trivar_poly.evaluate_grid`` on the whole grid is kept as the tests'
-  oracle for it.
+  (``evaluate_blocks``, each factor one ``FieldTables.poly``) on Q*q
+  points only; its docstring has the proof.  ``trivar_poly.evaluate_grid``
+  on the whole grid, built on the same ``FieldTables`` operations, is kept
+  as the tests' oracle for it.
 
 The square-branch involution phi_k(X) = (X + k)^((Q+1)/2) - k evaluates to
 x on {x : x + k square} and to -x - 2k elsewhere, and drives the piecewise
@@ -480,23 +481,16 @@ def build_T2(ctx: FieldCtx) -> TriPoly:
 # ---------------------------------------------------------------------------
 
 
-def _factor_values(t, factor: Factor, V) -> np.ndarray:
-    """sum_n c_n V^n on an index array; a GF(p) residue is its own index."""
-    exps, res = factor
-    out = np.zeros(np.shape(V), dtype=np.int32)
-    for n, c in zip(exps.tolist(), (res % t.ctx.p).tolist()):
-        out = t.add(out, t.mul(c, t.pow(V, n)))
-    return out
-
-
 def evaluate_blocks(ctx: FieldCtx, blocks: list[Block], X, Y, Z) -> np.ndarray:
     """The sum of the blocks on broadcastable index arrays: the values of the
-    polynomial ``emit_arrays`` writes out from the same list."""
+    polynomial ``emit_arrays`` writes out from the same list.  Each factor
+    is one ``FieldTables.poly``: a residue mod p is the index of its GF(p)
+    element."""
     t = ctx.tables
     out = np.zeros(np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z)), dtype=np.int32)
     for fx, fy, fz in blocks:
-        xy = t.mul(_factor_values(t, fx, X), _factor_values(t, fy, Y))
-        out = t.add(out, t.mul(xy, _factor_values(t, fz, Z)))
+        xy = t.mul(t.poly(*fx, X), t.poly(*fy, Y))
+        out = t.add(out, t.mul(xy, t.poly(*fz, Z)))
     return out
 
 

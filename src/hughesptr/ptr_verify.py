@@ -128,9 +128,18 @@ def _axiom_c_direct(tbl: np.ndarray) -> PtrReport:
 
 
 def _axiom_e(table: np.ndarray) -> PtrReport:
-    """(E): (y,z) -> (T(a,y,z), T(c,y,z)) is a bijection for every a != c."""
+    """(E): (y,z) -> (T(a,y,z), T(c,y,z)) is a bijection for every a != c.
+
+    The pair counts need every id in [0, Q), so each row a is range-checked
+    first; a table with an id outside that range fails (E) with the first
+    such cell in scan order as its witness, ("value_range", a, y, z).
+    """
     Q = table.shape[0]
     flat = table.reshape(Q, Q * Q)
+    for a in range(Q):
+        bad = _first_true((flat[a] < 0) | (flat[a] >= Q))
+        if bad is not None:
+            return PtrReport("E", False, ("value_range", a, *divmod(bad[0], Q)))
     for a in range(Q):
         high = flat[a].astype(np.int64) * Q
         for c in range(Q):

@@ -7,13 +7,14 @@ folds every exponent n >= Q to ((n - 1) mod (Q - 1)) + 1, i.e. into
 [1, Q-1], leaving exponent 0 alone; this preserves evaluation at every
 point, including 0.
 
-``evaluate_grid`` evaluates a polynomial on the whole Q^3 grid as two
-matrix products over GF(p), on the base-p digits of the context's vectorized
-tables; it must agree pointwise with ``evaluate``, and the tests also hold it
-to a direct evaluation, one masked Q^3 pass per (Y, Z) exponent group.  It
-is the tests' oracle: the CLI proves the polynomial equal to the piecewise
-operation on Q*q points (``hughes_core.piecewise_match``) and never builds
-the Q^3 grid of the polynomial.
+``evaluate_grid`` evaluates a polynomial on the whole Q^3 grid with the
+context's vectorized field operations (``FieldTables.add``, ``mul``, ``pow``
+and ``poly``), one Y exponent at a time; it must agree pointwise with
+``evaluate``, and the tests also hold it to ``hughes_core.evaluate_blocks``
+with one block per term.  It is the tests' oracle: the CLI proves the
+polynomial equal to the piecewise operation on Q*q points
+(``hughes_core.piecewise_match``) and never builds the Q^3 grid of the
+polynomial.
 
 JSON schema: {"p": p, "e": e, "terms": [{"ex": i, "ey": j, "ez": k, "c": c},
 ...]} with c the canonical element index and terms sorted lexicographically
@@ -29,9 +30,6 @@ import numpy as np
 from .gf_tower import FieldCtx, FieldElement, field_ctx
 
 __all__ = ["TriPoly", "variables", "evaluate_grid", "write_json"]
-
-# float64 elements in one chunk of the Y-stage product of evaluate_grid (32 MiB)
-_MATMUL_CHUNK = 1 << 22
 
 # terms in one write of write_json (about 1.3 MB of JSON)
 _JSON_CHUNK = 1 << 14
@@ -319,60 +317,28 @@ def evaluate_grid(poly: TriPoly) -> np.ndarray:
     """Values of the polynomial on all of GF(Q)^3, int32 indexed [x, y, z].
 
     Write T = sum_j y^j W_j(x, z), W_j = sum_k u_jk(x) z^k and
-    u_jk = sum_i c_ijk x^i.  Field addition is digitwise mod p on the 2e
-    base-p digits of an index, and multiplying by a fixed element c is a
-    2e x 2e matrix over GF(p) on those digits (``FieldTables.mul_matrix``).
-    So both contractions are matrix products, run in float64 BLAS:
-
-    * Z stage, per Y exponent j: the matrices of u_jk(x), stacked over
-      (x, k), times the digits of z^k give the digits V[j, d, x, z] of
-      W_j(x, z), reduced mod p.
-    * Y stage: the matrices of y^j, stacked over (y, j), times V give every
-      digit of T, a chunk of x at a time (``_MATMUL_CHUNK`` elements).
-
-    Each sum is at most n * 2e * (p-1)^2, with n the number of Z exponents
-    under one j or of distinct Y exponents, far below 2^53, so every product
-    is exact.
+    u_jk = sum_i c_ijk x^i.  Per Y exponent j, each u_jk is one
+    ``FieldTables.poly`` on GF(Q), W_j is summed on the Q x Q plane, and
+    y^j W_j is added into the grid one x-slab at a time, as ``ptr_table``
+    fills it, so the temporaries stay at O(Q^2) next to the output.
     """
     ctx = poly.ctx
     t = ctx.tables
-    Q, p, D = ctx.Q, ctx.p, 2 * ctx.e
+    Q = ctx.Q
     ar = np.arange(Q, dtype=np.int32)
 
-    groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    groups: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
     for (i, j, k), c in poly.terms.items():
-        groups.setdefault(j, {}).setdefault(k, []).append((i, c.index))
-    ys = sorted(groups)
-    J = len(ys)
+        exps, coeffs = groups.setdefault(j, {}).setdefault(k, ([], []))
+        exps.append(i)
+        coeffs.append(c.index)
 
-    V = np.empty((J, D, Q, Q))
-    for n, j in enumerate(ys):
-        ks = sorted(groups[j])
-        # U[m, x] = u_jk(x) = sum_i c_ijk x^i for k = ks[m]
-        U = np.zeros((len(ks), Q), dtype=np.int32)
-        for m, k in enumerate(ks):
-            for i, ci in groups[j][k]:
-                U[m] = t.add(U[m], t.mul(np.int32(ci), t.pow(ar, i)))
-        zdigits = t.digit_planes(np.array([t.pow(ar, k) for k in ks], dtype=np.int32))
-        W = _stacked_matrices(t, U) @ zdigits.transpose(1, 0, 2).reshape(len(ks) * D, Q)
-        V[n] = W.reshape(D, Q, Q)
-    V %= p
-    V = V.reshape(J * D, Q, Q)
-
-    ypow = np.array([t.pow(ar, j) for j in ys], dtype=np.int32).reshape(J, Q)
-    A = _stacked_matrices(t, ypow)
-
-    out = np.empty((Q, Q, Q), dtype=np.int32)
-    step = max(1, _MATMUL_CHUNK // (D * Q * Q))
-    for x0 in range(0, Q, step):
-        x1 = min(x0 + step, Q)
-        planes = (A @ V[:, x0:x1].reshape(J * D, (x1 - x0) * Q)).astype(np.int32)
-        out[x0:x1] = t.from_digit_planes(planes.reshape(D, Q, x1 - x0, Q)).transpose(1, 0, 2)
+    out = np.zeros((Q, Q, Q), dtype=np.int32)
+    for j, by_k in groups.items():
+        W = np.zeros((Q, Q), dtype=np.int32)
+        for k, (exps, coeffs) in by_k.items():
+            W = t.add(W, t.mul(t.poly(exps, coeffs, ar)[:, None], t.pow(ar, k)))
+        yj = t.pow(ar, j)[:, None]
+        for x in range(Q):
+            out[x] = t.add(out[x], t.mul(yj, W[x]))
     return out
-
-
-def _stacked_matrices(t, C: np.ndarray) -> np.ndarray:
-    """float64 matrix with entry [(d, v), (n, d')] = entry (d, d') of the matrix of C[n, v]."""
-    n, Q = C.shape
-    D = 2 * t.ctx.e
-    return t.mul_matrix(C).transpose(2, 1, 0, 3).reshape(D * Q, n * D).astype(np.float64)

@@ -17,10 +17,11 @@ from hughesptr import cli, gf_tower, trivar_poly
 from hughesptr.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_sha256.json"
-GEN_DIGESTS = {cmd: digest for cmd, digest in json.loads(REFERENCE.read_text()).items()
-               if cmd.startswith("gen ")}
-IDENTITY_DIGESTS = {cmd: digest for cmd, digest in json.loads(REFERENCE.read_text()).items()
-                    if cmd.startswith("identities ")}
+DIGESTS = json.loads(REFERENCE.read_text())
+
+
+def _digested(subcommand):
+    return sorted(cmd for cmd in DIGESTS if cmd.split()[0] == subcommand)
 
 
 def run_cli(capsys, argv):
@@ -44,19 +45,30 @@ def test_gen_t2_and_text(capsys):
     assert "M(X,Y)" in out
 
 
-@pytest.mark.parametrize("cmd", sorted(GEN_DIGESTS))
+@pytest.mark.parametrize("cmd", _digested("gen"))
 def test_gen_matches_reference_digest(capsys, cmd):
     code, out = run_cli(capsys, cmd.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[cmd]
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[cmd]
 
 
-@pytest.mark.parametrize("cmd", sorted(IDENTITY_DIGESTS))
+@pytest.mark.parametrize("cmd", _digested("identities"))
 def test_identities_match_reference_digest(capsys, cmd):
     # the checked counts of the batched sweeps, byte for byte
     code, out = run_cli(capsys, cmd.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_DIGESTS[cmd]
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[cmd]
+
+
+@pytest.mark.parametrize("cmd", _digested("verify"))
+def test_verify_matches_reference_digest(capsys, cmd):
+    code, out = run_cli(capsys, cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[cmd]
+
+
+def test_every_reference_digest_is_checked():
+    assert sorted(DIGESTS) == sorted(_digested("gen") + _digested("identities") + _digested("verify"))
 
 
 def test_gen_out_file_equals_stdout(tmp_path, capsys):

@@ -15,7 +15,6 @@ from hughesptr.du_analysis import (
     du,
     du_sections,
     function_table,
-    is_permutation,
     k_sets,
     linearized_table,
     piecewise_section,
@@ -254,7 +253,7 @@ def test_du_invariant_under_linearized_pp_composition(ctx9):
     while found < 3:
         coeffs = [ctx9.element_from_index(int(i)) for i in rng.integers(0, ctx9.Q, 2)]
         L = linearized_table(ctx9, coeffs)
-        if not is_permutation(L):
+        if uniformity(ctx9, L) != 1:
             continue
         found += 1
         base = du(ctx9, f).delta
@@ -358,6 +357,19 @@ def test_k_sets(ctx9, ctx25):
                 assert k1 == (Q + 3) // 4
         with pytest.raises(ValueError):
             k_sets(ctx, ctx.zero)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_k_sets_match_direct_count(p, e):
+    # the partition-based counts against a direct count, at every nonzero shift
+    ctx = field_ctx(p, e)
+    t = ctx.tables
+    ar = np.arange(ctx.Q, dtype=np.int32)
+    sq, nsq = t.quad >= 0, t.quad == -1
+    for a in range(1, ctx.Q):
+        xa = t.add(ar, np.int32(a))
+        direct = (int(np.count_nonzero(sq & sq[xa])), int(np.count_nonzero(nsq & nsq[xa])))
+        assert k_sets(ctx, ctx.element_from_index(a)) == direct, a
 
 
 def test_k_sets_cross_check_against_du(ctx9):

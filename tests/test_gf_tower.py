@@ -299,19 +299,41 @@ def test_large_q_tower_add(p, e):
     assert np.array_equal(t.add(A[:20, None], B[None, :20]).diagonal(), vadd[:20])
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (3, 2)])
-def test_mul_matrix_exhaustive(p, e):
-    # every (c, v): the matrix of c on the digits of v gives the digits of c * v
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_poly_matches_scalar_sum_exhaustive(p, e):
+    # every V and every exponent below 2Q + 2, against sum c * _pow_i; 0^0 = 1
     ctx = field_ctx(p, e)
-    t = ctx.tables
-    ar = np.arange(ctx.Q)
-    M = t.mul_matrix(ar)
-    assert M.shape == (ctx.Q, 2 * e, 2 * e)
-    applied = np.einsum("cij,jv->icv", M, t.digit_planes(ar)) % p
-    assert np.array_equal(applied, t.digit_planes(t.mul(ar[:, None], ar[None, :])))
-    assert np.array_equal(M[0], np.zeros((2 * e, 2 * e)))
-    assert np.array_equal(M[1], np.eye(2 * e))
-    assert np.array_equal(t.mul_matrix(7), M[7])
+    t, Q = ctx.tables, ctx.Q
+    V = np.arange(Q)
+    ns = range(2 * Q + 2)
+    pows = [[ctx._pow_i(v, n) for v in range(Q)] for n in ns]
+
+    def scalar(exps, coeffs):
+        out = [0] * Q
+        for n, c in zip(exps, coeffs):
+            out = [ctx._add_i(s, ctx._mul_i(c, x)) for s, x in zip(out, pows[n])]
+        return out
+
+    for n in ns:
+        c = (5 * n + 2) % Q
+        assert t.poly([n], [c], V).tolist() == scalar([n], [c]), n
+    assert t.poly([0], [1], V).tolist() == [1] * Q
+    assert t.poly([0, Q], [1, 0], V).tolist() == [1] * Q
+    empty = t.poly([], [], V)
+    assert empty.dtype == np.int32 and empty.tolist() == [0] * Q
+    # sums with repeated exponents (each one twice) and zero coefficients
+    rng = np.random.default_rng(Q)
+    for _ in range(20):
+        exps = np.repeat(rng.choice(ns, 4), 2)
+        coeffs = rng.integers(0, Q, len(exps))
+        coeffs[::3] = 0
+        got = t.poly(exps, coeffs, V)
+        assert got.dtype == np.int32
+        assert got.tolist() == scalar(exps.tolist(), coeffs.tolist())
+    # the result takes the shape of V
+    grid = t.poly([2, Q + 1, 0], [3, 1, Q - 1], np.broadcast_to(V[:, None], (Q, 3)))
+    assert grid.shape == (Q, 3)
+    assert (grid.T == scalar([2, Q + 1, 0], [3, 1, Q - 1])).all()
 
 
 @pytest.mark.parametrize("n", [2**62, 10**18 + 7, 2**70])

@@ -16,32 +16,15 @@ def _elements(ctx):
 
 @pytest.mark.parametrize("p,e", LARGE)
 def test_mul_matrix_applies_multiplication(p, e):
+    # the table product agrees with the scalar product
     ctx = field_ctx(p, e)
     t = ctx.tables
 
     @settings(max_examples=300, deadline=None)
     @given(_elements(ctx), _elements(ctx))
     def check(c, v):
-        product = ctx._mul_i(c, v)
-        assert t.mul(c, v) == product
-        applied = t.mul_matrix(c) @ t.digit_planes(np.array(v)) % p
-        assert np.array_equal(applied, t.digit_planes(np.array(product)))
-
-    check()
-
-
-@pytest.mark.parametrize("p,e", LARGE)
-def test_mul_matrix_is_a_ring_homomorphism(p, e):
-    # M(a) + M(b) = M(a + b) and M(a) M(b) = M(a b), entrywise mod p
-    ctx = field_ctx(p, e)
-    t = ctx.tables
-
-    @settings(max_examples=200, deadline=None)
-    @given(_elements(ctx), _elements(ctx))
-    def check(a, b):
-        Ma, Mb = t.mul_matrix(a), t.mul_matrix(b)
-        assert np.array_equal((Ma + Mb) % p, t.mul_matrix(ctx._add_i(a, b)))
-        assert np.array_equal(Ma @ Mb % p, t.mul_matrix(ctx._mul_i(a, b)))
+        assert t.mul(c, v) == ctx._mul_i(c, v)
+        assert t.mul(v, c) == ctx._mul_i(c, v)
 
     check()
 
@@ -57,6 +40,33 @@ def test_add_sub_pow_match_scalar_path(p, e):
         assert t.add(a, b) == ctx._add_i(a, b)
         assert t.sub(a, b) == ctx._add_i(a, ctx._neg_i(b))
         assert t.pow(a, n) == ctx._pow_i(a, n)
+
+    check()
+
+
+@pytest.mark.parametrize("p,e", LARGE)
+def test_poly_matches_scalar_sum(p, e):
+    # repeated exponents, exponents of Q and above, zero coefficients, and V = 0
+    ctx = field_ctx(p, e)
+    t = ctx.tables
+    exponent = st.one_of(st.integers(min_value=0, max_value=4),
+                         st.integers(min_value=0, max_value=3 * ctx.Q))
+    terms = st.lists(st.tuples(exponent, _elements(ctx)), max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms, st.lists(_elements(ctx), min_size=1, max_size=5))
+    def check(terms, values):
+        exps, coeffs = [n for n, _ in terms], [c for _, c in terms]
+        V = np.array([0, *values])
+        want = []
+        for v in V.tolist():
+            acc = 0
+            for n, c in terms:
+                acc = ctx._add_i(acc, ctx._mul_i(c, ctx._pow_i(v, n)))
+            want.append(acc)
+        got = t.poly(exps, coeffs, V)
+        assert got.dtype == np.int32
+        assert got.tolist() == want
 
     check()
 

@@ -96,6 +96,23 @@ def test_negative_control_axiom_e(ctx9):
     assert fn(a, *p1) == fn(a, *p2) and fn(c, *p1) == fn(c, *p2)
 
 
+@pytest.mark.parametrize("cell,value", [
+    ((0, 5, 6), -1),  # np.bincount raises on a negative id
+    ((2, 5, 6), 9),   # an id of Q: h * Q + Q packs as the pair (h + 1, 0)
+    ((8, 8, 8), 2**31 - 1),
+    ((4, 0, 3), -9),
+])
+def test_axiom_e_reports_ids_out_of_range(ctx9, cell, value):
+    table = hughes_table(ctx9)
+    table[cell] = value
+    reports = {r.label: r for r in check_axioms(table)}
+    assert reports["E"] == PtrReport("E", False, ("value_range",) + cell)
+    assert not reports["D"].passed
+    # with two bad cells the first in scan order is the witness
+    table[8, 0, 0] = 9
+    assert ptr_verify._axiom_e(table) == PtrReport("E", False, ("value_range",) + min(cell, (8, 0, 0)))
+
+
 def _ternary_table(ctx, f):
     """Value table of f(x, y, z) built from the vector kernels."""
     ar = np.arange(ctx.Q, dtype=np.int32)

@@ -14,6 +14,7 @@ from hughesptr import (
     ptr_table,
     variables,
 )
+from hughesptr.hughes_core import evaluate_blocks
 from hughesptr.trivar_poly import _JSON_CHUNK, write_json
 from conftest import random_elements
 
@@ -130,32 +131,13 @@ def test_evaluate_grid_matches_scalar_exhaustively(ctx9):
                     assert grid[x.index, y.index, z.index] == P.evaluate(x, y, z).index
 
 
-def evaluate_grid_by_groups(poly):
-    """Reference grid evaluation: one masked log-space Q^3 pass per (Y, Z) group.
-
-    Each group's X-part collapses to one vector u over GF(Q); the products
-    u(x) y^j z^k are accumulated on base-p digit planes and recombined once.
-    """
+def evaluate_grid_by_terms(poly):
+    """Reference grid evaluation: ``evaluate_blocks`` with one block per term,
+    c x^i * y^j * z^k, on the broadcast grid."""
     ctx = poly.ctx
-    t = ctx.tables
-    Q, Qm1 = ctx.Q, ctx.Q - 1
-    ar = np.arange(Q, dtype=np.int32)
-
-    groups = {}
-    for (i, j, k), c in poly.terms.items():
-        groups.setdefault((j, k), []).append((i, c.index))
-
-    acc = np.zeros((2 * ctx.e, Q, Q, Q), dtype=np.int32)
-    for (j, k), xterms in groups.items():
-        u = np.zeros(Q, dtype=np.int32)
-        for i, ci in xterms:
-            u = t.add(u, t.mul(np.int32(ci), t.pow(ar, i)))
-        yv, zv = t.pow(ar, j), t.pow(ar, k)
-        logs = t.log[u][:, None, None] + t.log[yv][None, :, None] + t.log[zv][None, None, :]
-        vals = t.exp_pad[logs % Qm1]
-        mask = (u != 0)[:, None, None] & (yv != 0)[None, :, None] & (zv != 0)[None, None, :]
-        acc += t.digit_planes(np.where(mask, vals, 0))
-    return t.from_digit_planes(acc)
+    blocks = [(([i], [c.index]), ([j], [1]), ([k], [1])) for (i, j, k), c in poly.terms.items()]
+    ar = np.arange(ctx.Q, dtype=np.int32)
+    return evaluate_blocks(ctx, blocks, ar[:, None, None], ar[None, :, None], ar[None, None, :])
 
 
 def _special_polys(ctx):
@@ -182,7 +164,7 @@ def test_evaluate_grid_matches_group_oracle(p, e):
     polys += [random_poly(ctx, rng, n_terms=30, max_exp=5) for _ in range(2)]
     polys.append(random_poly(ctx, rng, n_terms=20, max_exp=Q - 1))
     for P in polys:
-        want = evaluate_grid_by_groups(P)
+        want = evaluate_grid_by_terms(P)
         got = evaluate_grid(P)
         assert got.dtype == want.dtype == np.int32
         assert got.shape == want.shape == (Q, Q, Q)
@@ -190,18 +172,25 @@ def test_evaluate_grid_matches_group_oracle(p, e):
         assert np.array_equal(got, want), P.sorted_terms()
 
 
-@pytest.mark.parametrize("p", [11, 13])
-def test_reduced_T_grid_matches_ptr_table_large_q(p):
-    ctx = field_ctx(p, 1)
-    assert np.array_equal(evaluate_grid(build_reduced_T(ctx)), ptr_table(ctx))
+@pytest.fixture(scope="module", params=[11, 13], ids=str)
+def reduced_T_large_q(request):
+    """(ctx, reduced form, its grid) at Q = 121 and 169, each grid evaluated once."""
+    ctx = field_ctx(request.param, 1)
+    T = build_reduced_T(ctx)
+    return ctx, T, evaluate_grid(T)
 
 
-@pytest.mark.parametrize("p", [11, 13])
-def test_evaluate_grid_spot_checks_large_q(p):
-    ctx = field_ctx(p, 1)
+def test_reduced_T_grid_matches_ptr_table_large_q(reduced_T_large_q):
+    ctx, _, grid = reduced_T_large_q
+    assert np.array_equal(grid, ptr_table(ctx))
+
+
+def test_evaluate_grid_spot_checks_large_q(reduced_T_large_q):
+    ctx, T, T_grid = reduced_T_large_q
+    p = ctx.p
     rng = np.random.default_rng(p)
-    for P in (build_reduced_T(ctx), random_poly(ctx, rng, n_terms=40)):
-        grid = evaluate_grid(P)
+    R = random_poly(ctx, rng, n_terms=40)
+    for P, grid in ((T, T_grid), (R, evaluate_grid(R))):
         pts = zip(*(random_elements(ctx, 15, seed=p + s) for s in (1, 2, 3)))
         for x, y, z in pts:
             assert grid[x.index, y.index, z.index] == P.evaluate(x, y, z).index

@@ -34,6 +34,8 @@ RUNS = [
     # a child's ru_maxrss starts at this process's high-water RSS, which
     # holds each captured stdout (28.5 MB for the nonreduced form); so the
     # rows that capture stdout run last
+    # the full Q^3 path at Q=81 (oracle table, axioms, plane): measured 39-40 MiB
+    ("verify --p 3 --e 2 --plane", 64, True),
     ("gen --p 5 --e 2 --form nonreduced", 128, True),
     ("gen --p 3 --e 4 --form t2", 128, True),
     ("identities --p 7 --e 2 --max-n 1000", 128, True),
