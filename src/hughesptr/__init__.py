@@ -3,7 +3,7 @@ regular nearfields, with exhaustive verification and differential-uniformity
 analysis over GF(Q), Q = p^(2e)."""
 
 from .du_analysis import DuProfile, diff_op, du, du_sections, k_sets, uniformity
-from .gf_tower import FieldCtx, FieldElement, FieldParams, field_ctx
+from .gf_tower import FieldCtx, FieldElement, field_ctx
 from .hughes_core import (
     KPair,
     NotUniqueError,
@@ -27,7 +27,6 @@ from .hughes_core import (
     t2_blocks,
 )
 from .ptr_verify import (
-    IncidencePlane,
     PtrReport,
     build_plane,
     check_axioms,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldCtx",
     "FieldElement",
-    "FieldParams",
     "field_ctx",
     "TriPoly",
     "variables",
@@ -67,7 +65,6 @@ __all__ = [
     "t2_blocks",
     "piecewise_match",
     "PtrReport",
-    "IncidencePlane",
     "check_axioms",
     "check_pp_classes",
     "build_plane",

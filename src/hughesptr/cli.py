@@ -176,10 +176,11 @@ def _cmd_du(ctx, args, out) -> int:
 def _cmd_plane(ctx, args, out) -> int:
     plane = ptr_verify.build_plane(hughes_core.ptr_table(ctx))  # the table is freed here
     report = ptr_verify.check_plane(plane)
+    n_lines, per_line = plane.shape
     payload = {
-        "points": plane.n_points,
-        "lines": plane.n_lines,
-        "points_per_line": plane.Q + 1,
+        "points": n_lines,  # a plane has as many points as lines
+        "lines": n_lines,
+        "points_per_line": per_line,
         "projective_plane": report.to_json_dict(),
     }
     return _report(out, payload, report.passed)

@@ -196,42 +196,43 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
 
     Sections are generated lazily in O(Q) each, so no full grid is built.
     ``sample`` limits each family to that many fixings (seeded, uniform
-    without replacement); by default the sweep is exhaustive.  ``workers``
-    splits the fixing list into contiguous chunks, one process each; the
-    output is identical for every worker count.
+    without replacement); by default the sweep is exhaustive.  Every family
+    is swept over the same fixings.  ``workers`` splits them into contiguous
+    chunks, and one pool of that many processes sweeps the chunks of every
+    family; the output is identical for every worker count.
     """
     Q = ctx.Q
+    # fixing number i is the pair divmod(i, Q), in lexicographic order
+    if sample is not None and sample < Q * Q:
+        rng = np.random.default_rng(seed)
+        picks = sorted(rng.choice(Q * Q, size=sample, replace=False))
+    else:
+        picks = range(Q * Q)
+    fixings = [divmod(int(i), Q) for i in picks]
+
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+        # every section costs O(Q), so equal contiguous chunks balance
+        size = max(1, -(-len(fixings) // workers))  # a positive step when there are no fixings
+        chunks = [fixings[lo:lo + size] for lo in range(0, len(fixings), size)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = {family: pool.map(_worker_deltas, [(ctx.p, ctx.e, family, ch) for ch in chunks])
+                     for family in families}
+            deltas = {family: [d for part in parts[family] for d in part] for family in families}
+    else:
+        deltas = {family: _section_deltas(ctx, family, fixings) for family in families}
 
     report: dict = {}
     for family in families:
-        # fixing number i is the pair divmod(i, Q), in lexicographic order
-        if sample is not None and sample < Q * Q:
-            rng = np.random.default_rng(seed)
-            picks = sorted(rng.choice(Q * Q, size=sample, replace=False))
-        else:
-            picks = range(Q * Q)
-        fixings = [divmod(int(i), Q) for i in picks]
-
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-            # every section costs O(Q), so equal contiguous chunks balance
-            size = -(-len(fixings) // workers)
-            chunks = [fixings[lo:lo + size] for lo in range(0, len(fixings), size)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(_worker_deltas, [(ctx.p, ctx.e, family, ch) for ch in chunks])
-                deltas = [d for part in parts for d in part]
-        else:
-            deltas = _section_deltas(ctx, family, fixings)
-
         if family == "x":
             expected = [_expected_x_delta(ctx, y) for y, _ in fixings]
         else:
             expected = [Q] * len(fixings)
         report[family] = {
             "fixings": fixings,
-            "deltas": deltas,
+            "deltas": deltas[family],
             "expected": expected,
-            "passed": deltas == expected,
+            "passed": deltas[family] == expected,
         }
     return report
 

@@ -14,6 +14,10 @@ index(a) + q * index(b); equivalently, the 2e base-p digits of the index are
 the element's coefficient vector over GF(p).  Index 0 is zero, index 1 is one,
 and the subfield GF(q) occupies exactly the indices below q.
 
+``FieldCtx(p, e)`` raises ``ValueError`` unless p is an odd prime and e >= 1,
+and keeps ``params = (p, e)``: elements and polynomials of two contexts with
+equal params are compared as members of one field.
+
 The scalar side (``FieldCtx``) holds only the q x q tables of GF(q).  It
 multiplies schoolbook on the (a, b) pair with a single reduction by
 w^2 = n, and a + b*w is a square of GF(Q) exactly when its norm
@@ -27,52 +31,17 @@ required to agree with the scalar side element for element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 __all__ = [
-    "FieldParams",
     "FieldCtx",
     "FieldElement",
     "FieldTables",
     "field_ctx",
     "is_odd_prime",
 ]
-
-
-def is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Tower sizes: odd prime p, extension degree e, q = p^e, Q = q^2."""
-
-    p: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.e < 1:
-            raise ValueError(f"e must be a positive integer, got {self.e}")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.e
-
-    @property
-    def Q(self) -> int:
-        return self.q**2
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +93,10 @@ def _prime_factors(n: int) -> list[int]:
                 n //= d
         d += 1
     return primes + [n] if n > 1 else primes
+
+
+def is_odd_prime(n: int) -> bool:
+    return n % 2 == 1 and _prime_factors(n) == [n]
 
 
 def _find_base_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -270,11 +243,15 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int):
-        self.params = FieldParams(p, e)
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if e < 1:
+            raise ValueError(f"e must be a positive integer, got {e}")
+        self.params = (p, e)  # contexts with equal params hold equal fields
         self.p = p
         self.e = e
-        self.q = self.params.q
-        self.Q = self.params.Q
+        self.q = p**e
+        self.Q = self.q**2
 
         self.base_modulus = _find_base_modulus(p, e)
         self._q_add, self._q_neg, self._q_mul = _subfield_tables(p, self.base_modulus)

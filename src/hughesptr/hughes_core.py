@@ -91,8 +91,6 @@ __all__ = [
     "build_T2",
     "evaluate_blocks",
     "piecewise_match",
-    "g_poly",
-    "h_poly",
     "render_text",
 ]
 
@@ -284,10 +282,11 @@ def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
     sort brings equal exponent triples together in (ex, ey, ez) order, their
     residues are summed mod p and the zero sums dropped.  The int32 arrays
     come out in that order, and c is a residue mod p, which is the index of
-    a GF(p) element.
+    a GF(p) element.  An empty sum gives four empty arrays.
     """
     p = ctx.p
-    rx, ry, rz = (1 + max(int(block[v][0].max(initial=0)) for block in blocks) for v in range(3))
+    rx, ry, rz = (1 + max((int(block[v][0].max(initial=0)) for block in blocks), default=0)
+                  for v in range(3))
     if rx * ry * rz * p >= 2**63:
         raise OverflowError("exponents too large to pack into one int64 key")
     if max(rx, ry, rz, p) > 2**31:
@@ -419,21 +418,6 @@ def _h_factor(ctx: FieldCtx, i: int) -> Factor:
     return _factor([n for n, c in cs if c], [scale * c % p for _, c in cs if c])
 
 
-def _univariate(ctx: FieldCtx, factor: Factor) -> TriPoly:
-    exps, res = factor
-    return TriPoly(ctx, {(n, 0, 0): ctx.from_int(c) for n, c in zip(exps.tolist(), res.tolist())})
-
-
-def g_poly(ctx: FieldCtx, i: int) -> TriPoly:
-    """g_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i+1} C[j(q-1)+i] X^(j(q-1)+i+1) mod p."""
-    return _univariate(ctx, _g_factor(ctx, i))
-
-
-def h_poly(ctx: FieldCtx, i: int) -> TriPoly:
-    """h_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i} T'[i-j, j] X^(j(q-1)+i) mod p."""
-    return _univariate(ctx, _h_factor(ctx, i))
-
-
 def reduced_blocks(ctx: FieldCtx) -> list[Record]:
     """Records of the reduced form with Catalan-number coefficients:
 
@@ -551,15 +535,17 @@ def piecewise_match(ctx: FieldCtx, records: list[Record]) -> PtrReport:
 # ---------------------------------------------------------------------------
 
 
-def _univar_str(poly: TriPoly, var: str = "X") -> str:
+def _univar_str(factor: Factor) -> str:
+    """A factor in X, read in array order: ``_g_factor`` and ``_h_factor``
+    give distinct exponents in ascending order and nonzero residues."""
     parts = []
-    for (i, _, _), c in poly.sorted_terms():
+    for i, c in zip(*(a.tolist() for a in factor)):
         if i == 0:
-            parts.append(f"{c.index}")
+            parts.append(f"{c}")
         elif i == 1:
-            parts.append(f"{c.index}*{var}")
+            parts.append(f"{c}*X")
         else:
-            parts.append(f"{c.index}*{var}^{i}")
+            parts.append(f"{c}*X^{i}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -577,13 +563,13 @@ def render_text(ctx: FieldCtx, form: str) -> str:
     if form == "reduced":
         lines.append(f"T(X,Y,Z) = M(X,Y) + Z - sum_(i=0..{q - 2}) g_i(X) * tq(Y)^(i+1) * tq(Z)^({q - 1}-i)")
         for i in range(q - 1):
-            lines.append(f"g_{i}(X) = {_univar_str(g_poly(ctx, i))}")
+            lines.append(f"g_{i}(X) = {_univar_str(_g_factor(ctx, i))}")
     elif form == "t2":
         lines.append(
             f"T(X,Y,Z) = M(X,Y) + Z + tq(X)*tq(Y)*tq(Z) * sum_(i=0..{q - 2}) h_i(X) * tq(Y)^i * tq(Z)^({q - 2}-i)"
         )
         for i in range(q - 1):
-            lines.append(f"h_{i}(X) = {_univar_str(h_poly(ctx, i))}")
+            lines.append(f"h_{i}(X) = {_univar_str(_h_factor(ctx, i))}")
     elif form == "nonreduced":
         lines.append(
             f"T(X,Y,Z) = M(X,Y) + Z - {ctx.half().index} * sum_(m=1..{(Q - 1) // 2}) B(m) * X^m * tq(Y)^m * tq(Z)^({Q}-m)"

@@ -15,13 +15,14 @@ a ternary callable into one.  The five axioms:
 overall.  (C) follows from (D) and (E) by counting (see ``check_axioms``),
 so it is computed only when one of them fails, by comparing every pair of
 columns in Q^5 (``_axiom_c_direct``).  The plane, N = Q^2+Q+1 points and as
-many lines, is held as its (N, Q+1) line -> points array; the plane check
-derives point -> lines from it and counts, chunk by chunk, the lines shared
-by each pair of points, in O(N (Q+1)^2) time and O(N (Q+1)) memory.  That
-one pass suffices: the dual statement, any two lines meet in exactly one
-point, follows from it by counting (see ``check_plane``).  Failures are
-reported, never raised, and carry the lexicographically first counterexample
-under canonical element indexing.
+many lines, is its (N, Q+1) int32 line -> points array (``build_plane``),
+whose shape fixes Q.  The plane check derives point -> lines from it and
+counts, chunk by chunk, the lines shared by each pair of points, in
+O(N (Q+1)^2) time and O(N (Q+1)) memory.  That one pass suffices: the dual
+statement, any two lines meet in exactly one point, follows from it by
+counting (see ``check_plane``).  Failures are reported, never raised, and
+carry the lexicographically first counterexample under canonical element
+indexing.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "value_table",
     "check_axioms",
     "check_pp_classes",
-    "IncidencePlane",
     "build_plane",
     "check_plane",
     "count_fano_quadrangles",
@@ -225,32 +225,15 @@ def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IncidencePlane:
-    """Projective plane built from a ternary-operation table, held as its lines.
+def build_plane(table: np.ndarray) -> np.ndarray:
+    """The plane of a (Q,Q,Q) value table, as its (N, Q+1) int32 line array,
+    N = Q^2+Q+1: row l lists the Q+1 points of line l in ascending order.
 
     Points: affine (x, y) -> x*Q + y, slope points (m) -> Q^2 + m, and one
     point at infinity -> Q^2 + Q.  Lines: [m, k] = {(x, T(x,m,k))} + {(m)}
     -> m*Q + k, verticals [c] = {(c, y)} + {inf} -> Q^2 + c, and the line at
-    infinity -> Q^2 + Q.  ``points_on[l]`` lists the Q+1 points of line l;
-    the point -> lines view is derived from it when needed.
+    infinity -> Q^2 + Q.  The point -> lines view is derived when needed.
     """
-
-    Q: int
-    points_on: np.ndarray  # (N, Q+1) point ids, one row per line
-
-    @property
-    def n_points(self) -> int:
-        return self.Q * self.Q + self.Q + 1
-
-    @property
-    def n_lines(self) -> int:
-        return len(self.points_on)
-
-
-def build_plane(table: np.ndarray) -> IncidencePlane:
-    """The plane of a (Q,Q,Q) value table: every line's points, each row in
-    ascending order."""
     Q = table.shape[0]
     N = Q * Q + Q + 1
     ar = np.arange(Q, dtype=np.int32)
@@ -267,7 +250,7 @@ def build_plane(table: np.ndarray) -> IncidencePlane:
 
     # line at infinity: all slope points, then the point at infinity
     points_on[Q * Q + Q] = Q * Q + np.arange(Q + 1)
-    return IncidencePlane(Q, points_on)
+    return points_on
 
 
 def _lines_through(points_on: np.ndarray) -> np.ndarray:
@@ -294,16 +277,18 @@ def _lines_through(points_on: np.ndarray) -> np.ndarray:
     return through.reshape(N, k)
 
 
-def check_plane(plane: IncidencePlane) -> PtrReport:
-    """Counts, regularity, and the uniqueness axioms, by one pair-count pass.
+def check_plane(points_on: np.ndarray) -> PtrReport:
+    """Counts, regularity, and the uniqueness axioms of a line array, by one
+    pair-count pass.
 
-    Every line must hold Q+1 distinct point ids in [0, N) (sorted a chunk
-    of lines at a time) and every point must lie on Q+1 lines; then the
-    point -> lines array is read off the line -> points array by a
-    counting sort.  For a chunk of points, the points on the lines through
-    each of them are counted with one bincount (offset by row); any two
-    distinct points must share exactly one line.
-    The first count != 1 in (row, column) order is the witness.
+    Its order is Q = ``points_on.shape[1] - 1``, and it must have
+    N = Q^2+Q+1 rows.  Every line must hold Q+1 distinct point ids in
+    [0, N) (sorted a chunk of lines at a time) and every point must lie on
+    Q+1 lines; then the point -> lines array is read off the line -> points
+    array by a counting sort.  For a chunk of points, the points on the
+    lines through each of them are counted with one bincount (offset by
+    row); any two distinct points must share exactly one line.  The first
+    count != 1 in (row, column) order is the witness.
 
     The dual axiom, any two lines meet in exactly one point, needs no pass
     of its own: the checks above make the lines a symmetric 2-(N, Q+1, 1)
@@ -314,7 +299,8 @@ def check_plane(plane: IncidencePlane) -> PtrReport:
     through two points of L, so these (Q+1)*Q = N-1 lines are distinct and
     each meets L exactly once; they are all the other lines.
     """
-    Q, points_on, N = plane.Q, plane.points_on, plane.n_points
+    Q = points_on.shape[1] - 1
+    N = Q * Q + Q + 1
     if points_on.shape != (N, Q + 1):
         return PtrReport("projective_plane", False, ("shape", points_on.shape))
 
@@ -353,21 +339,22 @@ def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray) -> tuple
     return None
 
 
-def _join_meet_tables(plane: IncidencePlane) -> tuple[np.ndarray, np.ndarray]:
+def _join_meet_tables(points_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """line_through[p1, p2] and meet_point[l1, l2]; diagonals are junk (0)."""
-    N = plane.n_points
+    Q = points_on.shape[1] - 1
+    N = Q * Q + Q + 1
     join = np.zeros((N, N), dtype=np.int32)
     meet = np.zeros((N, N), dtype=np.int32)
-    for ln, pts in enumerate(plane.points_on):
+    for ln, pts in enumerate(points_on):
         join[np.ix_(pts, pts)] = ln
-    for pt, lns in enumerate(_lines_through(plane.points_on)):
+    for pt, lns in enumerate(_lines_through(points_on)):
         meet[np.ix_(lns, lns)] = pt
     np.fill_diagonal(join, 0)
     np.fill_diagonal(meet, 0)
     return join, meet
 
 
-def count_fano_quadrangles(plane: IncidencePlane) -> int:
+def count_fano_quadrangles(points_on: np.ndarray) -> int:
     """Number of complete quadrangles whose three diagonal points are collinear.
 
     In the classical plane of odd order the count is zero (the diagonal
@@ -375,8 +362,8 @@ def count_fano_quadrangles(plane: IncidencePlane) -> int:
     certifies a non-classical plane.  Informational; quadratic-in-pairs
     sweep over all 4-subsets in canonical order.
     """
-    join, meet = _join_meet_tables(plane)
-    N = plane.n_points
+    join, meet = _join_meet_tables(points_on)
+    N = len(join)
 
     pairs = [(c, d) for c in range(N) for d in range(c + 1, N)]
     pc = np.array([p[0] for p in pairs], dtype=np.int32)

@@ -5,9 +5,24 @@ product here goes through ``TriPoly`` multiplication over GF(Q), term by
 term, with no use of Lucas' theorem on the tq powers.
 """
 
-from hughesptr.hughes_core import g_poly, h_poly
+from hughesptr.hughes_core import _g_factor, _h_factor
 from hughesptr.modcomb import binom_mod_lucas
 from hughesptr.trivar_poly import TriPoly, variables
+
+
+def _univariate(ctx, factor) -> TriPoly:
+    exps, res = factor
+    return TriPoly(ctx, {(n, 0, 0): ctx.from_int(c) for n, c in zip(exps.tolist(), res.tolist())})
+
+
+def g_poly(ctx, i: int) -> TriPoly:
+    """g_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i+1} C[j(q-1)+i] X^(j(q-1)+i+1) mod p."""
+    return _univariate(ctx, _g_factor(ctx, i))
+
+
+def h_poly(ctx, i: int) -> TriPoly:
+    """h_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i} T'[i-j, j] X^(j(q-1)+i) mod p."""
+    return _univariate(ctx, _h_factor(ctx, i))
 
 
 def tq_poly(ctx, axis: int) -> TriPoly:

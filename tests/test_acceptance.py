@@ -131,10 +131,9 @@ def test_criterion_7_plane_construction():
         ctx = field_ctx(*FIELDS[Q])
         table = value_table(ctx, lambda x, y, z: ptr_piecewise(ctx, x, y, z))
         plane = build_plane(table)
-        ok &= plane.n_points == plane.n_lines == Q * Q + Q + 1
-        ok &= plane.points_on.shape == (Q * Q + Q + 1, Q + 1)
-        ok &= bool((np.diff(plane.points_on, axis=1) > 0).all())  # Q+1 distinct points per line
-        degree = np.bincount(plane.points_on.ravel(), minlength=plane.n_points)
+        ok &= plane.shape == (Q * Q + Q + 1, Q + 1)  # as many points as lines
+        ok &= bool((np.diff(plane, axis=1) > 0).all())  # Q+1 distinct points per line
+        degree = np.bincount(plane.ravel(), minlength=Q * Q + Q + 1)
         ok &= bool((degree == Q + 1).all())
         ok &= check_plane(plane).passed
     _criterion(7, "plane counts and both uniqueness axioms hold exhaustively at Q in {9,25}", ok)

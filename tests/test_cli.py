@@ -67,6 +67,28 @@ def test_verify_matches_reference_digest(capsys, cmd):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[cmd]
 
 
+# SHA-256 of outputs outside the benchmark's reference digests: the text
+# rendering of each form and the plane report, so that any byte a change of
+# render_text or of the plane command moves shows here
+PINNED = {
+    "gen --p 3 --e 1 --form reduced --format text": "264eaeb78296bc6f444cf659f68295af0e3c86263a76b7ecccc663e0a7db2e89",
+    "gen --p 3 --e 2 --form reduced --format text": "88b114e60298428e902dc5240239afe54cf51d12be393e03e0756dd2f5572cde",
+    "gen --p 3 --e 1 --form nonreduced --format text": "44da3a262f82ff49007aca844285ac427273d6423019e564827667dbb6bd6d26",
+    "gen --p 3 --e 2 --form nonreduced --format text": "12d4a213eb89eee4580286b77662eefe5fbf52e1acebe70119594be9a4f631e6",
+    "gen --p 3 --e 1 --form t2 --format text": "d93a2e14f781aa20192ab1dbbae1786eccf470c1e8dfe4a71837e46328f481b1",
+    "gen --p 3 --e 2 --form t2 --format text": "9695f522466447b55cad7cac3c5374c2433777993bece8366fff04de4e5a59e4",
+    "plane --p 3 --e 1": "bf6899c83c238ad47f32582aa795f64f22dc4b085eafd8ae342e7c39feca0339",
+    "plane --p 5 --e 1": "65e186ca54decdf93f42d1fd125940baeade3db0c9101818ab786cc759fed00b",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(PINNED))
+def test_text_and_plane_match_pinned_digest(capsys, cmd):
+    code, out = run_cli(capsys, cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[cmd]
+
+
 def test_every_reference_digest_is_checked():
     assert sorted(DIGESTS) == sorted(_digested("gen") + _digested("identities") + _digested("verify"))
 

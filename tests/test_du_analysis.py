@@ -316,8 +316,9 @@ def test_du_sections_workers_match(ctx9, ctx25):
         assert all(d == ctx25.Q for d in sampled[family]["deltas"])
         for workers in (1, 2):
             assert du_sections(ctx25, families=family, sample=30, seed=7, workers=workers) == sampled
-    # contiguous chunks of 34, 34 and 32 fixings, and fewer fixings than workers
-    for sample in (100, 2):
+    # contiguous chunks of 34, 34 and 32 fixings, fewer fixings than workers,
+    # and none
+    for sample in (100, 2, 0):
         seq = du_sections(ctx25, families="x", sample=sample, seed=5)
         par = du_sections(ctx25, families="x", sample=sample, seed=5, workers=3)
         assert seq == par and len(par["x"]["deltas"]) == sample

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
 
-from hughesptr import FieldParams, field_ctx
-from hughesptr.gf_tower import _poly_rem
+from hughesptr import FieldCtx, field_ctx
+from hughesptr.gf_tower import _poly_rem, is_odd_prime
 from conftest import random_elements
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        FieldParams(2, 1)
+        FieldCtx(2, 1)
     with pytest.raises(ValueError):
-        FieldParams(4, 1)
+        FieldCtx(4, 1)
     with pytest.raises(ValueError):
-        FieldParams(9, 1)
+        FieldCtx(9, 1)
     with pytest.raises(ValueError):
-        FieldParams(3, 0)
-    params = FieldParams(3, 2)
-    assert params.q == 9 and params.Q == 81
+        FieldCtx(3, 0)
+    ctx = FieldCtx(3, 2)
+    assert ctx.q == 9 and ctx.Q == 81 and ctx.params == (3, 2)
+
+
+def test_is_odd_prime_by_trial_division():
+    odd_primes = [n for n in range(3, 400, 2) if all(n % d for d in range(3, n, 2))]
+    assert [n for n in range(-9, 400) if is_odd_prime(n)] == odd_primes
 
 
 def test_canonical_moduli():

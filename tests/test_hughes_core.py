@@ -28,8 +28,6 @@ from hughesptr.hughes_core import (
     emit_arrays,
     evaluate_blocks,
     expand_blocks,
-    g_poly,
-    h_poly,
     nonreduced_blocks,
     piecewise_match,
     reduced_blocks,
@@ -38,7 +36,7 @@ from hughesptr.hughes_core import (
 )
 from hughesptr.ptr_verify import PtrReport
 from conftest import random_elements
-from ring_forms import RING_FORMS, ring_sigma, tq_poly
+from ring_forms import RING_FORMS, g_poly, h_poly, ring_sigma, tq_poly
 
 
 def test_nearfield_mul(ctx9):
@@ -295,6 +293,14 @@ def test_emit_arrays_refuses_exponents_past_int32(ctx9):
         [[0, 2**31 - 1], [0, 0], [0, 0], [1, 1]]
 
 
+def test_emit_arrays_of_the_empty_sum(ctx9):
+    # the empty sum is zero, as evaluate_blocks reads it
+    got = emit_arrays(ctx9, [])
+    assert [(a.dtype, a.size) for a in got] == [(np.dtype(np.int32), 0)] * 4
+    assert _emit(ctx9, []) == TriPoly.zero(ctx9)
+    assert not evaluate_blocks(ctx9, [], np.arange(ctx9.Q), 0, 0).any()
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
 def test_closed_sigma_matches_ring_products(p, e):
     ctx = field_ctx(p, e)
@@ -366,29 +372,43 @@ def _with_x_factor(records, i, residues):
     return records[:i] + [((exps, np.asarray(residues, dtype=np.int64)), a, b)] + records[i + 1:]
 
 
+def _changed(ctx, records, i, residues):
+    """The records with record i's X residues replaced, and the record
+    whose addition to the old records gives the new ones."""
+    new = _with_x_factor(records, i, residues)
+    return new, [_with_x_factor(records, i, (new[i][0][1] - records[i][0][1]) % ctx.p)[i]]
+
+
 def _mutant(ctx, kind):
-    """The reduced form's records, or a copy with one coefficient or record wrong."""
+    """The reduced form's records, or a copy with one coefficient or record
+    wrong; and the records whose sum is the copy minus the reduced form."""
     p, records = ctx.p, reduced_blocks(ctx)
     if kind == "g_residue":  # g_2 (g_0 at q = 3) with its first residue +1
         i = min(3, ctx.q - 2)
         res = records[i][0][1].copy()
         res[0] = (res[0] + 1) % p
-        return _with_x_factor(records, i, res)
+        return _changed(ctx, records, i, res)
     if kind == "half":  # M with 1/2 + 1 in place of 1/2
         h = (ctx.half().index + 1) % p
-        return _with_x_factor(records, 0, [(p - h) % p, h])
+        return _changed(ctx, records, 0, [(p - h) % p, h])
     if kind == "drop_g":
-        return records[:-1]
-    return records
+        last = len(records) - 1
+        return records[:-1], [_with_x_factor(records, last, (p - records[last][0][1]) % p)[last]]
+    return records, []
 
 
 @pytest.mark.parametrize("kind", ["hughes", "g_residue", "half", "drop_g"])
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)])
-def test_piecewise_match_equals_full_grid(p, e, kind):
+def test_piecewise_match_equals_full_grid(p, e, kind, reduced_grid):
     ctx = field_ctx(p, e)
-    records = _mutant(ctx, kind)
+    records, delta = _mutant(ctx, kind)
     blocks = expand_blocks(ctx, records)
-    mismatch = evaluate_grid(_emit(ctx, blocks)) != ptr_table(ctx)
+    # evaluation is linear in the coefficients: the mutant's grid is the
+    # reduced form's plus that of the records it differs by
+    grid = reduced_grid(p, e)[1]
+    if delta:
+        grid = ctx.tables.add(grid, evaluate_grid(_emit(ctx, expand_blocks(ctx, delta, ()))))
+    mismatch = grid != ptr_table(ctx)
     first = np.argwhere(mismatch)[:1]
     want = tuple(int(v) for v in first[0]) if len(first) else None
     report = piecewise_match(ctx, records)
@@ -400,6 +420,17 @@ def test_piecewise_match_equals_full_grid(p, e, kind):
     X, kw = np.arange(ctx.Q)[:, None], q * np.arange(q)[None, :]
     fails = evaluate_blocks(ctx, blocks, X, q, kw) != ptr_values(ctx, X, q, kw)
     assert mismatch.sum() == fails.sum() * (ctx.Q - q) * q
+
+
+@pytest.mark.parametrize("kind", ["g_residue", "half", "drop_g"])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_mutant_grid_is_reduced_grid_plus_delta(p, e, kind, reduced_grid):
+    # the shortcut test_piecewise_match_equals_full_grid takes, against the direct grid
+    ctx = field_ctx(p, e)
+    records, delta = _mutant(ctx, kind)
+    direct = evaluate_grid(_emit(ctx, expand_blocks(ctx, records)))
+    delta_grid = evaluate_grid(_emit(ctx, expand_blocks(ctx, delta, ())))
+    assert np.array_equal(ctx.tables.add(reduced_grid(p, e)[1], delta_grid), direct)
 
 
 @pytest.mark.parametrize("form", sorted(BLOCKS))

@@ -3,7 +3,6 @@ import pytest
 
 from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_table, ptr_verify
 from hughesptr.ptr_verify import (
-    IncidencePlane,
     PtrReport,
     _axiom_c_direct,
     _lines_through,
@@ -248,18 +247,18 @@ def test_pp_classes_negative_control(ctx9):
 
 
 def dense_incidence(plane):
-    """(N, N) bool matrix, rows points, columns lines, read off ``points_on``."""
-    N = plane.n_points
-    inc = np.zeros((N, plane.n_lines), dtype=bool)
-    inc[plane.points_on.ravel(), np.repeat(np.arange(plane.n_lines), plane.points_on.shape[1])] = True
+    """(N, lines) bool matrix, rows points, columns lines, read off the line
+    array; N = Q^2+Q+1 for Q+1 points per line."""
+    n_lines, Q = plane.shape[0], plane.shape[1] - 1
+    inc = np.zeros((Q * Q + Q + 1, n_lines), dtype=bool)
+    inc[plane.ravel(), np.repeat(np.arange(n_lines), Q + 1)] = True
     return inc
 
 
 def test_plane_counts_q9(ctx9):
     plane = build_plane(table=hughes_table(ctx9))
-    assert plane.n_points == plane.n_lines == 91
-    assert plane.points_on.shape == (91, 10)
-    assert (np.diff(plane.points_on, axis=1) > 0).all()  # rows ascending
+    assert plane.shape == (91, 10) and plane.dtype == np.int32
+    assert (np.diff(plane, axis=1) > 0).all()  # rows ascending
     inc = dense_incidence(plane)
     assert (inc.sum(axis=0) == 10).all()
     assert (inc.sum(axis=1) == 10).all()
@@ -270,9 +269,9 @@ def test_plane_lines_as_documented(ctx9):
     Q, tbl = ctx9.Q, hughes_table(ctx9)
     plane = build_plane(table=tbl)
     m, k = 4, 7
-    assert plane.points_on[m * Q + k].tolist() == [x * Q + tbl[x, m, k] for x in range(Q)] + [Q * Q + m]
-    assert plane.points_on[Q * Q + 2].tolist() == [2 * Q + y for y in range(Q)] + [Q * Q + Q]
-    assert plane.points_on[Q * Q + Q].tolist() == list(range(Q * Q, Q * Q + Q + 1))
+    assert plane[m * Q + k].tolist() == [x * Q + tbl[x, m, k] for x in range(Q)] + [Q * Q + m]
+    assert plane[Q * Q + 2].tolist() == [2 * Q + y for y in range(Q)] + [Q * Q + Q]
+    assert plane[Q * Q + Q].tolist() == list(range(Q * Q, Q * Q + Q + 1))
 
 
 def test_plane_classical_control(ctx9):
@@ -282,7 +281,7 @@ def test_plane_classical_control(ctx9):
 
 def test_plane_negative_control(ctx9):
     plane = build_plane(table=hughes_table(ctx9))
-    plane.points_on[0, 0] = plane.points_on[0, 1]  # line 0 loses a point
+    plane[0, 0] = plane[0, 1]  # line 0 loses a point
     report = check_plane(plane)
     assert not report.passed and report.witness == ("line_size", 0)
     assert report == dense_plane_report(plane)
@@ -293,7 +292,7 @@ def dense_plane_report(plane):
 
     Entries stay far below float32 precision, so the products are exact.
     """
-    Q, inc = plane.Q, dense_incidence(plane)
+    Q, inc = plane.shape[1] - 1, dense_incidence(plane)
     N = Q * Q + Q + 1
     if inc.shape != (N, N):
         return PtrReport("projective_plane", False, ("shape", inc.shape))
@@ -329,7 +328,7 @@ def test_plane_swap_controls_match_dense_oracle(p, seed):
     ctx = field_ctx(p, 1)
     plane = build_plane(table=hughes_table(ctx))
     assert check_plane(plane) == dense_plane_report(plane) == PtrReport("projective_plane", True)
-    _degree_preserving_swap(plane.points_on, np.random.default_rng(seed))
+    _degree_preserving_swap(plane, np.random.default_rng(seed))
     report = check_plane(plane)
     assert not report.passed and report.witness[0] == "points_on_common_line"
     assert report == dense_plane_report(plane)
@@ -337,11 +336,11 @@ def test_plane_swap_controls_match_dense_oracle(p, seed):
 
 def test_plane_size_controls_match_dense_oracle(ctx9):
     plane = build_plane(table=classical_table(ctx9))
-    plane.points_on[7] = plane.points_on[8]  # line 7 := line 8
+    plane[7] = plane[8]  # line 7 := line 8
     report = check_plane(plane)
     assert report == dense_plane_report(plane)
     assert report.witness == ("point_degree", 7)  # (0, 7) was on line 7
-    plane.points_on[20, 3] = plane.points_on[20, 5]  # a point repeated within line 20
+    plane[20, 3] = plane[20, 5]  # a point repeated within line 20
     report = check_plane(plane)
     assert report == dense_plane_report(plane)
     assert report.witness == ("line_size", 20)
@@ -367,12 +366,12 @@ def test_plane_random_controls_match_dense_oracle(p):
     # the dense oracle checks both pair counts; the single pass must agree
     ctx = field_ctx(p, 1)
     rng = np.random.default_rng(p)
-    base = build_plane(hughes_table(ctx)).points_on
+    base = build_plane(hughes_table(ctx))
     witnesses = set()
     for _ in range(100):
-        plane = IncidencePlane(ctx.Q, base.copy())
+        plane = base.copy()
         for _ in range(rng.integers(1, 3)):
-            _random_perturbation(plane.points_on, rng)
+            _random_perturbation(plane, rng)
         report = check_plane(plane)
         assert report == dense_plane_report(plane)
         witnesses.add(None if report.witness is None else report.witness[0])
@@ -383,7 +382,7 @@ def test_plane_random_controls_match_dense_oracle(p):
 def test_lines_through_matches_stable_argsort(ctx9, monkeypatch, budget):
     monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
     rng = np.random.default_rng(budget)
-    base = build_plane(hughes_table(ctx9)).points_on
+    base = build_plane(hughes_table(ctx9))
     swapped = base.copy()
     _degree_preserving_swap(swapped, rng)
     relabelled = rng.permutation(len(base)).astype(np.int32)[base]
@@ -392,8 +391,7 @@ def test_lines_through_matches_stable_argsort(ctx9, monkeypatch, budget):
         through = _lines_through(points_on)
         assert through.dtype == np.int32
         assert np.array_equal(through, reference.reshape(points_on.shape))
-        plane = IncidencePlane(ctx9.Q, points_on)
-        assert check_plane(plane) == dense_plane_report(plane)
+        assert check_plane(points_on) == dense_plane_report(points_on)
 
 
 @pytest.mark.parametrize("corrupt,witness", [
@@ -405,23 +403,23 @@ def test_lines_through_matches_stable_argsort(ctx9, monkeypatch, budget):
 ])
 def test_plane_malformed_lines_fail_without_raising(ctx9, corrupt, witness):
     plane = build_plane(table=hughes_table(ctx9))
-    bad = IncidencePlane(plane.Q, corrupt(plane.points_on))
+    bad = corrupt(plane)
     assert check_plane(bad) == PtrReport("projective_plane", False, witness)
 
 
 @pytest.mark.parametrize("budget", [10, 64])  # line-size chunks of 1 line and of 6 lines
 def test_chunked_line_size_check_matches_dense_oracle(ctx9, monkeypatch, budget):
     monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
-    base = build_plane(hughes_table(ctx9)).points_on
+    base = build_plane(hughes_table(ctx9))
     for line in (0, 5, 6, 90):  # first and last line of a chunk, and the last line
-        plane = IncidencePlane(ctx9.Q, base.copy())
-        plane.points_on[line, 2] = plane.points_on[line, 7]
+        plane = base.copy()
+        plane[line, 2] = plane[line, 7]
         assert check_plane(plane) == dense_plane_report(plane)
         assert check_plane(plane).witness == ("line_size", line)
     rng = np.random.default_rng(budget)
     for _ in range(50):
-        plane = IncidencePlane(ctx9.Q, base.copy())
-        _random_perturbation(plane.points_on, rng)
+        plane = base.copy()
+        _random_perturbation(plane, rng)
         assert check_plane(plane) == dense_plane_report(plane)
 
 

@@ -173,11 +173,9 @@ def test_evaluate_grid_matches_group_oracle(p, e):
 
 
 @pytest.fixture(scope="module", params=[11, 13], ids=str)
-def reduced_T_large_q(request):
-    """(ctx, reduced form, its grid) at Q = 121 and 169, each grid evaluated once."""
-    ctx = field_ctx(request.param, 1)
-    T = build_reduced_T(ctx)
-    return ctx, T, evaluate_grid(T)
+def reduced_T_large_q(request, reduced_grid):
+    """(ctx, reduced form, its grid) at Q = 121 and 169, from the session cache."""
+    return field_ctx(request.param, 1), *reduced_grid(request.param, 1)
 
 
 def test_reduced_T_grid_matches_ptr_table_large_q(reduced_T_large_q):
