@@ -28,13 +28,15 @@ from .trivar_poly import write_json
 DEFAULT_MAX_ORDER = 6561
 
 # verify and plane tabulate the oracle on all of GF(Q)^3 (the polynomial is
-# checked on Q*q points only): at Q=361, the largest order below this cap,
-# verify took 112 s at a peak RSS of 214 MiB, verify --plane 324 s at
-# 401 MiB and plane 169 s at 401 MiB; at Q=169 verify took 5.0 s at 50 MiB
-# (shared 2-core x86-64 VM with 7 GB, Python 3.11, numpy 2.4).  With the cap
-# raised, Q=529 passed on the same host: verify in 463 s at 604 MiB, plane in
-# 656 s at 1179 MiB.  Memory does not bind below Q=625, time does: verify
-# grows as Q^4, so the cap stays at 400
+# checked on Q*q points only).  Axiom (E) and the plane's pair count scan one
+# member per orbit of the symmetries verified on the input: at Q=361, the
+# largest order below this cap, verify took 3.6-3.8 s at a peak RSS of
+# 218 MiB, verify --plane 7.1-8.1 s at 392 MiB and plane 5.4-6.3 s at
+# 391 MiB; at Q=169, 0.65 s at 51 MiB, 0.94 s at 68 MiB and 0.7-0.8 s at
+# 67 MiB (shared 2-core x86-64 VM with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s,
+# 324 s and 169 s at Q=361, and Q=529 passed with them (verify 463 s at
+# 604 MiB, plane 656 s at 1179 MiB).  A table without these symmetries still
+# takes the Q^4 scans, so the cap stays at 400
 FULL_GRID_MAX_ORDER = 400
 
 

@@ -211,11 +211,13 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
     fixings = [divmod(int(i), Q) for i in picks]
 
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # every section costs O(Q), so equal contiguous chunks balance
         size = max(1, -(-len(fixings) // workers))  # a positive step when there are no fixings
         chunks = [fixings[lo:lo + size] for lo in range(0, len(fixings), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fresh interpreters: forking a process that runs numpy's threads is unsafe
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             parts = {family: pool.map(_worker_deltas, [(ctx.p, ctx.e, family, ch) for ch in chunks])
                      for family in families}
             deltas = {family: [d for part in parts[family] for d in part] for family in families}

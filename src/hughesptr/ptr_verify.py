@@ -11,18 +11,58 @@ a ternary callable into one.  The five axioms:
   (E) for a != c: a unique pair (y,z) with T(a,y,z) = b and T(c,y,z) = d
 
 (D) is the permutation test along z.  (E) is verified as bijectivity of
-(y,z) -> (T(a,y,z), T(c,y,z)) per ordered pair a != c, a Q^4-scale sweep
-overall.  (C) follows from (D) and (E) by counting (see ``check_axioms``),
-so it is computed only when one of them fails, by comparing every pair of
-columns in Q^5 (``_axiom_c_direct``).  The plane, N = Q^2+Q+1 points and as
-many lines, is its (N, Q+1) int32 line -> points array (``build_plane``),
-whose shape fixes Q.  The plane check derives point -> lines from it and
-counts, chunk by chunk, the lines shared by each pair of points, in
-O(N (Q+1)^2) time and O(N (Q+1)) memory.  That one pass suffices: the dual
-statement, any two lines meet in exactly one point, follows from it by
-counting (see ``check_plane``).  Failures are reported, never raised, and
-carry the lexicographically first counterexample under canonical element
-indexing.
+F_(a,c): (y,z) -> (T(a,y,z), T(c,y,z)) per ordered pair a != c, a Q^4-scale
+sweep overall.  (C) follows from (D) and (E) by counting (see
+``check_axioms``), so it is computed only when one of them fails, by
+comparing every pair of columns in Q^5 (``_axiom_c_direct``).  The plane,
+N = Q^2+Q+1 points and as many lines, is its (N, Q+1) int32 line -> points
+array (``build_plane``), whose shape fixes Q.  The plane check derives
+point -> lines from it and counts, chunk by chunk, the lines shared by each
+pair of points, in O(N (Q+1)^2) time and O(N (Q+1)) memory.  That one pass
+suffices: the dual statement, any two lines meet in exactly one point,
+follows from it by counting (see ``check_plane``).  Failures are reported,
+never raised, and carry the lexicographically first counterexample under
+canonical element indexing.
+
+Both Q^4 scans, (E) and the pair count, visit one representative per orbit
+of a group of symmetries, and every generator of that group is first
+verified exhaustively on the input itself.  When Q = p^(2e) for an odd
+prime p, the candidates come from the field GF(Q), with q = p^e, s running
+over the GF(p)-basis p^0, ..., p^(e-1) of GF(q) (element indices) and g a
+generator of GF(q)^*:
+
+* table maps T(x+s, y, z - s*y) = T(x, y, z) and T(g*x, y, g*z) = g*T(x,y,z);
+* collineations, in ``build_plane``'s labelling, (x,y) -> (x+s, y) with
+  [m,k] -> [m, k - s*m], (x,y) -> (x, y+s) with [m,k] -> [m, k+s],
+  (x,y) -> (x, y + s*x) with (m) -> (m+s), (x,y) -> (g*x, g*y) with
+  [m,k] -> [m, g*k], and (x,y) -> (x, g*y) with (m) -> (g*m).
+
+The Hughes operation has all of them (D. R. Hughes, *A class of non-
+Desarguesian projective planes*, Canad. J. Math. 9, 1957), and the tests
+hold that they verify on ``ptr_table``; any other table is checked with
+those that hold on it, the full scan when none does.  The minimum of each
+orbit comes from ``_orbit_minima``.
+
+Why (E) needs one pair per orbit.  Suppose T(pi x, psi(y,z)) =
+lam(T(x,y,z)) for all x, y, z, with bijections pi of GF(Q), psi of GF(Q)^2
+and lam of GF(Q).  Then F_(pi a, pi c) o psi = (lam x lam) o F_(a,c), so
+F_(a,c) is a bijection exactly when F_(pi a, pi c) is.  F_(c,a) is
+F_(a,c) followed by the swap of the two coordinates, so the swap
+(a,c) -> (c,a) needs no check.  The pairs that fail therefore form whole
+orbits under the group these maps generate on pairs.  The full scan's first
+failing pair is the least member of its orbit, so it is the first failing
+orbit minimum, and the scan of minima reports it with the same witness.
+
+Why the plane needs one point per orbit.  Take permutations sigma of the
+points and tau of the lines with sigma(line l) = line tau(l) as point sets,
+for every l; they are checked by comparing each row of sigma[points_on],
+sorted, with the row points_on[tau] (ascending, as ``build_plane`` lists
+it).  Then p lies on l exactly
+when sigma(p) lies on tau(l), so points i and j share as many lines as
+sigma(i) and sigma(j).  A point whose row of counts holds a value other
+than one therefore lies in an orbit of such points, the first such point
+in the full scan is the least of its orbit, and its row, read in full,
+gives the same witness.
 """
 
 from __future__ import annotations
@@ -32,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf_tower import FieldCtx
+from .gf_tower import FieldCtx, FieldTables, field_ctx
 
 __all__ = [
     "PtrReport",
@@ -106,6 +146,86 @@ def _first_bad_row(values: np.ndarray, M: int) -> tuple | None:
     return None
 
 
+def _orbit_minima(perms: list[np.ndarray], M: int) -> np.ndarray:
+    """For each id in [0, M), the least id of its orbit under the group the
+    permutations ``perms`` generate.
+
+    Each pass lowers every label to the least label of its neighbours along
+    each permutation and its inverse, then jumps pointers (a label's own
+    label is in the same orbit and no larger) until they are stable.  Labels
+    stay in their orbit throughout, and a pass that changes nothing leaves
+    every orbit at one label, its least id.
+    """
+    least = np.arange(M)
+    while True:
+        before = least.copy()
+        for perm in perms:
+            np.minimum(least, least[perm], out=least)
+            least[perm] = np.minimum(least[perm], least)
+        while True:
+            jumped = least[least]
+            if np.array_equal(jumped, least):
+                break
+            least = jumped
+        if np.array_equal(least, before):
+            return least
+
+
+def _field_tables(Q: int) -> FieldTables | None:
+    """The numpy tables of GF(Q) when Q = p^(2e) for an odd prime p, else None."""
+    if Q < 9:
+        return None
+    p = next(d for d in range(2, Q + 1) if Q % d == 0)
+    n, k = Q, 0
+    while n % p == 0:
+        n, k = n // p, k + 1
+    if p == 2 or n != 1 or k % 2:
+        return None
+    return field_ctx(p, k // 2).tables
+
+
+def _subfield_generators(t: FieldTables) -> tuple[list[int], int]:
+    """A GF(p)-basis of GF(q), as element indices p^i, and a generator of GF(q)^*."""
+    ctx = t.ctx
+    return [ctx.p**i for i in range(ctx.e)], int(t.exp_pad[ctx.q + 1])
+
+
+def _table_map_candidates(Q: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Candidate maps (pi, psi, lam) with T(pi x, psi(y,z)) = lam(T(x,y,z)):
+    psi is given as flat indices y*Q + z into a (Q, Q) slab; see the module
+    docstring.  Empty when Q is not an even power of an odd prime."""
+    t = _field_tables(Q)
+    if t is None:
+        return []
+    basis, g = _subfield_generators(t)
+    ar = np.arange(Q, dtype=np.int32)
+    y, z = ar[:, None], ar[None, :]
+    maps = [(t.add(ar, s), (y * Q + t.sub(z, t.mul(s, y))).ravel(), ar) for s in basis]
+    gx = t.mul(g, ar)
+    maps.append((gx, (y * Q + gx[None, :]).ravel(), gx))
+    return maps
+
+
+def _table_symmetries(table: np.ndarray) -> list[np.ndarray]:
+    """The x-maps pi of the candidate table maps that hold on every cell,
+    checked one x-slab at a time.  Needs every id in [0, Q)."""
+    Q = table.shape[0]
+    flat = table.reshape(Q, Q * Q)
+    # two slab buffers for every gather: with a fresh array per gather the
+    # check took 1.3 s at Q=361, against 0.49 s
+    moved, mapped = np.empty(Q * Q, dtype=table.dtype), np.empty(Q * Q, dtype=np.int32)
+
+    def holds(pi, psi, lam):
+        for x in range(Q):
+            np.take(flat[pi[x]], psi, out=moved, mode="clip")  # every index is in range
+            np.take(lam, flat[x], out=mapped, mode="clip")
+            if not np.array_equal(moved, mapped):
+                return False
+        return True
+
+    return [pi for pi, psi, lam in _table_map_candidates(Q) if holds(pi, psi, lam)]
+
+
 def _axiom_c_direct(tbl: np.ndarray) -> PtrReport:
     """(C) by comparing every pair of columns V_(a,b)[x] = T(x,a,b): Q^5.
 
@@ -127,12 +247,27 @@ def _axiom_c_direct(tbl: np.ndarray) -> PtrReport:
     return PtrReport("C", True)
 
 
+def _e_pairs(table: np.ndarray) -> np.ndarray:
+    """Pair ids a*Q + c, a != c, one per orbit of the verified table maps
+    and the swap (a, c) -> (c, a), each its orbit's least, ascending.
+    Needs every id of the table in [0, Q)."""
+    Q = table.shape[0]
+    ar = np.arange(Q)
+    perms = [(pi[:, None] * Q + pi[None, :]).ravel() for pi in _table_symmetries(table)]
+    perms.append((ar[None, :] * Q + ar[:, None]).ravel())
+    ids = np.arange(Q * Q)
+    return np.flatnonzero((_orbit_minima(perms, Q * Q) == ids) & (ids // Q != ids % Q))
+
+
 def _axiom_e(table: np.ndarray) -> PtrReport:
     """(E): (y,z) -> (T(a,y,z), T(c,y,z)) is a bijection for every a != c.
 
     The pair counts need every id in [0, Q), so each row a is range-checked
     first; a table with an id outside that range fails (E) with the first
-    such cell in scan order as its witness, ("value_range", a, y, z).
+    such cell in scan order as its witness, ("value_range", a, y, z).  Then
+    one pair (a, c) per orbit is counted, the least, in ascending order:
+    the orbits are those of the verified table maps and the swap of a and c
+    on pair ids a*Q + c (see the module docstring for why this suffices).
     """
     Q = table.shape[0]
     flat = table.reshape(Q, Q * Q)
@@ -140,17 +275,17 @@ def _axiom_e(table: np.ndarray) -> PtrReport:
         bad = _first_true((flat[a] < 0) | (flat[a] >= Q))
         if bad is not None:
             return PtrReport("E", False, ("value_range", a, *divmod(bad[0], Q)))
-    for a in range(Q):
-        high = flat[a].astype(np.int64) * Q
-        for c in range(Q):
-            if a == c:
-                continue
-            combined = high + flat[c]
-            counts = np.bincount(combined, minlength=Q * Q)
-            if counts.max() > 1:
-                v = int(np.argmax(counts > 1))
-                h1, h2 = (int(h) for h in np.flatnonzero(combined == v)[:2])
-                return PtrReport("E", False, (a, c, h1 // Q, h1 % Q, h2 // Q, h2 % Q))
+    row = -1
+    for pair in _e_pairs(table).tolist():
+        a, c = divmod(pair, Q)
+        if a != row:
+            row, high = a, flat[a].astype(np.int64) * Q
+        combined = high + flat[c]
+        counts = np.bincount(combined, minlength=Q * Q)
+        if counts.max() > 1:
+            v = int(np.argmax(counts > 1))
+            h1, h2 = (int(h) for h in np.flatnonzero(combined == v)[:2])
+            return PtrReport("E", False, (a, c, h1 // Q, h1 % Q, h2 // Q, h2 % Q))
     return PtrReport("E", True)
 
 
@@ -253,28 +388,96 @@ def build_plane(table: np.ndarray) -> np.ndarray:
     return points_on
 
 
-def _lines_through(points_on: np.ndarray) -> np.ndarray:
-    """Point -> lines, each row ascending; needs every point on Q+1 lines.
+def _lines_through(points_on: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
+    """Point -> lines for the ascending point ids ``points`` (default: all),
+    each row ascending; needs every point on Q+1 lines.
 
     A counting sort over chunks of c lines in ascending order.  Sorting the
-    chunk's (point, line) pairs, packed as point * c + (line - lo), puts each
-    point's lines in one ascending run, which goes to the next free slots of
-    that point's row.  Nothing wider than the int32 result is built over all
-    N x (Q+1) entries.
+    chunk's (point, line) pairs of the asked points, packed as
+    slot * c + (line - lo) with slot the point's position in ``points``,
+    puts each point's lines in one ascending run, which goes to the next
+    free slots of that point's row.  Nothing wider than the int32 result is
+    built over all N x (Q+1) entries.
     """
     N, k = points_on.shape
-    through = np.empty(N * k, dtype=np.int32)
-    free = np.arange(0, N * k, k)  # flat position of each row's next free slot
+    if points is None:
+        points = np.arange(N)
+    n = len(points)
+    slot = np.full(N, n, dtype=np.int64)  # n: a point not asked for
+    slot[points] = np.arange(n)
+    through = np.empty(n * k, dtype=np.int32)
+    free = np.arange(0, n * k, k)  # flat position of each row's next free slot
     chunk = max(1, _PAIR_COUNT_BUDGET // k)
     for lo in range(0, N, chunk):
-        rows = points_on[lo:lo + chunk]
+        rows = slot[points_on[lo:lo + chunk]]
         c = len(rows)
-        pairs = np.sort((rows * np.int64(c) + np.arange(c)[:, None]).ravel())
-        counts = np.bincount(rows.ravel(), minlength=N)
+        keys = (rows * c + np.arange(c)[:, None]).ravel()
+        pairs = np.sort(keys[keys < n * c])
+        owner = pairs // c
+        counts = np.bincount(owner, minlength=n)
         run_start = np.cumsum(counts) - counts  # where each point's run begins in pairs
-        through[(free - run_start)[pairs // c] + np.arange(len(pairs))] = lo + pairs % c
+        through[(free - run_start)[owner] + np.arange(len(pairs))] = lo + pairs % c
         free += counts
-    return through.reshape(N, k)
+    return through.reshape(n, k)
+
+
+def _collineation_candidates(Q: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Candidate collineations (sigma on points, tau on lines) in
+    ``build_plane``'s labelling; see the module docstring.  Empty when Q is
+    not an even power of an odd prime."""
+    t = _field_tables(Q)
+    if t is None:
+        return []
+    basis, g = _subfield_generators(t)
+    ar = np.arange(Q, dtype=np.int32)
+    X, Y = ar[:, None], ar[None, :]  # also the line coordinates [m, k]
+    last = np.array([Q * Q + Q], dtype=np.int32)
+
+    def pair(x, y, slope, m, k, vertical):
+        return (np.concatenate([(x * Q + y).ravel(), Q * Q + slope, last]),
+                np.concatenate([(m * Q + k).ravel(), Q * Q + vertical, last]))
+
+    cands = []
+    for s in basis:
+        cands.append(pair(t.add(X, s), Y, ar, X, t.sub(Y, t.mul(s, X)), t.add(ar, s)))
+        cands.append(pair(X, t.add(Y, s), ar, X, t.add(Y, s), ar))
+        cands.append(pair(X, t.add(Y, t.mul(s, X)), t.add(ar, s), t.add(X, s), Y, ar))
+    gx = t.mul(g, ar)
+    cands.append(pair(gx[:, None], gx[None, :], ar, X, gx[None, :], gx))
+    cands.append(pair(X, gx[None, :], gx, gx[:, None], gx[None, :], ar))
+    return cands
+
+
+def _collineations(points_on: np.ndarray) -> list[np.ndarray]:
+    """The point maps sigma of the candidate collineations that hold: each
+    row of sigma[points_on], sorted, equals the row points_on[tau], compared
+    a chunk of lines at a time.  Needs every id in [0, N).
+
+    Equal rows mean equal point sets.  ``build_plane`` lists every line in
+    ascending order; a line array stored otherwise can only lose candidates,
+    and so the shortcut, never gain a wrong one.
+    """
+    N, k = points_on.shape
+    chunk = max(1, _PAIR_COUNT_BUDGET // k)
+    image, target = np.empty((chunk, k), dtype=np.int32), np.empty((chunk, k), dtype=points_on.dtype)
+
+    def holds(sigma, tau):
+        for lo in range(0, N, chunk):  # into reused buffers, as in _table_symmetries
+            c = min(chunk, N - lo)
+            np.take(sigma, points_on[lo:lo + c], out=image[:c], mode="clip")  # every id is in range
+            image[:c].sort(axis=1)
+            np.take(points_on, tau[lo:lo + c], axis=0, out=target[:c], mode="clip")
+            if not np.array_equal(image[:c], target[:c]):
+                return False
+        return True
+
+    return [sigma for sigma, tau in _collineation_candidates(k - 1) if holds(sigma, tau)]
+
+
+def _plane_points(points_on: np.ndarray) -> np.ndarray:
+    """One point per orbit of the verified collineations, its least id, ascending."""
+    N = len(points_on)
+    return np.flatnonzero(_orbit_minima(_collineations(points_on), N) == np.arange(N))
 
 
 def check_plane(points_on: np.ndarray) -> PtrReport:
@@ -285,10 +488,12 @@ def check_plane(points_on: np.ndarray) -> PtrReport:
     N = Q^2+Q+1 rows.  Every line must hold Q+1 distinct point ids in
     [0, N) (sorted a chunk of lines at a time) and every point must lie on
     Q+1 lines; then the point -> lines array is read off the line -> points
-    array by a counting sort.  For a chunk of points, the points on the
-    lines through each of them are counted with one bincount (offset by
-    row); any two distinct points must share exactly one line.  The first
-    count != 1 in (row, column) order is the witness.
+    array by a counting sort, for the least point of each orbit of the
+    verified collineations only (see the module docstring).  For a chunk
+    of those points, the points on the lines through each of them are
+    counted with one bincount (offset by row); any two distinct points must
+    share exactly one line.  The first count != 1 in (row, column) order is
+    the witness, the same as a scan of every point's row would give.
 
     The dual axiom, any two lines meet in exactly one point, needs no pass
     of its own: the checks above make the lines a symmetric 2-(N, Q+1, 1)
@@ -312,30 +517,34 @@ def check_plane(points_on: np.ndarray) -> PtrReport:
         return PtrReport("projective_plane", False,
                          ("point_degree", int(np.argmax(per_point != Q + 1))))
 
-    bad = _first_pair_count_not_one(_lines_through(points_on), points_on)
+    points = _plane_points(points_on)
+    bad = _first_pair_count_not_one(_lines_through(points_on, points), points_on, points)
     if bad is not None:
         return PtrReport("projective_plane", False, ("points_on_common_line",) + bad)
     return PtrReport("projective_plane", True)
 
 
-def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray) -> tuple | None:
-    """First (i, j), i != j, whose number of shared blocks is not one.
+def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray,
+                              rows: np.ndarray) -> tuple | None:
+    """First (i, j), i in ``rows`` (ascending) and j != i, whose number of
+    shared blocks is not one.
 
-    ``through[i]`` lists the blocks containing object i and ``members[k]``
-    the objects of block k; chunks of rows keep each count array near
-    ``_PAIR_COUNT_BUDGET`` entries.
+    ``through[r]`` lists the blocks containing object ``rows[r]`` and
+    ``members[k]`` the objects of block k, as many objects as blocks;
+    chunks of rows keep each count array near ``_PAIR_COUNT_BUDGET``
+    entries.
     """
-    N = len(through)
+    N = len(members)
     chunk = max(1, _PAIR_COUNT_BUDGET // N)
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        rows = np.arange(hi - lo)
-        keys = members[through[lo:hi]] + (rows * N)[:, None, None]
-        counts = np.bincount(keys.ravel(), minlength=(hi - lo) * N).reshape(hi - lo, N)
-        counts[rows, rows + lo] = 1
+    for lo in range(0, len(rows), chunk):
+        objects = rows[lo:lo + chunk]
+        r = np.arange(len(objects))
+        keys = members[through[lo:lo + chunk]] + (r * N)[:, None, None]
+        counts = np.bincount(keys.ravel(), minlength=len(objects) * N).reshape(len(objects), N)
+        counts[r, objects] = 1
         bad = _first_true(counts != 1)
         if bad is not None:
-            return (lo + bad[0], bad[1])
+            return (int(objects[bad[0]]), bad[1])
     return None
 
 

@@ -324,6 +324,22 @@ def test_du_sections_workers_match(ctx9, ctx25):
         assert seq == par and len(par["x"]["deltas"]) == sample
 
 
+def test_du_sections_pool_spawns_its_workers(ctx9, monkeypatch):
+    # the workers start as fresh interpreters, not forks of a process running numpy
+    import concurrent.futures
+
+    methods = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(*args, mp_context=None, **kwargs):
+        methods.append(None if mp_context is None else mp_context.get_start_method())
+        return pool_class(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    assert du_sections(ctx9, families="y", sample=4, workers=2) == du_sections(ctx9, families="y", sample=4)
+    assert methods == ["spawn"]
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # only du --workers N with N > 1 needs concurrent.futures and multiprocessing
     env = dict(os.environ, PYTHONPATH=str(Path(hughesptr.__file__).parents[1]))

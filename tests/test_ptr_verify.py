@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_table, ptr_verify
 from hughesptr.ptr_verify import (
     PtrReport,
     _axiom_c_direct,
+    _collineations,
+    _e_pairs,
+    _field_tables,
     _lines_through,
+    _orbit_minima,
+    _plane_points,
+    _table_symmetries,
     build_plane,
     check_axioms,
     check_plane,
@@ -438,3 +445,162 @@ def test_report_json_shape():
     r = PtrReport("A", False, (1, 2, 3))
     assert r.to_json_dict() == {"pass": False, "witness": [1, 2, 3]}
     assert PtrReport("A", True).to_json_dict() == {"pass": True}
+
+
+# ---------------------------------------------------------------------------
+# Scans over symmetry orbits
+# ---------------------------------------------------------------------------
+
+
+def _union_find_minima(perms, M):
+    """Reference orbit minima: union-find over the edges i -- perm[i]."""
+    parent = list(range(M))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            a, b = root(i), root(int(j))
+            parent[max(a, b)] = min(a, b)
+    return [root(i) for i in range(M)]
+
+
+@st.composite
+def _permutation_sets(draw):
+    M = draw(st.integers(1, 40))
+    n = draw(st.integers(0, 4))
+    perms = [np.array(draw(st.permutations(range(M)))) for _ in range(n)]
+    if draw(st.booleans()):
+        perms.append(np.arange(M))  # the identity
+    return M, perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_sets())
+def test_orbit_minima_matches_union_find(case):
+    M, perms = case
+    assert _orbit_minima(perms, M).tolist() == _union_find_minima(perms, M)
+
+
+def test_orbit_minima_of_no_permutation_and_of_a_long_cycle():
+    assert _orbit_minima([], 5).tolist() == list(range(5))
+    assert _orbit_minima([np.arange(7)], 7).tolist() == list(range(7))
+    cycle = np.roll(np.arange(1000), 1)
+    assert (_orbit_minima([cycle], 1000) == 0).all()
+
+
+@pytest.mark.parametrize("Q,params", [(9, (3, 1)), (25, (5, 1)), (81, (3, 2)), (361, (19, 1)),
+                                      (1, None), (4, None), (16, None), (27, None), (45, None), (7, None)])
+def test_field_tables_read_p_and_e_off_q(Q, params):
+    t = _field_tables(Q)
+    assert (None if t is None else t.ctx.params) == params
+
+
+def _full_scan_e(table):
+    """(E) on every ordered pair a != c, with the first witness: the scan
+    before orbits were used, for tables with every id in [0, Q)."""
+    Q = table.shape[0]
+    flat = table.reshape(Q, Q * Q).astype(np.int64)
+    for a in range(Q):
+        for c in range(Q):
+            if a == c:
+                continue
+            combined = flat[a] * Q + flat[c]
+            counts = np.bincount(combined, minlength=Q * Q)
+            if counts.max() > 1:
+                h1, h2 = np.flatnonzero(combined == int(np.argmax(counts > 1)))[:2].tolist()
+                return PtrReport("E", False, (a, c, *divmod(h1, Q), *divmod(h2, Q)))
+    return PtrReport("E", True)
+
+
+def symmetric_broken_table(ctx):
+    """x*y + z + y^2 tq(x): keeps both table maps, fails (E) and the plane."""
+    t = ctx.tables
+    ar = np.arange(ctx.Q, dtype=np.int32)
+    y2 = t.mul(ar, ar)
+    return t.add(t.add(t.mul(ar[:, None, None], ar[None, :, None]), ar[None, None, :]),
+                 t.mul(y2[None, :, None], t.tq[:, None, None]))
+
+
+ORBIT_CASES = {
+    "hughes": hughes_table,
+    "classical": classical_table,
+    "symmetric_broken": symmetric_broken_table,
+    "hughes_row_swap": _swapped_hughes_table,
+    "x*y^2+z": C_CASES["x*y^2+z"],
+}
+
+FIELDS = [(3, 1), (5, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_axiom_e_on_orbits_matches_full_scan(p, e, case, monkeypatch):
+    tbl = ORBIT_CASES[case](field_ctx(p, e))
+    report = ptr_verify._axiom_e(tbl)
+    assert report == _full_scan_e(tbl)
+    monkeypatch.setattr(ptr_verify, "_table_map_candidates", lambda Q: [])
+    assert ptr_verify._axiom_e(tbl) == report
+    assert report.passed == (case in ("hughes", "classical"))
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_plane_on_orbits_matches_full_scan(p, e, case, monkeypatch):
+    plane = build_plane(ORBIT_CASES[case](field_ctx(p, e)))
+    report = check_plane(plane)
+    if p ** (2 * e) <= 25:
+        assert report == dense_plane_report(plane)
+    monkeypatch.setattr(ptr_verify, "_collineation_candidates", lambda Q: [])
+    assert check_plane(plane) == report
+    assert report.passed == (case in ("hughes", "classical"))
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_symmetric_broken_control_keeps_the_table_maps(p, e):
+    tbl = symmetric_broken_table(field_ctx(p, e))
+    assert len(_table_symmetries(tbl)) == e + 1
+    assert not ptr_verify._axiom_e(tbl).passed
+
+
+@pytest.mark.parametrize("p,e,n_pairs", [(3, 1, 8), (5, 1, 18), (3, 2, 50)])
+def test_orbit_scans_fire_on_hughes(p, e, n_pairs):
+    # every candidate holds, so both Q^4 scans shrink to a few rows; the
+    # pairs a = c, two orbits more, are not scanned
+    ctx = field_ctx(p, e)
+    Q, q = ctx.Q, ctx.q
+    tbl = hughes_table(ctx)
+    assert len(_table_symmetries(tbl)) == e + 1
+    assert len(_e_pairs(tbl)) == n_pairs <= 3 * Q
+    plane = build_plane(tbl)
+    assert len(_collineations(plane)) == 3 * e + 2
+    # (0,0), (0,w), (w,0), the slopes (0) and (w), and the point at infinity
+    assert _plane_points(plane).tolist() == [0, q, q * Q, Q * Q, Q * Q + q, Q * Q + Q]
+
+
+def test_lines_through_asked_points_are_rows_of_the_full_array(ctx9):
+    plane = build_plane(hughes_table(ctx9))
+    _degree_preserving_swap(plane, np.random.default_rng(0))
+    points = np.array([0, 3, 40, 90])
+    assert np.array_equal(_lines_through(plane, points), _lines_through(plane)[points])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_count_on_asked_points_matches_dense_counts(ctx9, seed):
+    # the witness names the asked point, not its position among those asked
+    rng = np.random.default_rng(seed)
+    plane = build_plane(hughes_table(ctx9))
+    _degree_preserving_swap(plane, rng)
+    common = dense_incidence(plane).astype(np.int64) @ dense_incidence(plane).T.astype(np.int64)
+    np.fill_diagonal(common, 1)
+    failing = np.flatnonzero((common != 1).any(axis=1))
+    points = np.sort(rng.choice(len(plane), size=20, replace=False))
+    points = np.union1d(points, failing[-1:])  # at least one failing point
+    i = next(i for i in points.tolist() if i in failing)
+    want = (i, int(np.argmax(common[i] != 1)))
+    got = ptr_verify._first_pair_count_not_one(_lines_through(plane, points), plane, points)
+    assert got == want and got[0] > 0

@@ -31,6 +31,11 @@ RUNS = [
     ("gen --p 7 --e 2 --form nonreduced", 288, False),
     # about 4.5M Lucas entries, checked 2^16 at a time: measured 38 MiB
     ("identities --p 7 --e 2 --max-n 3000", 64, False),
+    # the top of the verify cap, Q=361: measured 7-8 s at 392 MiB, the value
+    # table and the line array both alive while the plane is built; (E) and
+    # the pair count scan one member per symmetry orbit, and the full scans
+    # took 324 s here
+    ("verify --p 19 --e 1 --plane", 448, False),
     # a child's ru_maxrss starts at this process's high-water RSS, which
     # holds each captured stdout (28.5 MB for the nonreduced form); so the
     # rows that capture stdout run last
