@@ -5,16 +5,28 @@ element index), never symbolically, so the results are immune to algebra
 slips.  The differential uniformity of f is the largest number of solutions
 x of f(x + a) - f(x) = b over a != 0 and all b (K. Nyberg, *Differentially
 uniform mappings for cryptography*, EUROCRYPT '93).  ``du`` counts them
-exhaustively, in O(Q^2) per function: the differences f(x + a) - f(x)
+in every direction, in O(Q^2) per function: the differences f(x + a) - f(x)
 come a chunk of directions at a time from ``FieldTables.shift_differences``,
 two gathers per entry from tables of (2p-1)^(2e) entries and no grid of
 shifts, and one bincount per chunk counts the fibres on intp offsets.
 Since a and -a give difference maps with equal fibre sizes, only one
-direction of each pair is counted.  A section sweep stops a section at the
-first chunk whose largest fibre has Q points, the most any map can have.
+direction of each pair is counted.
+
+A section sweep decides most sections in O(Q), in this order:
+
+1. the probe: direction 1 alone.  If its largest fibre has Q points, the
+   most any map can have, the section's value is Q.  This decides every Y-
+   and Z-section and the linear X-sections;
+2. the symmetry: an X-section with y outside GF(q) is checked, on its
+   whole table, to commute with the scaling by the squares about its
+   center; then the largest fibre depends only on the quadratic class of
+   the direction, and directions 1 and a non-square decide it (see
+   ``_section_delta``);
+3. the fallback: any other section is counted over all directions, a chunk
+   at a time, stopping at the first chunk that reaches Q.
 
 For the ternary operation of the Hughes plane the section families behave
-as follows, and ``du_sections`` re-derives it by enumeration:
+as follows, and ``du_sections`` re-derives it from each section's table:
 
 * X-sections T(X, y, z): differential uniformity Q when y is in the
   subfield (the section is linear), (Q+3)/4 otherwise.
@@ -88,8 +100,9 @@ def diff_op(ctx: FieldCtx, f, a: FieldElement):
 
 
 # count entries per chunk of rows in _chunk_maxima: with intp offsets, on a
-# 2-core x86-64 VM with 2 MiB of L2 per core, an X-section took a median 29,
-# 266 and 1245 ms at Q = 2401, 6561 and 14641 with 2^16, 26, 271 and 1339 ms
+# 2-core x86-64 VM with 2 MiB of L2 per core, a full scan of an X-section
+# (what ``du`` does, and the section sweep's fallback) took a median 29, 266
+# and 1245 ms at Q = 2401, 6561 and 14641 with 2^16, 26, 271 and 1339 ms
 # with 2^15, and 43, 294 and 1358 ms with 2^17
 _ROW_COUNT_BUDGET = 2**16
 
@@ -98,7 +111,7 @@ def _chunk_maxima(t, tbl: np.ndarray):
     """Yield (lo, hi, u) with u = u(difference map) for directions
     ``t.shift_reps[lo:hi]``, a chunk of about ``_ROW_COUNT_BUDGET`` counts.
 
-    The one counting kernel: ``_row_maxima`` reads every chunk, and
+    The full scan: ``_row_maxima`` reads every chunk, and the fallback of
     ``_section_delta`` stops at the first chunk that reaches Q.
     """
     Q = len(tbl)
@@ -128,14 +141,49 @@ def _row_maxima(t, tbl: np.ndarray) -> np.ndarray:
     return full
 
 
-def _section_delta(t, tbl: np.ndarray) -> int:
+def _direction_u(t, tbl: np.ndarray, a: int) -> int:
+    """u(difference map) for the one direction a, in O(Q)."""
+    diff = t.sub(tbl[t.add(np.arange(len(tbl), dtype=np.int32), a)], tbl)
+    return int(np.bincount(diff).max())
+
+
+def _section_delta(t, tbl: np.ndarray, center: int | None = None) -> int:
     """The differential uniformity of ``tbl``: ``_row_maxima(t, tbl).max()``.
 
-    No fibre of a map on GF(Q) holds more than Q points, so the count stops
-    at the first chunk whose maximum is Q; the value is then exact.
+    No fibre of a map on GF(Q) holds more than Q points, so when direction 1
+    has a fibre of Q points the value is Q, and nothing else is counted.
+
+    Otherwise, given a ``center`` k, take k' = s(-k) for s = ``tbl`` and
+    c0 = gen^2 for the generator gen of GF(Q)^*, so c0 generates the
+    squares.  With phi(x) = c0(x + k) - k and psi(v) = c0(v - k') + k', the
+    identity s(phi(x)) = psi(s(x)) is checked for every x.  When it holds,
+    phi(x + a) = phi(x) + c0*a gives
+
+        D_{c0*a}s(phi(x)) = s(phi(x + a)) - s(phi(x))
+                          = psi(s(x + a)) - psi(s(x)) = c0 * D_a s(x),
+
+    so the bijection phi maps the fibre of D_a s over b onto the fibre of
+    D_{c0*a}s over c0*b, and u(D_a s) = u(D_{c0*a}s).  u is then constant on
+    each coset a<c0> of the squares, and there are two: the squares, which
+    hold 1, and the non-squares, which hold gen.  So the value is
+    max(u(D_1 s), u(D_gen s)).  An X-section of the Hughes operation with y
+    outside GF(q) is x -> g_y(x + k) + k' with k = tq(z)/tq(y), and
+    g_y(cx) = c*g_y(x) for every nonzero square c (D. R. Hughes, Canad. J.
+    Math. 9, 1957), so the identity holds there.  The center only picks
+    which identity is checked: when the check fails, or no center is given,
+    every direction is counted, a chunk at a time, and the count stops at
+    the first chunk whose maximum is Q.
     """
     Q = len(tbl)
-    delta = 0
+    delta = _direction_u(t, tbl, 1)
+    if delta == Q:
+        return Q
+    if center is not None:
+        c0 = t.exp_pad[2]
+        k_prime = tbl[t.neg[center]]
+        phi = t.sub(t.mul(c0, t.add(np.arange(Q, dtype=np.int32), center)), center)
+        if np.array_equal(tbl[phi], t.add(t.mul(c0, t.sub(tbl, k_prime)), k_prime)):
+            return max(delta, _direction_u(t, tbl, int(t.exp_pad[1])))
     for _, _, u in _chunk_maxima(t, tbl):
         delta = max(delta, int(u.max()))
         if delta == Q:
@@ -180,7 +228,12 @@ def piecewise_section(ctx: FieldCtx, family: str, i1: int, i2: int) -> np.ndarra
 
 def _section_deltas(ctx: FieldCtx, family: str, fixings: list[tuple[int, int]]) -> list[int]:
     t = ctx.tables
-    return [_section_delta(t, piecewise_section(ctx, family, i1, i2)) for i1, i2 in fixings]
+    deltas = []
+    for i1, i2 in fixings:
+        # an X-section's center k = tq(z)/tq(y); only a hint, checked on the table
+        center = int(t.mul(t.inv[t.tq[i1]], t.tq[i2])) if family == "x" else None
+        deltas.append(_section_delta(t, piecewise_section(ctx, family, i1, i2), center))
+    return deltas
 
 
 def _worker_deltas(args) -> list[int]:

@@ -136,17 +136,17 @@ def test_row_maxima_partial_last_chunk(monkeypatch, p, e, rows):
     assert_du_matches_reference(ctx, rng.integers(0, ctx.Q, ctx.Q).astype(np.int32))
 
 
-def along_last_rep(ctx, kind):
-    """A table whose largest fibres sit in the last row ``shift_reps[-1]`` = a.
+def along_rep(ctx, kind, row=-1):
+    """A table whose largest fibres sit in the row ``shift_reps[row]`` = a.
 
     "periodic": f(x + a) = f(x), random on the cosets of <a>, so u = Q at a
-    and its multiples; for p = 3 the last row is the only one that reaches Q.
+    and its multiples; for p = 3 the row is the only one that reaches Q.
     "bump": f = 1 at x0 and x0 + a, else 0; D_a f is nonzero at x0 - a and
     x0 + a only, so u = Q - 2 at a and -a; at every other b, D_b f is
     nonzero at four points and u = Q - 4.
     """
     t = ctx.tables
-    a = int(t.shift_reps[-1])
+    a = int(t.shift_reps[row])
     if kind == "bump":
         tbl = np.zeros(ctx.Q, dtype=np.int32)
         tbl[[5, t.add(5, a)]] = 1
@@ -184,7 +184,7 @@ def test_section_delta_stops_only_at_q(monkeypatch, p, e, rows):
         assert _section_delta(t, tbl) == _row_maxima(t, tbl).max()
 
     last = [t.shift_reps[-1] - 1, t.neg[t.shift_reps[-1]] - 1]
-    periodic, bump = along_last_rep(ctx, "periodic"), along_last_rep(ctx, "bump")
+    periodic, bump = along_rep(ctx, "periodic"), along_rep(ctx, "bump")
     um = _row_maxima(t, periodic)
     assert um[last].tolist() == [Q, Q] and (p > 3 or np.count_nonzero(um == Q) == 2)
     assert _section_delta(t, periodic) == Q
@@ -194,10 +194,8 @@ def test_section_delta_stops_only_at_q(monkeypatch, p, e, rows):
     assert _section_delta(t, bump) == Q - 2
 
 
-def test_section_delta_reads_one_chunk_when_the_first_reaches_q(monkeypatch, ctx81):
-    # an X-section with y in GF(q) is linear: every row has u = Q
-    t, Q = ctx81.tables, ctx81.Q
-    monkeypatch.setattr(du_analysis, "_ROW_COUNT_BUDGET", 3 * Q)
+def record_chunks(monkeypatch):
+    """Record the (lo, hi) of every chunk the full scan reads."""
     read = []
     chunk_maxima = du_analysis._chunk_maxima
 
@@ -207,11 +205,83 @@ def test_section_delta_reads_one_chunk_when_the_first_reaches_q(monkeypatch, ctx
             yield chunk
 
     monkeypatch.setattr(du_analysis, "_chunk_maxima", counted)
+    return read
+
+
+def test_section_delta_reads_one_chunk_when_the_first_reaches_q(monkeypatch, ctx81):
+    t, Q = ctx81.tables, ctx81.Q
+    monkeypatch.setattr(du_analysis, "_ROW_COUNT_BUDGET", 3 * Q)
+    read = record_chunks(monkeypatch)
+    # an X-section with y in GF(q) is linear: direction 1 reaches Q, and no
+    # chunk is read
     assert _section_delta(t, piecewise_section(ctx81, "x", 2, 5)) == Q
+    assert read == []
+    # u = Q in the first chunk's second row, but not in direction 1
+    periodic = along_rep(ctx81, "periodic", row=1)
+    assert _row_maxima(t, periodic)[0] < Q
+    read.clear()
+    assert _section_delta(t, periodic) == Q
     assert read == [(0, 3)]
     read.clear()
-    assert _section_delta(t, along_last_rep(ctx81, "bump")) == Q - 2
+    assert _section_delta(t, along_rep(ctx81, "bump")) == Q - 2
     assert len(read) == -(-len(t.shift_reps) // 3)
+
+
+def x_center(t, y, z):
+    return int(t.mul(t.inv[t.tq[y]], t.tq[z]))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (7, 2)])
+def test_two_direction_du_on_every_x_class(monkeypatch, p, e):
+    # the X classes are y = a + w, a in GF(q); the symmetry holds on each, u
+    # is constant on the squares and on the non-squares, and directions 1
+    # and gen give the full-scan value without reading a chunk
+    ctx = field_ctx(p, e)
+    t, Q, q = ctx.tables, ctx.Q, ctx.q
+    read = record_chunks(monkeypatch)
+    zs = np.random.default_rng(Q).integers(0, Q, q).tolist()
+    for a, z in zip(range(q), zs):
+        s = piecewise_section(ctx, "x", a + q, z)
+        um = _row_maxima(t, s)
+        assert len(set(um[t.quad[1:] == 1].tolist())) == len(set(um[t.quad[1:] == -1].tolist())) == 1
+        read.clear()
+        assert _section_delta(t, s, x_center(t, a + q, z)) == um.max() == (Q + 3) // 4
+        assert read == []
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_hughes_sections_need_no_full_scan(monkeypatch, p, e):
+    # exhaustively at Q <= 81: the probe decides every Y- and Z-section and
+    # every linear X-section, and the symmetry every other X-section
+    ctx = field_ctx(p, e)
+
+    def no_scan(t, tbl):
+        raise AssertionError("a section fell back to the full scan")
+
+    monkeypatch.setattr(du_analysis, "_chunk_maxima", no_scan)
+    report = du_sections(ctx)
+    assert all(report[family]["passed"] for family in "xyz")
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (13, 1)])
+def test_symmetry_failure_falls_back_to_the_full_scan(monkeypatch, p, e):
+    ctx = field_ctx(p, e)
+    t, Q, q = ctx.tables, ctx.Q, ctx.q
+    read = record_chunks(monkeypatch)
+    rng = np.random.default_rng(Q)
+    for y, z in [(q + 1, 3), (2 * q + 5, 0)] + rng.integers(q, Q, (2, 2)).tolist():
+        s, k = piecewise_section(ctx, "x", y, z), x_center(t, y, z)
+        overwritten, swapped = s.copy(), s.copy()
+        x0, x1 = rng.choice(Q, 2, replace=False)
+        overwritten[x0] = t.add(s[x0], 1)
+        swapped[[x0, x1]] = s[[x1, x0]]
+        assert s[x0] != s[x1]
+        cases = [(overwritten, k), (swapped, k), (s, t.add(k, 1)), (s, t.add(k, q))]
+        for tbl, center in cases:
+            expected = _row_maxima(t, tbl).max()
+            read.clear()
+            assert _section_delta(t, tbl, int(center)) == expected
+            assert len(read) > 0
 
 
 def test_half_power_difference_case_formula(ctx9):

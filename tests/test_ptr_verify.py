@@ -567,7 +567,7 @@ def test_symmetric_broken_control_keeps_the_table_maps(p, e):
     assert not ptr_verify._axiom_e(tbl).passed
 
 
-@pytest.mark.parametrize("p,e,n_pairs", [(3, 1, 8), (5, 1, 18), (3, 2, 50)])
+@pytest.mark.parametrize("p,e,n_pairs", [(3, 1, 8), (5, 1, 18), (3, 2, 50), (13, 1, 98)])
 def test_orbit_scans_fire_on_hughes(p, e, n_pairs):
     # every candidate holds, so both Q^4 scans shrink to a few rows; the
     # pairs a = c, two orbits more, are not scanned

@@ -186,9 +186,11 @@ def test_reduced_T_grid_matches_ptr_table_large_q(reduced_T_large_q):
 def test_evaluate_grid_spot_checks_large_q(reduced_T_large_q):
     ctx, T, T_grid = reduced_T_large_q
     p = ctx.p
-    rng = np.random.default_rng(p)
-    R = random_poly(ctx, rng, n_terms=40)
-    for P, grid in ((T, T_grid), (R, evaluate_grid(R))):
+    checks = [(T, T_grid)]
+    if ctx.Q == 121:  # a random R's whole grid takes 3 s at Q=169; one order checks the kernel
+        R = random_poly(ctx, np.random.default_rng(p), n_terms=40)
+        checks.append((R, evaluate_grid(R)))
+    for P, grid in checks:
         pts = zip(*(random_elements(ctx, 15, seed=p + s) for s in (1, 2, 3)))
         for x, y, z in pts:
             assert grid[x.index, y.index, z.index] == P.evaluate(x, y, z).index

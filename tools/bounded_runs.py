@@ -36,6 +36,10 @@ RUNS = [
     # the pair count scan one member per symmetry orbit, and the full scans
     # took 324 s here
     ("verify --p 19 --e 1 --plane", 448, False),
+    # Q=59049: measured 0.4-0.5 s at 88 MiB, probe and symmetry deciding every
+    # section; a fallback to the full scan builds 117 MB more (`_canon_intp`
+    # and `moved`) and took 81 s at 270 MiB
+    ("du --p 3 --e 5 --samples 2 --max-order 59049", 128, False),
     # a child's ru_maxrss starts at this process's high-water RSS, which
     # holds each captured stdout (28.5 MB for the nonreduced form); so the
     # rows that capture stdout run last
