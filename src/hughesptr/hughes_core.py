@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement
-from .modcomb import binom_mod_lucas, catalan_mod, gen_catalan_mod
+from .modcomb import binom_mod_lucas, catalan_mod, central_binoms, gen_catalan_exact
 from .ptr_verify import PtrReport
 from .trivar_poly import TriPoly
 
@@ -410,11 +410,12 @@ def _g_factor(ctx: FieldCtx, i: int) -> Factor:
     return ns[cs != 0] + 1, _inv_neg4_pow(ctx, i) * cs[cs != 0] % p
 
 
-def _h_factor(ctx: FieldCtx, i: int) -> Factor:
-    """h_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i} T'[i-j, j] X^(j(q-1)+i) mod p."""
+def _h_factor(ctx: FieldCtx, i: int, central: list[int]) -> Factor:
+    """h_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i} T'[i-j, j] X^(j(q-1)+i) mod p,
+    the central binomials binom(2m, m) read from ``central`` (m <= i)."""
     q, p = ctx.q, ctx.p
     scale = _inv_neg4_pow(ctx, i)
-    cs = [(j * (q - 1) + i, gen_catalan_mod(i - j, j, p)) for j in range(i + 1)]
+    cs = [(j * (q - 1) + i, gen_catalan_exact(i - j, j, central) % p) for j in range(i + 1)]
     return _factor([n for n, c in cs if c], [scale * c % p for _, c in cs if c])
 
 
@@ -448,8 +449,9 @@ def t2_blocks(ctx: FieldCtx) -> list[Record]:
     """
     q, p = ctx.q, ctx.p
     records = [_m_record(ctx)]
+    central = central_binoms(q - 1)
     for i in range(q - 1):
-        exps, res = _h_factor(ctx, i)
+        exps, res = _h_factor(ctx, i, central)
         tq_x_h = _factor(np.concatenate([exps + q, exps + 1]), np.concatenate([res, (p - res) % p]))
         records.append((tq_x_h, i + 1, q - 1 - i))
     return records
@@ -568,8 +570,9 @@ def render_text(ctx: FieldCtx, form: str) -> str:
         lines.append(
             f"T(X,Y,Z) = M(X,Y) + Z + tq(X)*tq(Y)*tq(Z) * sum_(i=0..{q - 2}) h_i(X) * tq(Y)^i * tq(Z)^({q - 2}-i)"
         )
+        central = central_binoms(q - 1)
         for i in range(q - 1):
-            lines.append(f"h_{i}(X) = {_univar_str(_h_factor(ctx, i))}")
+            lines.append(f"h_{i}(X) = {_univar_str(_h_factor(ctx, i, central))}")
     elif form == "nonreduced":
         lines.append(
             f"T(X,Y,Z) = M(X,Y) + Z - {ctx.half().index} * sum_(m=1..{(Q - 1) // 2}) B(m) * X^m * tq(Y)^m * tq(Z)^({Q}-m)"

@@ -5,10 +5,14 @@ Conventions: binom(n, k) = 0 whenever k < 0, n < 0, or k > n, and the
 generalized Catalan number is 0 whenever either index is negative.  The
 mod-p binomial ``binom_mod_lucas`` is one broadcasting kernel over index
 arrays: by Lucas' theorem it is the product of the binomials of the base-p
-digits, read from a p x p table.  The mod-p Catalan value is computed
-division-free as binom(2n, n) - binom(2n, n+1) through that kernel, since
-(n+1) need not be invertible mod p.  Generalized Catalan values are computed
-exactly as big integers and then reduced, for the same reason.
+digits.  It reads k digits per pass, one gather from a p^k x p^k block table
+that is itself the Lucas product of the p x p digit table (``_block_table``;
+(p^k)^2 <= 4096, so B = p^k is 27, 25 and 49 for p = 3, 5 and 7).  The mod-p
+Catalan value is computed division-free as binom(2n, n) - binom(2n, n+1)
+through that kernel, since (n+1) need not be invertible mod p.  Generalized
+Catalan values are computed exactly as big integers and then reduced, for
+the same reason; ``central_binoms`` lists the central binomials binom(2m, m)
+they are made of, so that a caller needing many of them builds each once.
 
 ``identity_suite`` re-verifies every congruence identity the polynomial
 construction relies on, exactly.  Its Lucas sweep compares the kernel with
@@ -19,7 +23,9 @@ a congruence.  They take their binomials from rows built with
 binom(n, k+1) = binom(n, k) (n-k) / (k+1), and their Catalan numbers from one
 run of C[m+1] = C[m] * 2(2m+1) / (m+2), rather than one ``math.comb`` per
 entry; ``binom_exact`` and ``catalan_exact`` are the references both are
-tested against.
+tested against.  Each central binomial and each T'[n, k] is computed once
+per suite, the central binomials from ``central_binoms`` and not from the
+Catalan run, so a fault in either shows against the other.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "binom_mod_lucas",
     "catalan_exact",
     "catalan_mod",
+    "central_binoms",
     "gen_catalan_exact",
     "gen_catalan_mod",
     "IdentityCheck",
@@ -56,25 +63,60 @@ def _digit_table(p: int) -> np.ndarray:
     return table
 
 
+# entries of the largest Lucas block table: the kernel reads k base-p digits
+# per pass from a p^k x p^k table, (p^k)^2 at most this
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _block_table(p: int) -> tuple[int, np.ndarray]:
+    """(B, table): B = p^k, the largest power of p with B^2 <= _BLOCK_ENTRIES
+    (at least p), and binom(A, C) mod p at table[A * B + C] for A, C < B.
+
+    Keyed on the contents of ``_digit_table(p)``, so a replaced digit table
+    reaches the kernel.
+    """
+    return _lucas_block(p, _digit_table(p).tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def _lucas_block(p: int, digits: bytes) -> tuple[int, np.ndarray]:
+    """``_block_table`` of the int64 digit table whose bytes are ``digits``."""
+    digit = np.frombuffer(digits, dtype=np.int64).reshape(p, p)
+    table = digit
+    while (table.shape[0] * p) ** 2 <= _BLOCK_ENTRIES:
+        # one more base-p digit, the new leading one: Lucas' theorem again
+        table = np.kron(digit, table) % p
+    flat = table.ravel()
+    flat.setflags(write=False)
+    return table.shape[0], flat
+
+
 def binom_mod_lucas(alpha, beta, p: int):
     """binom(alpha, beta) mod p, elementwise on broadcastable integer arrays.
 
-    By Lucas' theorem, the product of the binomials of the base-p digits,
-    one table gather per digit position.  0 where either argument is
-    negative.  Given two ints, it returns an int.
+    By Lucas' theorem, the product of the binomials of the base-p digits.
+    Each pass reads the binomial of k digits at once, one gather from the
+    flat B x B block table of ``_block_table`` (B = p^k), which is the Lucas
+    product of the digit table, not ``math.comb``.  0 where either argument
+    is negative.  Given two ints, it returns an int.
     """
-    table = _digit_table(p)
+    size, table = _block_table(p)
     a = np.asarray(alpha, dtype=np.int64)
     b = np.asarray(beta, dtype=np.int64)
     valid = (a >= 0) & (b >= 0)
     r = valid.astype(np.int64)
+    # fresh arrays of the broadcast shape, so the passes may write into them
     a, b = np.where(valid, a, 0), np.where(valid, b, 0)
     top = max(int(a.max(initial=0)), int(b.max(initial=0)))
-    while top:  # one pass per base-p digit of the largest argument
-        (a, ad), (b, bd) = np.divmod(a, p), np.divmod(b, p)
-        r *= table[ad, bd]
-        r %= p
-        top //= p
+    while top:  # one pass per k base-p digits of the largest argument
+        a_hi, b_hi = a // size, b // size
+        a -= a_hi * size  # the low k digits of each argument
+        b -= b_hi * size
+        a *= size
+        a += b
+        r *= table.take(a)
+        r -= r // p * p  # r mod p: // by a scalar costs far less than %
+        a, b, top = a_hi, b_hi, top // size
     return int(r) if r.ndim == 0 else r
 
 
@@ -104,9 +146,25 @@ def _gen_catalan(n: int, k: int, central) -> int:
     return quotient
 
 
-def gen_catalan_exact(n: int, k: int) -> int:
-    """binom(2n,n) * binom(2k,k) * (2k+1) / (n+k+1); 0 on negative indices."""
-    return _gen_catalan(n, k, lambda m: math.comb(2 * m, m))
+def central_binoms(count: int) -> list[int]:
+    """binom(2m, m) for m = 0 .. count-1, from one run of
+    binom(2m+2, m+1) = binom(2m, m) * 2(2m+1) / (m+1)."""
+    out, c = [], 1
+    for m in range(count):
+        out.append(c)
+        c = c * 2 * (2 * m + 1) // (m + 1)
+    return out
+
+
+def gen_catalan_exact(n: int, k: int, central: list[int] | None = None) -> int:
+    """binom(2n,n) * binom(2k,k) * (2k+1) / (n+k+1); 0 on negative indices.
+
+    ``central``, a ``central_binoms`` list reaching max(n, k), supplies the
+    two central binomials in place of ``math.comb``.
+    """
+    if central is None:
+        return _gen_catalan(n, k, lambda m: math.comb(2 * m, m))
+    return _gen_catalan(n, k, central.__getitem__)
 
 
 def gen_catalan_mod(n: int, k: int, p: int) -> int:
@@ -215,12 +273,10 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     Q = q * q
     cap = max_n + 1
     catalan = _catalan_run()
-
-    def central(m: int) -> int:  # binom(2m, m) = (m+1) C[m]
-        return (m + 1) * catalan(m)
-
-    def tprime(n: int, k: int) -> int:
-        return _gen_catalan(n, k, central)
+    # each central binomial and each T'[n, k] is computed once per call; the
+    # sweeps read binom(2m, m) up to m = max(max_n, EXACT_CAP) + 1
+    central = central_binoms(max(max_n, EXACT_CAP) + 2)
+    tprime = functools.cache(lambda n, k: _gen_catalan(n, k, central.__getitem__))
 
     out: dict[str, IdentityCheck] = {}
 
@@ -242,7 +298,7 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     for t in range(1, 2 * e + 1):
         pt = p**t
         top = min(pt, max_n + 1)
-        lhs = np.array([central(n) % p for n in range(1, top)], dtype=np.int64)
+        lhs = np.array([central[n] % p for n in range(1, top)], dtype=np.int64)
         rhs = _neg4_powers(top, p)[1:] * _binom_row((pt - 1) // 2, top - 1, p)[1:] % p
         chk.record(lhs == rhs, lambda i: (t, i + 1))
 
@@ -258,7 +314,7 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     # Exact integer identity: T'[n,k] - T'[n+1,k-1] = 2 * binom(2k-1, k) * C[n].
     chk = out.setdefault("gen_catalan_diff", IdentityCheck("gen_catalan_diff"))
     chk.record(
-        [tprime(n, k) - tprime(n + 1, k - 1) == central(k) * catalan(n)
+        [tprime(n, k) - tprime(n + 1, k - 1) == central[k] * catalan(n)
          for n in range(EXACT_CAP + 1) for k in range(1, EXACT_CAP + 1)],
         lambda i: (i // EXACT_CAP, i % EXACT_CAP + 1),
     )

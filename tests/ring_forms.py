@@ -6,7 +6,7 @@ term, with no use of Lucas' theorem on the tq powers.
 """
 
 from hughesptr.hughes_core import _g_factor, _h_factor
-from hughesptr.modcomb import binom_mod_lucas
+from hughesptr.modcomb import binom_mod_lucas, central_binoms
 from hughesptr.trivar_poly import TriPoly, variables
 
 
@@ -22,7 +22,7 @@ def g_poly(ctx, i: int) -> TriPoly:
 
 def h_poly(ctx, i: int) -> TriPoly:
     """h_i(X) = (-4)^(-(i+1)) * sum_{j=0}^{i} T'[i-j, j] X^(j(q-1)+i) mod p."""
-    return _univariate(ctx, _h_factor(ctx, i))
+    return _univariate(ctx, _h_factor(ctx, i, central_binoms(i + 1)))
 
 
 def tq_poly(ctx, axis: int) -> TriPoly:

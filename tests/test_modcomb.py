@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hughesptr.modcomb import (
     binom_mod_lucas,
     catalan_exact,
     catalan_mod,
+    central_binoms,
     gen_catalan_exact,
     gen_catalan_mod,
     identity_suite,
@@ -69,6 +71,47 @@ def test_lucas_ints_in_int_out(p):
     assert catalan_mod(-1, p) == 0
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_block_table_is_pascal(p):
+    # k digits per pass: B = p^k with B^2 <= _BLOCK_ENTRIES, and every entry
+    # is binom(A, C) mod p
+    size, table = modcomb._block_table(p)
+    assert size == {3: 27, 5: 25, 7: 49, 11: 11, 13: 13}[p]
+    assert not table.flags.writeable
+    assert table.reshape(size, size).tolist() == [
+        [math.comb(a, c) % p for c in range(size)] for a in range(size)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lucas_at_block_boundaries(p):
+    # arguments around B, B^2 and B^3, where the number of passes changes,
+    # against the one-digit-at-a-time scalar loop
+    size, _ = modcomb._block_table(p)
+    edges = [-2, -1, 0, 1, p - 1, p, p + 1]
+    edges += [s + d for s in (size, size**2, size**3) for d in (-2, -1, 0, 1, 2)]
+    col, row = np.array(edges)[:, None], np.array(edges)[None, :]
+    want = [[lucas_scalar(x, y, p) for y in edges] for x in edges]
+    assert binom_mod_lucas(col, row, p).tolist() == want
+    for x, want_row in zip(edges, want):
+        assert binom_mod_lucas(x, np.array(edges), p).tolist() == want_row
+        for y in edges:
+            got = binom_mod_lucas(x, y, p)
+            assert type(got) is int and got == lucas_scalar(x, y, p)
+
+
+def test_block_table_follows_digit_table(monkeypatch):
+    # the block table is cached on the digit table's contents: a wrong digit
+    # patched in after a call with the real table still reaches the kernel
+    a, b = _triangle(120)
+    good = binom_mod_lucas(a, b, 7)
+    bad = _wrong_digit_table(7, 4, 2)
+    monkeypatch.setattr(modcomb, "_digit_table", lambda p: bad)
+    got = binom_mod_lucas(a, b, 7)
+    assert (got != good).any()
+    assert got.tolist() == [lucas_scalar(x, y, 7, digit=lambda u, v: int(bad[u, v]))
+                            for x, y in zip(a.tolist(), b.tolist())]
+
+
 def test_catalan_exact_values():
     assert catalan_exact(0) == 1
     assert catalan_exact(1) == 1
@@ -101,6 +144,14 @@ def test_gen_catalan_values():
             assert v > 0
             for p in PRIMES:
                 assert gen_catalan_mod(n, k, p) == v % p
+
+
+def test_central_binoms_feed_gen_catalan():
+    central = central_binoms(70)
+    assert central == [math.comb(2 * m, m) for m in range(70)]
+    for n in range(-1, 35):
+        for k in range(-1, 35):
+            assert gen_catalan_exact(n, k, central) == gen_catalan_exact(n, k)
 
 
 def test_difference_identity_spot():
@@ -219,3 +270,34 @@ def test_binom_row_matches_exact():
         for p in PRIMES:
             assert modcomb._binom_row(n, n + 3, p).tolist() == [binom_exact(n, k) % p for k in range(n + 4)]
             assert modcomb._binom_row(n, n // 2, p).tolist() == [binom_exact(n, k) % p for k in range(n // 2 + 1)]
+
+
+@pytest.mark.parametrize("p,e,max_n,n", [(3, 2, 300, 5), (3, 2, 300, 17), (3, 2, 300, 40), (5, 1, 130, 0),
+                                         (5, 1, 130, 23), (7, 2, 200, 61)])
+def test_identity_suite_detects_wrong_catalan(monkeypatch, p, e, max_n, n):
+    # one wrong Catalan number C[n] in the run both suites read: every sweep
+    # reading it fails at the oracle's witness, and the central binomials and
+    # T' values, which do not come from the run, stay right
+    real = modcomb._catalan_run
+
+    def run():
+        catalan = real()
+        return lambda m: catalan(m) + (m == n)
+
+    monkeypatch.setattr(modcomb, "_catalan_run", run)
+    want = identity_suite_scalar(p, e, max_n)
+    assert not all(passed for passed, _, _ in want.values())
+    assert _summary(identity_suite(p, e, max_n)) == want
+
+
+def test_identity_suite_computes_each_gen_catalan_once(monkeypatch):
+    calls = collections.Counter()
+    real = modcomb._gen_catalan
+
+    def counted(n, k, central):
+        calls[n, k] += 1
+        return real(n, k, central)
+
+    monkeypatch.setattr(modcomb, "_gen_catalan", counted)
+    assert all(chk.passed for chk in identity_suite(7, 2, 1000).values())
+    assert calls and max(calls.values()) == 1

@@ -29,8 +29,11 @@ RUNS = [
     # measured 243 MiB (the sorted raw-term keys and the int32 term arrays);
     # the bound leaves 45 MiB for other allocators and numpy versions
     ("gen --p 7 --e 2 --form nonreduced", 288, False),
-    # about 4.5M Lucas entries, checked 2^16 at a time: measured 38 MiB
+    # about 4.5M Lucas entries, checked 2^16 at a time, two passes of the
+    # 49 x 49 block table each: measured 38 MiB
     ("identities --p 7 --e 2 --max-n 3000", 64, False),
+    # the same sweep at p = 3: 27 x 27 block table, three passes: measured 39 MiB
+    ("identities --p 3 --e 4 --max-n 3000", 64, False),
     # the top of the verify cap, Q=361: measured 7-8 s at 392 MiB, the value
     # table and the line array both alive while the plane is built; (E) and
     # the pair count scan one member per symmetry orbit, and the full scans
