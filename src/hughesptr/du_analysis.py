@@ -19,9 +19,9 @@ A section sweep decides most sections in O(Q), in this order:
    and Z-section and the linear X-sections;
 2. the symmetry: an X-section with y outside GF(q) is checked, on its
    whole table, to commute with the scaling by the squares about its
-   center; then the largest fibre depends only on the quadratic class of
-   the direction, and directions 1 and a non-square decide it (see
-   ``_section_delta``);
+   center; then it is a map with one slope on the squares and one on the
+   non-squares, its largest fibre is the same in every direction, and
+   direction 1, already counted, decides it (see ``_section_delta``);
 3. the fallback: any other section is counted over all directions, a chunk
    at a time, stopping at the first chunk that reaches Q.
 
@@ -141,12 +141,6 @@ def _row_maxima(t, tbl: np.ndarray) -> np.ndarray:
     return full
 
 
-def _direction_u(t, tbl: np.ndarray, a: int) -> int:
-    """u(difference map) for the one direction a, in O(Q)."""
-    diff = t.sub(tbl[t.add(np.arange(len(tbl), dtype=np.int32), a)], tbl)
-    return int(np.bincount(diff).max())
-
-
 def _section_delta(t, tbl: np.ndarray, center: int | None = None) -> int:
     """The differential uniformity of ``tbl``: ``_row_maxima(t, tbl).max()``.
 
@@ -155,35 +149,42 @@ def _section_delta(t, tbl: np.ndarray, center: int | None = None) -> int:
 
     Otherwise, given a ``center`` k, take k' = s(-k) for s = ``tbl`` and
     c0 = gen^2 for the generator gen of GF(Q)^*, so c0 generates the
-    squares.  With phi(x) = c0(x + k) - k and psi(v) = c0(v - k') + k', the
-    identity s(phi(x)) = psi(s(x)) is checked for every x.  When it holds,
-    phi(x + a) = phi(x) + c0*a gives
+    squares.  The identity s(c0(x + k) - k) = c0(s(x) - k') + k' is checked
+    for every x.  When it holds, direction 1 alone gives the value, because
+    u is the same in every direction:
 
-        D_{c0*a}s(phi(x)) = s(phi(x + a)) - s(phi(x))
-                          = psi(s(x + a)) - psi(s(x)) = c0 * D_a s(x),
+    * r(x) = s(x - k) - k' has r(c0 x) = c0 r(x) and r(0) = 0, and
+      D_a r(x) = D_a s(x - k), so r and s have the same u in every
+      direction.  Since c0 generates the squares, r(x) = Ax on the squares
+      and 0, A = r(1), and r(x) = Bx on the non-squares, B = r(nu)/nu for
+      a non-square nu.
+    * For a nonzero square c, r(cx) = c r(x), so D_{ca}r(cx) = c D_a r(x),
+      and u(D_{ca}r) = u(D_a r).
+    * Let r' be r with A and B swapped.  nu x is a square exactly when x is
+      not, so r(nu x) = nu r'(x), D_{nu a}r(nu x) = nu D_a r'(x) and
+      u(D_{nu a}r) = u(D_a r').  And r + r' = (A+B)x, so
+      D_a r' = (A+B)a - D_a r has the fibre sizes of D_a r.
 
-    so the bijection phi maps the fibre of D_a s over b onto the fibre of
-    D_{c0*a}s over c0*b, and u(D_a s) = u(D_{c0*a}s).  u is then constant on
-    each coset a<c0> of the squares, and there are two: the squares, which
-    hold 1, and the non-squares, which hold gen.  So the value is
-    max(u(D_1 s), u(D_gen s)).  An X-section of the Hughes operation with y
-    outside GF(q) is x -> g_y(x + k) + k' with k = tq(z)/tq(y), and
-    g_y(cx) = c*g_y(x) for every nonzero square c (D. R. Hughes, Canad. J.
-    Math. 9, 1957), so the identity holds there.  The center only picks
-    which identity is checked: when the check fails, or no center is given,
-    every direction is counted, a chunk at a time, and the count stops at
-    the first chunk whose maximum is Q.
+    Every nonzero direction is c or nu c for a square c, so its u is that of
+    direction 1.  An X-section of the Hughes operation with y outside GF(q)
+    is x -> g_y(x + k) + k' with k = tq(z)/tq(y), and g_y(cx) = c*g_y(x)
+    for every nonzero square c (D. R. Hughes, Canad. J. Math. 9, 1957), so
+    the identity holds there.  The center only picks which identity is
+    checked: when the check fails, or no center is given, every direction is
+    counted, a chunk at a time, and the count stops at the first chunk whose
+    maximum is Q.
     """
     Q = len(tbl)
-    delta = _direction_u(t, tbl, 1)
+    ar = np.arange(Q, dtype=np.int32)
+    delta = int(np.bincount(t.sub(tbl[t.add(ar, 1)], tbl)).max())
     if delta == Q:
         return Q
     if center is not None:
         c0 = t.exp_pad[2]
         k_prime = tbl[t.neg[center]]
-        phi = t.sub(t.mul(c0, t.add(np.arange(Q, dtype=np.int32), center)), center)
+        phi = t.sub(t.mul(c0, t.add(ar, center)), center)
         if np.array_equal(tbl[phi], t.add(t.mul(c0, t.sub(tbl, k_prime)), k_prime)):
-            return max(delta, _direction_u(t, tbl, int(t.exp_pad[1])))
+            return delta
     for _, _, u in _chunk_maxima(t, tbl):
         delta = max(delta, int(u.max()))
         if delta == Q:

@@ -269,9 +269,12 @@ def expand_blocks(ctx: FieldCtx, records: list[Record], linear: tuple[Block, ...
     (f, tq(Y)^a, tq(Z)^b).
 
     ``linear`` defaults to X*Y + Z, which the three forms share; M takes X*Y
-    alone and sigma nothing.
+    alone and sigma nothing.  Each distinct power is expanded once and its
+    factor shared by every block that uses it; ``emit_arrays`` only reads
+    them.
     """
-    return [*linear, *((f, _tq_pow(ctx, a), _tq_pow(ctx, b)) for f, a, b in records)]
+    powers = {n: _tq_pow(ctx, n) for n in {n for _, a, b in records for n in (a, b)}}
+    return [*linear, *((f, powers[a], powers[b]) for f, a, b in records)]
 
 
 def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:

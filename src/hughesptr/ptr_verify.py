@@ -27,31 +27,37 @@ canonical element indexing.
 Both Q^4 scans, (E) and the pair count, visit one representative per orbit
 of a group of symmetries, and every generator of that group is first
 verified exhaustively on the input itself.  When Q = p^(2e) for an odd
-prime p, the candidates come from the field GF(Q), with q = p^e, s running
-over the GF(p)-basis p^0, ..., p^(e-1) of GF(q) (element indices) and g a
-generator of GF(q)^*:
+prime p, the generators are 3e+2 table identities T(pi x, psi(y,z)) =
+lam[x, T(x,y,z)] over the field GF(Q), with q = p^e, s running over the
+GF(p)-basis p^0, ..., p^(e-1) of GF(q) (element indices) and g a generator
+of GF(q)^*:
 
-* table maps T(x+s, y, z - s*y) = T(x, y, z) and T(g*x, y, g*z) = g*T(x,y,z);
-* collineations, in ``build_plane``'s labelling, (x,y) -> (x+s, y) with
-  [m,k] -> [m, k - s*m], (x,y) -> (x, y+s) with [m,k] -> [m, k+s],
-  (x,y) -> (x, y + s*x) with (m) -> (m+s), (x,y) -> (g*x, g*y) with
-  [m,k] -> [m, g*k], and (x,y) -> (x, g*y) with (m) -> (g*m).
+  T(x+s, y, z - s*y) = T,  T(x, y, z+s) = T + s,  T(x, y+s, z) = T + s*x,
+  T(g*x, y, g*z) = g*T,    T(x, g*y, g*z) = g*T.
 
 The Hughes operation has all of them (D. R. Hughes, *A class of non-
 Desarguesian projective planes*, Canad. J. Math. 9, 1957), and the tests
 hold that they verify on ``ptr_table``; any other table is checked with
-those that hold on it, the full scan when none does.  The minimum of each
-orbit comes from ``_orbit_minima``.
+those that hold on it, the full scan when none does.  (E) uses those with
+pi != id, since the others fix every pair (a, c).  The plane uses their
+lifts to ``build_plane``'s labelling: sigma takes the point (x, w) to
+(pi x, lam[x, w]) and the slope point (m) to the slope of psi(m, 0); tau
+takes the line [m, k] to psi(m, k) and the vertical [c] to [pi c]; the
+point and the line at infinity stay fixed.  So the point (x, T(x,m,k)) of
+[m, k] goes to (pi x, T(pi x, psi(m,k))), a point of psi(m, k), and psi
+moves the slope m alike for every k.  The minimum of each orbit comes from
+``_orbit_minima``.
 
 Why (E) needs one pair per orbit.  Suppose T(pi x, psi(y,z)) =
-lam(T(x,y,z)) for all x, y, z, with bijections pi of GF(Q), psi of GF(Q)^2
-and lam of GF(Q).  Then F_(pi a, pi c) o psi = (lam x lam) o F_(a,c), so
-F_(a,c) is a bijection exactly when F_(pi a, pi c) is.  F_(c,a) is
-F_(a,c) followed by the swap of the two coordinates, so the swap
-(a,c) -> (c,a) needs no check.  The pairs that fail therefore form whole
-orbits under the group these maps generate on pairs.  The full scan's first
-failing pair is the least member of its orbit, so it is the first failing
-orbit minimum, and the scan of minima reports it with the same witness.
+lam[x, T(x,y,z)] for all x, y, z, with bijections pi of GF(Q), psi of
+GF(Q)^2 and lam_x = lam[x, .] of GF(Q) for each x.  Then
+F_(pi a, pi c) o psi = (lam_a x lam_c) o F_(a,c), so F_(a,c) is a bijection
+exactly when F_(pi a, pi c) is.  F_(c,a) is F_(a,c) followed by the swap of
+the two coordinates, so the swap (a,c) -> (c,a) needs no check.  The pairs
+that fail therefore form whole orbits under the group these maps generate
+on pairs.  The full scan's first failing pair is the least member of its
+orbit, so it is the first failing orbit minimum, and the scan of minima
+reports it with the same witness.
 
 Why the plane needs one point per orbit.  Take permutations sigma of the
 points and tau of the lines with sigma(line l) = line tau(l) as point sets,
@@ -184,31 +190,33 @@ def _field_tables(Q: int) -> FieldTables | None:
     return field_ctx(p, k // 2).tables
 
 
-def _subfield_generators(t: FieldTables) -> tuple[list[int], int]:
-    """A GF(p)-basis of GF(q), as element indices p^i, and a generator of GF(q)^*."""
-    ctx = t.ctx
-    return [ctx.p**i for i in range(ctx.e)], int(t.exp_pad[ctx.q + 1])
-
-
 def _table_map_candidates(Q: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Candidate maps (pi, psi, lam) with T(pi x, psi(y,z)) = lam(T(x,y,z)):
-    psi is given as flat indices y*Q + z into a (Q, Q) slab; see the module
-    docstring.  Empty when Q is not an even power of an odd prime."""
+    """The generators (pi, psi, lam) of the module docstring, in its order
+    with the s-maps grouped by s: T(pi x, psi(y,z)) = lam[x, T(x,y,z)], psi
+    as flat indices y*Q + z into a (Q, Q) slab and lam as a (Q, Q) array.
+    Empty when Q is not an even power of an odd prime."""
     t = _field_tables(Q)
     if t is None:
         return []
-    basis, g = _subfield_generators(t)
+    ctx = t.ctx
     ar = np.arange(Q, dtype=np.int32)
-    y, z = ar[:, None], ar[None, :]
-    maps = [(t.add(ar, s), (y * Q + t.sub(z, t.mul(s, y))).ravel(), ar) for s in basis]
+    x = y = ar[:, None]
+    z, w = ar[None, :], np.broadcast_to(ar, (Q, Q))
+    g = int(t.exp_pad[ctx.q + 1])  # generates GF(q)^*
+    maps = []
+    for s in (ctx.p**i for i in range(ctx.e)):
+        maps.append((t.add(ar, s), y * Q + t.sub(z, t.mul(s, y)), w))
+        maps.append((ar, y * Q + t.add(z, s), t.add(w, s)))
+        maps.append((ar, t.add(y, s) * Q + z, t.add(w, t.mul(s, x))))
     gx = t.mul(g, ar)
-    maps.append((gx, (y * Q + gx[None, :]).ravel(), gx))
-    return maps
+    maps.append((gx, y * Q + gx[z], gx[w]))
+    maps.append((ar, gx[y] * Q + gx[z], gx[w]))
+    return [(pi, psi.ravel(), lam) for pi, psi, lam in maps]
 
 
 def _table_symmetries(table: np.ndarray) -> list[np.ndarray]:
-    """The x-maps pi of the candidate table maps that hold on every cell,
-    checked one x-slab at a time.  Needs every id in [0, Q)."""
+    """The x-maps pi != id of the candidate table maps that hold on every
+    cell, checked one x-slab at a time.  Needs every id in [0, Q)."""
     Q = table.shape[0]
     flat = table.reshape(Q, Q * Q)
     # two slab buffers for every gather: with a fresh array per gather the
@@ -218,12 +226,13 @@ def _table_symmetries(table: np.ndarray) -> list[np.ndarray]:
     def holds(pi, psi, lam):
         for x in range(Q):
             np.take(flat[pi[x]], psi, out=moved, mode="clip")  # every index is in range
-            np.take(lam, flat[x], out=mapped, mode="clip")
+            np.take(lam[x], flat[x], out=mapped, mode="clip")
             if not np.array_equal(moved, mapped):
                 return False
         return True
 
-    return [pi for pi, psi, lam in _table_map_candidates(Q) if holds(pi, psi, lam)]
+    return [pi for pi, psi, lam in _table_map_candidates(Q)
+            if not np.array_equal(pi, np.arange(Q)) and holds(pi, psi, lam)]
 
 
 def _axiom_c_direct(tbl: np.ndarray) -> PtrReport:
@@ -422,30 +431,12 @@ def _lines_through(points_on: np.ndarray, points: np.ndarray | None = None) -> n
 
 
 def _collineation_candidates(Q: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Candidate collineations (sigma on points, tau on lines) in
-    ``build_plane``'s labelling; see the module docstring.  Empty when Q is
-    not an even power of an odd prime."""
-    t = _field_tables(Q)
-    if t is None:
-        return []
-    basis, g = _subfield_generators(t)
-    ar = np.arange(Q, dtype=np.int32)
-    X, Y = ar[:, None], ar[None, :]  # also the line coordinates [m, k]
+    """The lifts (sigma on points, tau on lines) of ``_table_map_candidates``
+    in ``build_plane``'s labelling; see the module docstring."""
     last = np.array([Q * Q + Q], dtype=np.int32)
-
-    def pair(x, y, slope, m, k, vertical):
-        return (np.concatenate([(x * Q + y).ravel(), Q * Q + slope, last]),
-                np.concatenate([(m * Q + k).ravel(), Q * Q + vertical, last]))
-
-    cands = []
-    for s in basis:
-        cands.append(pair(t.add(X, s), Y, ar, X, t.sub(Y, t.mul(s, X)), t.add(ar, s)))
-        cands.append(pair(X, t.add(Y, s), ar, X, t.add(Y, s), ar))
-        cands.append(pair(X, t.add(Y, t.mul(s, X)), t.add(ar, s), t.add(X, s), Y, ar))
-    gx = t.mul(g, ar)
-    cands.append(pair(gx[:, None], gx[None, :], ar, X, gx[None, :], gx))
-    cands.append(pair(X, gx[None, :], gx, gx[:, None], gx[None, :], ar))
-    return cands
+    return [(np.concatenate([(pi[:, None] * Q + lam).ravel(), Q * Q + psi[::Q] // Q, last]),
+             np.concatenate([psi, Q * Q + pi, last]))
+            for pi, psi, lam in _table_map_candidates(Q)]
 
 
 def _collineations(points_on: np.ndarray) -> list[np.ndarray]:

@@ -232,10 +232,10 @@ def x_center(t, y, z):
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (7, 2)])
-def test_two_direction_du_on_every_x_class(monkeypatch, p, e):
+def test_one_direction_du_on_every_x_class(monkeypatch, p, e):
     # the X classes are y = a + w, a in GF(q); the symmetry holds on each, u
-    # is constant on the squares and on the non-squares, and directions 1
-    # and gen give the full-scan value without reading a chunk
+    # is the same in every nonzero direction, and direction 1 gives the
+    # full-scan value without reading a chunk
     ctx = field_ctx(p, e)
     t, Q, q = ctx.tables, ctx.Q, ctx.q
     read = record_chunks(monkeypatch)
@@ -243,10 +243,30 @@ def test_two_direction_du_on_every_x_class(monkeypatch, p, e):
     for a, z in zip(range(q), zs):
         s = piecewise_section(ctx, "x", a + q, z)
         um = _row_maxima(t, s)
-        assert len(set(um[t.quad[1:] == 1].tolist())) == len(set(um[t.quad[1:] == -1].tolist())) == 1
+        assert set(um.tolist()) == {(Q + 3) // 4}
         read.clear()
-        assert _section_delta(t, s, x_center(t, a + q, z)) == um.max() == (Q + 3) // 4
+        assert _section_delta(t, s, x_center(t, a + q, z)) == (Q + 3) // 4
         assert read == []
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_two_slope_maps_have_one_u_in_every_direction(monkeypatch, p, e):
+    # every map x -> Ax on the squares and 0, Bx on the non-squares, which
+    # is what passing the symmetry check about center 0 leaves: u is the
+    # same in every nonzero direction, so direction 1 gives the value
+    ctx = field_ctx(p, e)
+    t, Q = ctx.tables, ctx.Q
+    read = record_chunks(monkeypatch)
+    ar = np.arange(Q, dtype=np.int32)
+    square = t.quad >= 0
+    for A in range(Q):
+        for B in range(Q):
+            s = np.where(square, t.mul(A, ar), t.mul(B, ar)).astype(np.int32)
+            um = _row_maxima(t, s)
+            assert um.min() == um.max(), (A, B)
+            read.clear()
+            assert _section_delta(t, s, 0) == um.max(), (A, B)
+            assert read == []
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])

@@ -455,6 +455,26 @@ def test_tq_pow_evaluates_to_tq_powers(p, e):
         assert np.array_equal(t.poly(*_tq_pow(ctx, n), V), t.pow(t.tq, n)), n
 
 
+@pytest.mark.parametrize("form", sorted(BLOCKS))
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2)])
+def test_expand_blocks_expands_each_power_once(p, e, form, monkeypatch):
+    # the reduced and t2 records use every n in 1..q-1 as a Y and a Z exponent
+    ctx = field_ctx(p, e)
+    records = BLOCKS[form](ctx)
+    expected = expand_blocks(ctx, records)
+    calls = []
+
+    def counted(ctx, n):
+        calls.append(n)
+        return _tq_pow(ctx, n)
+
+    monkeypatch.setattr(hughes_core, "_tq_pow", counted)
+    blocks = expand_blocks(ctx, records)
+    assert sorted(calls) == sorted({n for _, a, b in records for n in (a, b)})
+    assert all(np.array_equal(u, v) for got, want in zip(blocks, expected)
+               for f, g in zip(got, want) for u, v in zip(f, g))
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
 def test_shape_check_rejects_stray_blocks(p, e, monkeypatch):
     ctx = field_ctx(p, e)

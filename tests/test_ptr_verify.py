@@ -582,6 +582,47 @@ def test_orbit_scans_fire_on_hughes(p, e, n_pairs):
     assert _plane_points(plane).tolist() == [0, q, q * Q, Q * Q, Q * Q + q, Q * Q + Q]
 
 
+def generator_identities(ctx, tbl):
+    """Whether each table identity of the ``ptr_verify`` docstring holds on
+    ``tbl``, in its order, each s-group in turn: both sides on the grid."""
+    t, Q, q = ctx.tables, ctx.Q, ctx.q
+    x, y, z = np.ix_(*[np.arange(Q, dtype=np.int32)] * 3)
+    g = int(t.exp_pad[q + 1])
+    assert g < q and len({int(t.pow(g, n)) for n in range(q - 1)}) == q - 1  # generates GF(q)^*
+    holds = []
+    for s in (ctx.p**i for i in range(ctx.e)):
+        holds.append(np.array_equal(tbl[t.add(x, s), y, t.sub(z, t.mul(s, y))], tbl))
+        holds.append(np.array_equal(tbl[x, y, t.add(z, s)], t.add(tbl, s)))
+        holds.append(np.array_equal(tbl[x, t.add(y, s), z], t.add(tbl, t.mul(s, x))))
+    holds.append(np.array_equal(tbl[t.mul(g, x), y, t.mul(g, z)], t.mul(g, tbl)))
+    holds.append(np.array_equal(tbl[x, t.mul(g, y), t.mul(g, z)], t.mul(g, tbl)))
+    return holds
+
+
+LIFT_COUNTS = {"hughes": (3, 2), "classical": (3, 2), "symmetric_broken": (2, 1),
+               "x*y^2+z": (1, 1), "hughes_row_swap": (0, 0)}  # (a, b): a*e + b hold
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_lifted_collineation_holds_with_its_table_identity(p, e, case, monkeypatch):
+    # each generator's lift holds on the plane exactly when its identity
+    # holds on the table
+    ctx = field_ctx(p, e)
+    tbl = ORBIT_CASES[case](ctx)
+    holds = generator_identities(ctx, tbl)
+    a, b = LIFT_COUNTS[case]
+    assert sum(holds) == a * e + b
+    plane = build_plane(tbl)
+    candidates = ptr_verify._collineation_candidates(ctx.Q)
+    assert len(candidates) == len(holds) == 3 * e + 2
+    kept = []
+    for cand in candidates:
+        monkeypatch.setattr(ptr_verify, "_collineation_candidates", lambda Q: [cand])
+        kept.append(len(_collineations(plane)) == 1)
+    assert kept == holds
+
+
 def test_lines_through_asked_points_are_rows_of_the_full_array(ctx9):
     plane = build_plane(hughes_table(ctx9))
     _degree_preserving_swap(plane, np.random.default_rng(0))

@@ -43,6 +43,10 @@ RUNS = [
     # section; a fallback to the full scan builds 117 MB more (`_canon_intp`
     # and `moved`) and took 81 s at 270 MiB
     ("du --p 3 --e 5 --samples 2 --max-order 59049", 128, False),
+    # all 28,561 X-sections at Q=169, each non-linear one decided by the
+    # symmetry check and direction 1; exit 1 on any delta other than the
+    # expected one: measured 1.9-3.1 s at 45 MiB
+    ("du --p 13 --e 1 --exhaustive --section x", 64, False),
     # a child's ru_maxrss starts at this process's high-water RSS, which
     # holds each captured stdout (28.5 MB for the nonreduced form); so the
     # rows that capture stdout run last
