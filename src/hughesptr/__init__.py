@@ -7,7 +7,6 @@ from .gf_tower import FieldCtx, FieldElement, field_ctx
 from .hughes_core import (
     KPair,
     NotUniqueError,
-    build_M,
     build_nonreduced_T,
     build_reduced_T,
     build_T2,
@@ -22,7 +21,6 @@ from .hughes_core import (
     piecewise_match,
     reduced_blocks,
     sigma_eval,
-    sigma_poly,
     solve_kkprime,
     t2_blocks,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "phi_eval",
     "phi_poly",
     "sigma_eval",
-    "sigma_poly",
-    "build_M",
     "build_nonreduced_T",
     "build_reduced_T",
     "build_T2",

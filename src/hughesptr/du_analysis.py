@@ -6,11 +6,11 @@ slips.  The differential uniformity of f is the largest number of solutions
 x of f(x + a) - f(x) = b over a != 0 and all b (K. Nyberg, *Differentially
 uniform mappings for cryptography*, EUROCRYPT '93).  ``du`` counts them
 in every direction, in O(Q^2) per function: the differences f(x + a) - f(x)
-come a chunk of directions at a time from ``FieldTables.shift_differences``,
-two gathers per entry from tables of (2p-1)^(2e) entries and no grid of
-shifts, and one bincount per chunk counts the fibres on intp offsets.
-Since a and -a give difference maps with equal fibre sizes, only one
-direction of each pair is counted.
+come a chunk of directions at a time from ``FieldTables.add`` and ``sub``,
+and one bincount per chunk counts the fibres on intp offsets, so the scan
+holds O(the chunk) beyond the field tables.  Since a and -a give
+difference maps with equal fibre sizes, only one direction of each pair is
+counted.
 
 A section sweep decides most sections in O(Q), in this order:
 
@@ -100,10 +100,11 @@ def diff_op(ctx: FieldCtx, f, a: FieldElement):
 
 
 # count entries per chunk of rows in _chunk_maxima: with intp offsets, on a
-# 2-core x86-64 VM with 2 MiB of L2 per core, a full scan of an X-section
-# (what ``du`` does, and the section sweep's fallback) took a median 29, 266
-# and 1245 ms at Q = 2401, 6561 and 14641 with 2^16, 26, 271 and 1339 ms
-# with 2^15, and 43, 294 and 1358 ms with 2^17
+# 2-core x86-64 VM with 2 MiB of L2 per core, a full scan of a random table
+# (what ``du`` does, and the section sweep's fallback) took a median 51, 495
+# and 2168 ms at Q = 2401, 6561 and 14641 with 2^16, 55, 522 and 2318 ms
+# with 2^15, and 65, 528 and 2078 ms with 2^17; over this and a second
+# round, on a busier host, 2^16 took the least time in total
 _ROW_COUNT_BUDGET = 2**16
 
 
@@ -111,15 +112,21 @@ def _chunk_maxima(t, tbl: np.ndarray):
     """Yield (lo, hi, u) with u = u(difference map) for directions
     ``t.shift_reps[lo:hi]``, a chunk of about ``_ROW_COUNT_BUDGET`` counts.
 
-    The full scan: ``_row_maxima`` reads every chunk, and the fallback of
-    ``_section_delta`` stops at the first chunk that reaches Q.
+    Each chunk's differences are ``t.sub(tbl[t.add(x, a)], tbl)`` on the
+    (hi - lo, Q) grid of directions a and points x, so the memory is O(the
+    chunk) beyond the field tables.  The full scan: ``_row_maxima`` reads
+    every chunk, and the fallback of ``_section_delta`` stops at the first
+    chunk that reaches Q.
     """
     Q = len(tbl)
     rows = max(1, _ROW_COUNT_BUDGET // Q)
+    ar = np.arange(Q, dtype=np.int32)
     base = np.arange(rows, dtype=np.intp)[:, None] * Q
-    for lo, hi, offs in t.shift_differences(tbl, rows):
-        offs += base[:hi - lo]
-        counts = np.bincount(offs.ravel(), minlength=(hi - lo) * Q)
+    reps = t.shift_reps
+    for lo in range(0, len(reps), rows):
+        hi = min(lo + rows, len(reps))
+        diffs = t.sub(tbl[t.add(ar, reps[lo:hi, None])], tbl)
+        counts = np.bincount((diffs + base[:hi - lo]).ravel(), minlength=(hi - lo) * Q)
         yield lo, hi, counts.reshape(hi - lo, Q).max(axis=1)
 
 

@@ -31,7 +31,7 @@ required to agree with the scalar side element for element.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -423,11 +423,8 @@ class FieldTables:
 
     ``add`` and ``mul`` are this layer's only field arithmetic: ``sub``,
     ``pow`` and ``poly`` (a univariate polynomial on an index array) are
-    built on them, and so is every vectorized evaluation in the package.
-
-    ``shift_differences`` gives the difference maps x -> f(x + a) - f(x)
-    that the differential-uniformity count needs, a chunk of directions at a
-    time, from tables of (2p-1)^(2e) entries; nothing of size Q^2 is kept.
+    built on them, and so is every vectorized evaluation in the package,
+    the difference maps that ``du_analysis`` counts included.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -490,33 +487,6 @@ class FieldTables:
 
     def sub(self, A, B):
         return self._canon[self._packed[A] + self._packed_neg[B]]
-
-    @cached_property
-    def _canon_intp(self) -> np.ndarray:
-        """``_canon`` as intp, read only by ``shift_differences``: its output
-        goes straight to ``np.bincount``, which copies any other dtype."""
-        return self._canon.astype(np.intp)
-
-    def shift_differences(self, tbl, rows: int):
-        """Yield (lo, hi, D) over ``shift_reps`` in chunks of ``rows`` rows,
-        where D[i - lo, x] = tbl[x + shift_reps[i]] - tbl[x], as intp.
-
-        ``moved = _packed[tbl][_canon]`` is built once per call, with
-        (2p-1)^(2e) entries: since ``_canon[_packed[x] + _packed[a]]`` is
-        x + a, ``moved[_packed[x] + _packed[a]]`` is ``_packed[tbl[x + a]]``.
-        So each entry costs one gather from ``moved`` and one from ``_canon``,
-        and no grid of shifts x + a is ever formed.  (``np.take`` gathers
-        these flat tables faster than fancy indexing does.)
-        """
-        moved = np.take(self._packed[tbl], self._canon)
-        back = self._packed_neg[tbl]
-        start = self._packed[self.shift_reps]
-        canon = self._canon_intp
-        for lo in range(0, len(start), rows):
-            hi = min(lo + rows, len(start))
-            packed = np.take(moved, start[lo:hi, None] + self._packed)
-            packed += back
-            yield lo, hi, np.take(canon, packed)
 
     def mul(self, A, B):
         return self.exp_pad[self.log[A] + self.log[B]]

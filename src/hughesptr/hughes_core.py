@@ -40,9 +40,9 @@ theorem (``_tq_pow``) into a triple of univariate factors:
   factor triple are formed by numpy broadcasting, and equal exponent
   triples are summed mod p after one sort.  No ring product is taken.
   ``gen`` streams those arrays to JSON (``trivar_poly.write_json``) and
-  builds no ``TriPoly``; the ``build_*`` functions and ``sigma_poly`` wrap
-  them in one (``_emit``), and the tests hold every form to its expansion
-  by ``TriPoly`` products.
+  builds no ``TriPoly``; the ``build_*`` functions wrap them in one
+  (``_emit``), and the tests hold every form to its expansion by
+  ``TriPoly`` products.
 * ``piecewise_match`` proves the main theorem, that the form equals the
   piecewise operation on all of GF(Q)^3: it checks the shape of every
   record on its exponents (a, b) alone, then evaluates the expanded blocks
@@ -79,8 +79,6 @@ __all__ = [
     "phi_eval",
     "phi_poly",
     "sigma_eval",
-    "sigma_poly",
-    "build_M",
     "nonreduced_blocks",
     "reduced_blocks",
     "t2_blocks",
@@ -264,17 +262,15 @@ def _tq_pow(ctx: FieldCtx, n: int) -> Factor:
     return ctx.q * js + n - js, res
 
 
-def expand_blocks(ctx: FieldCtx, records: list[Record], linear: tuple[Block, ...] = (_XY, _Z)) -> list[Block]:
-    """The blocks of ``linear``, then each record (f, a, b) as the block
-    (f, tq(Y)^a, tq(Z)^b).
+def expand_blocks(ctx: FieldCtx, records: list[Record]) -> list[Block]:
+    """The blocks X*Y and Z, which the three forms share, then each record
+    (f, a, b) as the block (f, tq(Y)^a, tq(Z)^b).
 
-    ``linear`` defaults to X*Y + Z, which the three forms share; M takes X*Y
-    alone and sigma nothing.  Each distinct power is expanded once and its
-    factor shared by every block that uses it; ``emit_arrays`` only reads
-    them.
+    Each distinct power is expanded once and its factor shared by every
+    block that uses it; ``emit_arrays`` only reads them.
     """
     powers = {n: _tq_pow(ctx, n) for n in {n for _, a, b in records for n in (a, b)}}
-    return [*linear, *((f, powers[a], powers[b]) for f, a, b in records)]
+    return [_XY, _Z, *((f, powers[a], powers[b]) for f, a, b in records)]
 
 
 def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
@@ -344,24 +340,13 @@ def _emit(ctx: FieldCtx, blocks: list[Block]) -> TriPoly:
     return TriPoly(ctx, terms)
 
 
-def _binom_blocks(ctx: FieldCtx, scale: int, y_shift: int) -> list[Record]:
-    """scale * binom((Q+1)/2, m) X^m tq(Y)^(m + y_shift) tq(Z)^(Q-m), m = 1 .. (Q-1)/2."""
+def _binom_blocks(ctx: FieldCtx, scale: int) -> list[Record]:
+    """scale * binom((Q+1)/2, m) X^m tq(Y)^m tq(Z)^(Q-m), m = 1 .. (Q-1)/2."""
     Q, p = ctx.Q, ctx.p
     ms = np.arange(1, (Q - 1) // 2 + 1)
     bs = binom_mod_lucas((Q + 1) // 2, ms, p)
-    return [(_factor([m], [scale * b % p]), m + y_shift, Q - m)
+    return [(_factor([m], [scale * b % p]), m, Q - m)
             for m, b in zip(ms[bs != 0].tolist(), bs[bs != 0].tolist())]
-
-
-def sigma_poly(ctx: FieldCtx) -> TriPoly:
-    """A (non-reduced) polynomial evaluating as ``sigma_eval`` everywhere:
-
-    tq(Y)^(Q-1) * (X^((Q+1)/2)
-                   + sum_{m=1}^{(Q-1)/2} binom((Q+1)/2, m) X^m tq(Y)^(m-1) tq(Z)^(Q-m))
-    """
-    Q = ctx.Q
-    head = (_factor([(Q + 1) // 2], [1]), Q - 1, 0)
-    return _emit(ctx, expand_blocks(ctx, [head, *_binom_blocks(ctx, 1, Q - 2)], ()))
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +363,6 @@ def _m_record(ctx: FieldCtx) -> Record:
     return t_half_x, 1, 0
 
 
-def build_M(ctx: FieldCtx) -> TriPoly:
-    """M(X, Y) = X*Y - (1/2) * (X^((Q+1)/2) - X) * (Y^q - Y); already reduced."""
-    return _emit(ctx, expand_blocks(ctx, [_m_record(ctx)], (_XY,)))
-
-
 def nonreduced_blocks(ctx: FieldCtx) -> list[Record]:
     """Records of the binomial-coefficient form:
 
@@ -392,7 +372,7 @@ def nonreduced_blocks(ctx: FieldCtx) -> list[Record]:
     identically to the piecewise operation.
     """
     minus_half = (ctx.p - 1) // 2  # -1/2 in GF(p)
-    return [_m_record(ctx), *_binom_blocks(ctx, minus_half, 0)]
+    return [_m_record(ctx), *_binom_blocks(ctx, minus_half)]
 
 
 def build_nonreduced_T(ctx: FieldCtx) -> TriPoly:

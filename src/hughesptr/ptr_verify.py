@@ -503,7 +503,9 @@ def check_plane(points_on: np.ndarray) -> PtrReport:
     bad_line = _first_bad_row(points_on, N)
     if bad_line is not None:
         return PtrReport("projective_plane", False, ("line_size",) + bad_line)
-    per_point = sum(np.bincount(col, minlength=N) for col in points_on.T)  # no N x (Q+1) intp copy
+    # one count per chunk of about _PAIR_COUNT_BUDGET ids: no N x (Q+1) intp copy
+    chunk = max(1, _PAIR_COUNT_BUDGET // (Q + 1))
+    per_point = sum(np.bincount(points_on[lo:lo + chunk].ravel(), minlength=N) for lo in range(0, N, chunk))
     if not (per_point == Q + 1).all():
         return PtrReport("projective_plane", False,
                          ("point_degree", int(np.argmax(per_point != Q + 1))))

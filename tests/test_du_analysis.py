@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hughesptr
-from hughesptr import du_analysis, field_ctx, ptr_table
+from hughesptr import cli, du_analysis, field_ctx, ptr_table
 from hughesptr.du_analysis import (
     _row_maxima,
     _section_delta,
@@ -272,7 +273,8 @@ def test_two_slope_maps_have_one_u_in_every_direction(monkeypatch, p, e):
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_hughes_sections_need_no_full_scan(monkeypatch, p, e):
     # exhaustively at Q <= 81: the probe decides every Y- and Z-section and
-    # every linear X-section, and the symmetry every other X-section
+    # every linear X-section, and the symmetry every other X-section; and so
+    # for the sampled sections of `du` at Q = 2401
     ctx = field_ctx(p, e)
 
     def no_scan(t, tbl):
@@ -281,6 +283,25 @@ def test_hughes_sections_need_no_full_scan(monkeypatch, p, e):
     monkeypatch.setattr(du_analysis, "_chunk_maxima", no_scan)
     report = du_sections(ctx)
     assert all(report[family]["passed"] for family in "xyz")
+    assert cli.main(["du", "--p", "7", "--e", "2", "--samples", "8"]) == 0
+
+
+def test_full_scan_memory_does_not_grow_with_the_packed_table():
+    # at Q = 59049 the packed-digit table _canon has 5^10 entries; a chunk of
+    # the full scan allocates O(the chunk) beyond the field tables
+    ctx = field_ctx(3, 5)
+    t = ctx.tables
+    tbl = np.random.default_rng(0).integers(0, ctx.Q, ctx.Q).astype(np.int32)
+    tracemalloc.start()
+    try:
+        lo, hi, u = next(du_analysis._chunk_maxima(t, tbl))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+    a = int(t.shift_reps[0])
+    assert (lo, hi) == (0, 1)
+    assert u[0] == np.bincount(t.sub(tbl[t.add(np.arange(ctx.Q), a)], tbl)).max()
 
 
 @pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (13, 1)])

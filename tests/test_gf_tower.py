@@ -232,16 +232,6 @@ def test_vector_tables_bit_identical(p, e):
     reps = t.shift_reps
     assert len(reps) == (Q - 1) // 2 and (reps < t.neg[reps]).all()
     assert sorted(np.concatenate([reps, t.neg[reps]]).tolist()) == list(range(1, Q))
-    # the grid-free difference rows, in chunks of every size up to all rows at once
-    rng = np.random.default_rng(p * 10 + e)
-    for tbl in (rng.integers(0, Q, Q), rng.permutation(Q)):
-        expected = t.sub(tbl[vadd[reps]], tbl)
-        for rows in (1, 2, 3, len(reps)):
-            chunks = list(t.shift_differences(tbl, rows))
-            assert [lo for lo, _, _ in chunks] == list(range(0, len(reps), rows))
-            assert chunks[-1][1] == len(reps)
-            assert all(d.dtype == np.intp and d.shape == (hi - lo, Q) for lo, hi, d in chunks)
-            assert np.array_equal(np.concatenate([d for _, _, d in chunks]), expected)
     for n in (0, 1, 2, ctx.q, Q - 1, Q + 3):
         vp = t.pow(ar, n)
         for i in range(Q):

@@ -368,21 +368,40 @@ def _random_perturbation(points_on, rng):
         points_on[line, i] = points_on[line, j]
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_plane_random_controls_match_dense_oracle(p):
-    # the dense oracle checks both pair counts; the single pass must agree
-    ctx = field_ctx(p, 1)
+def _random_controls(p):
+    """The Hughes plane of order p and 100 seeded perturbations of it."""
     rng = np.random.default_rng(p)
-    base = build_plane(hughes_table(ctx))
-    witnesses = set()
+    base = build_plane(hughes_table(field_ctx(p, 1)))
+    planes = []
     for _ in range(100):
         plane = base.copy()
         for _ in range(rng.integers(1, 3)):
             _random_perturbation(plane, rng)
+        planes.append(plane)
+    return base, planes
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_plane_random_controls_match_dense_oracle(p):
+    # the dense oracle checks both pair counts; the single pass must agree
+    witnesses = set()
+    for plane in _random_controls(p)[1]:
         report = check_plane(plane)
         assert report == dense_plane_report(plane)
         witnesses.add(None if report.witness is None else report.witness[0])
     assert "points_on_common_line" in witnesses
+
+
+@pytest.mark.parametrize("lines", [1, 2, 7])
+@pytest.mark.parametrize("p", [3, 5])
+def test_chunked_degree_count_matches_default_budget(p, lines, monkeypatch):
+    # the planes of test_plane_random_controls_match_dense_oracle, with the
+    # point degrees counted in chunks of 1, 2 or 7 lines
+    base, planes = _random_controls(p)
+    want = [check_plane(plane) for plane in [base, *planes]]
+    assert sum(r.witness is not None and r.witness[0] == "point_degree" for r in want) >= 5
+    monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", lines * (p * p + 1))
+    assert [check_plane(plane) for plane in [base, *planes]] == want
 
 
 @pytest.mark.parametrize("budget", [10, 64, 2**17])  # chunks of 1 line, of 6 lines (91 = 15*6 + 1), one chunk

@@ -40,8 +40,8 @@ RUNS = [
     # took 324 s here
     ("verify --p 19 --e 1 --plane", 448, False),
     # Q=59049: measured 0.4-0.5 s at 88 MiB, probe and symmetry deciding every
-    # section; a fallback to the full scan builds 117 MB more (`_canon_intp`
-    # and `moved`) and took 81 s at 270 MiB
+    # section; with both X-sections sent to the full scan instead, which holds
+    # O(2^16) counts beyond the field tables, it took 133 s at the same 88 MiB
     ("du --p 3 --e 5 --samples 2 --max-order 59049", 128, False),
     # all 28,561 X-sections at Q=169, each non-linear one decided by the
     # symmetry check and direction 1; exit 1 on any delta other than the
