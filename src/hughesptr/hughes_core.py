@@ -32,13 +32,16 @@ their residues, and each form is X*Y + Z plus blocks f(X) * tq(Y)^a * tq(Z)^b
 with tq(V) = V^q - V and f a sparse polynomial in X.  A block is recorded as
 (f, a, b), with its exponents.  One record list per form (``reduced_blocks``,
 ``t2_blocks``, ``nonreduced_blocks``) feeds two consumers, both through
-``expand_blocks``, which adds X*Y + Z and expands each tq(V)^n by Lucas'
-theorem (``_tq_pow``) into a triple of univariate factors:
+``expand_blocks``, which adds X*Y + Z and expands every distinct power
+tq(V)^n of the list by Lucas' theorem, all with one call of the Lucas
+kernel (``_tq_pows``), into a triple of univariate factors:
 
 * ``emit_arrays`` writes the form out in closed form, as sorted int32
   arrays of exponents and GF(p) residues: the term products of each
-  factor triple are formed by numpy broadcasting, and equal exponent
-  triples are summed mod p after one sort.  No ring product is taken.
+  factor triple are formed by numpy broadcasting, each as one int64 key of
+  bit fields ex | ey | ez | c, and equal exponent triples are summed mod p
+  after one sort; the fields are read back with shifts and masks.  No ring
+  product is taken.
   ``gen`` streams those arrays to JSON (``trivar_poly.write_json``) and
   builds no ``TriPoly``; the ``build_*`` functions wrap them in one
   (``_emit``), and the tests hold every form to its expansion by
@@ -242,92 +245,143 @@ _XY = (_VAR, _VAR, _ONE)
 _Z = (_ONE, _ONE, _VAR)
 
 
-def _tq_pow(ctx: FieldCtx, n: int) -> Factor:
-    """tq(V)^n = sum_j (-1)^(n-j) binom(n, j) V^(qj + n - j) over GF(p).
+def _tq_pows(ctx: FieldCtx, ns) -> list[Factor]:
+    """[tq(V)^n for n in ns], each sum_j (-1)^(n-j) binom(n, j) V^(qj + n - j)
+    over GF(p).
 
     By Lucas' theorem binom(n, j) is nonzero mod p exactly when every base-p
     digit of j is at most the matching digit of n, and it is then the
     product of the digit binomials; so the j are enumerated digit by digit,
-    prod(n_d + 1) of them (N. J. Fine, Amer. Math. Monthly 54, 1947), and
-    their binomials come from one call of the Lucas kernel.
+    prod(n_d + 1) of them (N. J. Fine, Amer. Math. Monthly 54, 1947).  This
+    is done for every n at once: each pass over one base-p digit repeats
+    every j of every n once per value its new digit may take, in ascending
+    order.  Their binomials come from one call of the Lucas kernel on all
+    pairs (n, j), and the result is split by n.  A negative n raises
+    ``ValueError``.
     """
     p = ctx.p
-    js = np.zeros(1, dtype=np.int64)
-    place, rest = 1, n
-    while rest:
-        js = (js[:, None] + place * np.arange(rest % p + 1)).ravel()
-        place, rest = place * p, rest // p
+    ns = np.asarray(ns, dtype=np.int64)
+    if (ns < 0).any():
+        raise ValueError(f"tq(V)^n with the negative exponent n = {int(ns[ns < 0][0])}")
+    # the j of each n, n by n in the order of ns: sizes[i] of them for ns[i]
+    js = np.zeros(ns.size, dtype=np.int64)
+    sizes = np.ones(ns.size, dtype=np.int64)
+    rest, place = ns.copy(), 1
+    while rest.any():
+        choices = rest % p + 1  # the values the next digit of a j may take
+        counts = np.repeat(choices, sizes)
+        sizes *= choices
+        starts = np.cumsum(counts) - counts
+        # j + place * d for d = 0 .. counts-1, where j's copies are numbered
+        # starts, starts + 1, ... in the new array
+        js = np.repeat(js - place * starts, counts)
+        js += place * np.arange(js.size)
+        rest //= p
+        place *= p
+    n = np.repeat(ns, sizes)
     res = binom_mod_lucas(n, js, p)
-    res = np.where((n - js) % 2, p - res, res)
-    return ctx.q * js + n - js, res
+    n -= js
+    np.subtract(p, res, out=res, where=(n & 1).astype(bool))  # (-1)^(n-j)
+    js *= ctx.q
+    n += js  # the exponent q*j + n - j
+    cuts = np.cumsum(sizes)
+    return list(zip(np.split(n, cuts)[:-1], np.split(res, cuts)[:-1]))
 
 
 def expand_blocks(ctx: FieldCtx, records: list[Record]) -> list[Block]:
     """The blocks X*Y and Z, which the three forms share, then each record
     (f, a, b) as the block (f, tq(Y)^a, tq(Z)^b).
 
-    Each distinct power is expanded once and its factor shared by every
-    block that uses it; ``emit_arrays`` only reads them.
+    The distinct powers are expanded by one ``_tq_pows`` call, in ascending
+    order, and each factor is shared by every block that uses it;
+    ``emit_arrays`` only reads them.
     """
-    powers = {n: _tq_pow(ctx, n) for n in {n for _, a, b in records for n in (a, b)}}
+    ns = sorted({n for _, a, b in records for n in (a, b)})
+    powers = dict(zip(ns, _tq_pows(ctx, ns)))
     return [_XY, _Z, *((f, powers[a], powers[b]) for f, a, b in records)]
+
+
+def _key_widths(p: int, tops) -> tuple[int, int, int, int]:
+    """The bit widths (wx, wy, wz, wc) of an ``emit_arrays`` key whose largest
+    X, Y and Z exponents are ``tops``: each exponent field as wide as its
+    largest value needs, and wc = ceil(log2 p) for a residue mod p.
+
+    Raises ``OverflowError`` when they add up to more than the 63 bits of a
+    nonnegative int64, or an exponent does not fit the int32 term arrays.
+    """
+    wx, wy, wz = (int(top).bit_length() for top in tops)
+    widths = wx, wy, wz, (p - 1).bit_length()
+    if sum(widths) > 63:
+        raise OverflowError(f"exponent keys need {sum(widths)} bits, more than the 63 of an int64")
+    if max(*tops, p - 1) >= 2**31:
+        raise OverflowError("exponents too large for int32 term arrays")
+    return widths
 
 
 def emit_arrays(ctx: FieldCtx, blocks: list[Block]) -> tuple[np.ndarray, ...]:
     """The sum of the blocks as term arrays (ex, ey, ez, c), with no ring products.
 
     Every product of one term from each factor of a block is formed by
-    broadcasting, as a packed key ((ex * RY + ey) * RZ + ez) * p + c; one
-    sort brings equal exponent triples together in (ex, ey, ez) order, their
-    residues are summed mod p and the zero sums dropped.  The int32 arrays
-    come out in that order, and c is a residue mod p, which is the index of
-    a GF(p) element.  An empty sum gives four empty arrays.
+    broadcasting, as one int64 key of bit fields ex | ey | ez | c: c in the
+    low ceil(log2 p) bits, then ez, ey and ex, each as wide as the largest
+    exponent of its variable needs.  One sort brings equal exponent triples
+    together in (ex, ey, ez) order, their residues are summed mod p and the
+    zero sums dropped; the fields are read back with shifts and masks.  The
+    int32 arrays come out in that order, and c is a residue mod p, which is
+    the index of a GF(p) element.  An empty sum gives four empty arrays.
+    Keys wider than 63 bits raise ``OverflowError`` before anything is
+    allocated.
     """
     p = ctx.p
-    rx, ry, rz = (1 + max((int(block[v][0].max(initial=0)) for block in blocks), default=0)
-                  for v in range(3))
-    if rx * ry * rz * p >= 2**63:
-        raise OverflowError("exponents too large to pack into one int64 key")
-    if max(rx, ry, rz, p) > 2**31:
-        raise OverflowError("exponents too large for int32 term arrays")
+    tops = [max((int(block[v][0].max(initial=0)) for block in blocks), default=0) for v in range(3)]
+    wx, wy, wz, wc = _key_widths(p, tops)
+    sz, sy, sx = wc, wc + wz, wc + wz + wy
     sizes = [fx[0].size * fy[0].size * fz[0].size for fx, fy, fz in blocks]
     packed = np.empty(sum(sizes), dtype=np.int64)
+    residues = np.arange(p)[:, None]
     at = 0
     for ((xe, xc), (ye, yc), (ze, zc)), size in zip(blocks, sizes):
-        key = ((xe[:, None, None] * ry + ye[None, :, None]) * rz + ze[None, None, :]) * p
-        c = (xc[:, None, None] * yc[None, :, None] % p) * zc[None, None, :] % p
-        packed[at:at + size] = (key + c).ravel()
+        xy = ((xe << sx)[:, None] | (ye << sy)[None, :]).ravel()
+        cxy = (xc[:, None] * yc[None, :] % p).ravel()
+        # row r: the Z fields with c = r * zc mod p, gathered by each cxy
+        z_rows = (ze << sz) | residues * zc % p
+        np.bitwise_or(xy[:, None], z_rows[cxy], out=packed[at:at + size].reshape(xy.size, ze.size))
         at += size
     packed.sort()
     # One pass over the sorted raw terms, a chunk at a time, each chunk ending
-    # where an exponent key does.  Equal keys are summed mod p, and each
-    # nonzero sum goes back, packed with its key, over the front of
-    # ``packed``, which the pass has read by then; no second raw-size array
-    # is made.
+    # where an exponent key does.  Two neighbours share their exponents when
+    # their XOR has no bit above the c field.  Equal keys are summed mod p,
+    # and each nonzero sum goes back into the c field of its key, over the
+    # front of ``packed``, which the pass has read by then; no second
+    # raw-size array is made.
+    cmask = (1 << wc) - 1
     kept, lo = 0, 0
     while lo < packed.size:
         hi = min(lo + _SUM_CHUNK, packed.size)
-        hi += int(np.searchsorted(packed[hi:], (packed[hi - 1] // p + 1) * p))
-        keys, res = np.divmod(packed[lo:hi], p)
-        first = np.empty(keys.size, dtype=bool)
+        hi += int(np.searchsorted(packed[hi:], packed[hi - 1] | cmask, side="right"))
+        chunk = packed[lo:hi]
+        first = np.empty(chunk.size, dtype=bool)
         first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        sums = np.add.reduceat(res, starts) % p
-        nonzero = sums != 0
-        summed = keys[starts[nonzero]] * p + sums[nonzero]
+        np.greater(chunk[1:] ^ chunk[:-1], cmask, out=first[1:])
+        if first.all():  # every key once: its residue is its sum
+            summed = chunk[(chunk & cmask) != 0]
+        else:
+            starts = np.flatnonzero(first)
+            sums = np.add.reduceat(chunk & cmask, starts) % p
+            nonzero = sums != 0
+            summed = chunk[starts[nonzero]] & ~cmask | sums[nonzero]
         packed[kept:kept + summed.size] = summed
         kept += summed.size
         lo = hi
     key = packed[:kept]
     c, ez, ey = (np.empty(kept, dtype=np.int32) for _ in range(3))
     # an unsafe cast on a ufunc's out is buffered: no int64 temporary
-    np.remainder(key, p, out=c, casting="unsafe")
-    key //= p
-    np.remainder(key, rz, out=ez, casting="unsafe")
-    key //= rz
-    np.remainder(key, ry, out=ey, casting="unsafe")
-    key //= ry
+    np.bitwise_and(key, cmask, out=c, casting="unsafe")
+    key >>= wc
+    np.bitwise_and(key, (1 << wz) - 1, out=ez, casting="unsafe")
+    key >>= wz
+    np.bitwise_and(key, (1 << wy) - 1, out=ey, casting="unsafe")
+    key >>= wy
     return key.astype(np.int32), ey, ez, c
 
 

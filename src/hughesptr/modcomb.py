@@ -7,19 +7,25 @@ mod-p binomial ``binom_mod_lucas`` is one broadcasting kernel over index
 arrays: by Lucas' theorem it is the product of the binomials of the base-p
 digits.  It reads k digits per pass, one gather from a p^k x p^k block table
 that is itself the Lucas product of the p x p digit table (``_block_table``;
-(p^k)^2 <= 4096, so B = p^k is 27, 25 and 49 for p = 3, 5 and 7).  The mod-p
-Catalan value is computed division-free as binom(2n, n) - binom(2n, n+1)
-through that kernel, since (n+1) need not be invertible mod p.  Generalized
-Catalan values are computed exactly as big integers and then reduced, for
-the same reason; ``central_binoms`` lists the central binomials binom(2m, m)
-they are made of, so that a caller needing many of them builds each once.
+(p^k)^2 <= 4096, so B = p^k is 27, 25 and 49 for p = 3, 5 and 7).  The
+passes run in int32 when every argument is below 2^31, in int64 otherwise,
+and the result is int64 either way.  The mod-p Catalan value is computed
+division-free as binom(2n, n) - binom(2n, n+1) through that kernel, since
+(n+1) need not be invertible mod p.  Generalized Catalan values are computed
+exactly as big integers and then reduced, for the same reason;
+``central_binoms`` lists the central binomials binom(2m, m) they are made
+of, so that a caller needing many of them builds each once.
 
 ``identity_suite`` re-verifies every congruence identity the polynomial
 construction relies on, exactly.  Its Lucas sweep compares the kernel with
 Pascal's triangle built mod p row by row: reduction mod p is a ring
-homomorphism, so every entry of that triangle is binom(a, b) mod p.  The
-other sweeps compare exact big integers, reduced mod p where the identity is
-a congruence.  They take their binomials from rows built with
+homomorphism, so every entry of that triangle is binom(a, b) mod p.  Each
+row is one add of the row before it and one remainder, written in place
+into a buffer preallocated per chunk of rows: uint8 while the sum of two
+residues fits (p <= 127), int64 above.  The row and column indices of a
+chunk are int32, which the kernel does not widen.  The other sweeps compare
+exact big integers, reduced mod p where the identity is a congruence.  They
+take their binomials from rows built with
 binom(n, k+1) = binom(n, k) (n-k) / (k+1), and their Catalan numbers from one
 run of C[m+1] = C[m] * 2(2m+1) / (m+2), rather than one ``math.comb`` per
 entry; ``binom_exact`` and ``catalan_exact`` are the references both are
@@ -97,17 +103,23 @@ def binom_mod_lucas(alpha, beta, p: int):
     By Lucas' theorem, the product of the binomials of the base-p digits.
     Each pass reads the binomial of k digits at once, one gather from the
     flat B x B block table of ``_block_table`` (B = p^k), which is the Lucas
-    product of the digit table, not ``math.comb``.  0 where either argument
-    is negative.  Given two ints, it returns an int.
+    product of the digit table, not ``math.comb``.  The passes work in int32
+    when the largest argument is below 2^31 (and p^2 too, which bounds a
+    product of two residues), else in int64; int32 arguments are not
+    widened on the way.  The result is int64.  0 where either argument is
+    negative.  Given two ints, it returns an int.
     """
     size, table = _block_table(p)
-    a = np.asarray(alpha, dtype=np.int64)
-    b = np.asarray(beta, dtype=np.int64)
+    a, b = (x if x.dtype == np.int32 else x.astype(np.int64, copy=False)
+            for x in (np.asarray(alpha), np.asarray(beta)))
     valid = (a >= 0) & (b >= 0)
-    r = valid.astype(np.int64)
-    # fresh arrays of the broadcast shape, so the passes may write into them
-    a, b = np.where(valid, a, 0), np.where(valid, b, 0)
     top = max(int(a.max(initial=0)), int(b.max(initial=0)))
+    dtype = np.int32 if max(top, p * p) < 2**31 else np.int64
+    table = table.astype(dtype, copy=False)
+    r = valid.astype(dtype)
+    # fresh arrays of the broadcast shape, so the passes may write into them,
+    # and 0 where an argument is negative (whatever the cast made of it)
+    a, b = (np.multiply(x, valid, dtype=dtype, casting="unsafe") for x in (a, b))
     while top:  # one pass per k base-p digits of the largest argument
         a_hi, b_hi = a // size, b // size
         a -= a_hi * size  # the low k digits of each argument
@@ -117,7 +129,7 @@ def binom_mod_lucas(alpha, beta, p: int):
         r *= table.take(a)
         r -= r // p * p  # r mod p: // by a scalar costs far less than %
         a, b, top = a_hi, b_hi, top // size
-    return int(r) if r.ndim == 0 else r
+    return int(r) if r.ndim == 0 else r.astype(np.int64, copy=False)
 
 
 def catalan_exact(n: int) -> int:
@@ -231,23 +243,33 @@ def _catalan_run():
 def _pascal_chunks(max_n: int, p: int, size: int):
     """Rows 0 .. max_n of Pascal's triangle mod p, in chunks of whole rows.
 
-    Each row is built from the one before, mod p.  Yields (a, b, entry)
-    arrays in scan order, at least ``size`` entries per chunk but the last.
+    Each row is built from the one before, mod p, with one add and one
+    remainder, in place in the chunk's preallocated buffer: uint8 when the
+    sum of two entries (below 2p) fits, int64 otherwise.  Yields (a, b,
+    entry) arrays in scan order, a and b int32, at least ``size`` entries
+    per chunk but the last.
     """
-    row = np.ones(1, dtype=np.int64)
-    rows, first = [], 0
-    for a in range(max_n + 1):
-        if a:
-            prev, row = row, np.ones(a + 1, dtype=np.int64)
-            np.add(prev[1:], prev[:-1], out=row[1:a])
-            row[1:a] %= p
-        rows.append(row)
-        if (a + 1) * (a + 2) // 2 - first * (first + 1) // 2 >= size or a == max_n:
-            rows_a = np.repeat(np.arange(first, a + 1), np.arange(first + 1, a + 2))
-            # entry (a, b) is number a(a+1)/2 + b of the triangle
-            rows_b = np.arange(rows_a.size) + first * (first + 1) // 2 - rows_a * (rows_a + 1) // 2
-            yield rows_a, rows_b, np.concatenate(rows)
-            rows, first = [], a + 1
+    dtype = np.uint8 if 2 * (p - 1) <= 255 else np.int64
+    prev, first = None, 0
+    while first <= max_n:
+        buf = np.ones(size + max_n + 1, dtype=dtype)  # every row begins and ends with 1
+        at, a = 0, first
+        while True:
+            row = buf[at:at + a + 1]
+            if a > 1:
+                inner = row[1:a]
+                np.add(prev[1:], prev[:-1], out=inner)
+                np.remainder(inner, p, out=inner)
+            prev, at = row, at + a + 1
+            if at >= size or a == max_n:
+                break
+            a += 1
+        lengths = np.arange(first + 1, a + 2, dtype=np.int32)
+        starts = np.cumsum(lengths, dtype=np.int32) - lengths  # of the rows in buf
+        rows_a = np.repeat(np.arange(first, a + 1, dtype=np.int32), lengths)
+        rows_b = np.arange(at, dtype=np.int32) - np.repeat(starts, lengths)
+        yield rows_a, rows_b, buf[:at]
+        first = a + 1
 
 
 # index ceiling of the exact integer identity gen_catalan_diff

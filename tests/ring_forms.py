@@ -2,8 +2,12 @@
 
 The reference the closed-form builders of ``hughes_core`` are held to: every
 product here goes through ``TriPoly`` multiplication over GF(Q), term by
-term, with no use of Lucas' theorem on the tq powers.
+term, with no use of Lucas' theorem on the tq powers.  ``tq_pow`` is the
+reference of the batched expansion ``hughes_core._tq_pows``: the same
+expansion by Lucas' theorem, one exponent at a time.
 """
+
+import numpy as np
 
 from hughesptr.hughes_core import _g_factor, _h_factor
 from hughesptr.modcomb import binom_mod_lucas, central_binoms
@@ -41,6 +45,25 @@ def tq_powers(ctx, axis: int, upto: int) -> list[TriPoly]:
     for _ in range(upto):
         out.append(out[-1] * base)
     return out
+
+
+def tq_pow(ctx, n: int):
+    """tq(V)^n = sum_j (-1)^(n-j) binom(n, j) V^(qj + n - j) over GF(p), n >= 0,
+    as a factor (exponents, residues).
+
+    The j with binom(n, j) nonzero mod p are enumerated digit by digit (every
+    base-p digit of j at most that of n), and their binomials come from one
+    call of the Lucas kernel.
+    """
+    p = ctx.p
+    js = np.zeros(1, dtype=np.int64)
+    place, rest = 1, n
+    while rest:
+        js = (js[:, None] + place * np.arange(rest % p + 1)).ravel()
+        place, rest = place * p, rest // p
+    res = binom_mod_lucas(n, js, p)
+    res = np.where((n - js) % 2, p - res, res)
+    return ctx.q * js + n - js, res
 
 
 def ring_M(ctx) -> TriPoly:

@@ -22,7 +22,8 @@ from hughesptr import (
 from hughesptr import hughes_core
 from hughesptr.hughes_core import (
     _emit,
-    _tq_pow,
+    _key_widths,
+    _tq_pows,
     emit_arrays,
     evaluate_blocks,
     expand_blocks,
@@ -34,7 +35,7 @@ from hughesptr.hughes_core import (
 )
 from hughesptr.ptr_verify import PtrReport
 from conftest import random_elements
-from ring_forms import RING_FORMS, g_poly, h_poly, ring_M, ring_sigma, tq_poly
+from ring_forms import RING_FORMS, g_poly, h_poly, ring_M, ring_sigma, tq_poly, tq_pow
 
 
 def test_nearfield_mul(ctx9):
@@ -286,6 +287,67 @@ def test_emit_arrays_refuses_exponents_past_int32(ctx9):
         [[0, 2**31 - 1], [0, 0], [0, 0], [1, 1]]
 
 
+def _ring_sum(ctx, blocks) -> TriPoly:
+    """The sum of the blocks by TriPoly products of their three factors."""
+    total = TriPoly.zero(ctx)
+    for block in blocks:
+        product = TriPoly.one(ctx)
+        for v, (exps, res) in enumerate(block):
+            product = product * TriPoly(ctx, {tuple(n if w == v else 0 for w in range(3)): ctx.from_int(c)
+                                              for n, c in zip(exps.tolist(), res.tolist())})
+        total = total + product
+    return total
+
+
+@pytest.mark.parametrize("top", ["2^k - 1", "2^k"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_emit_arrays_at_bit_field_boundaries(p, top, monkeypatch):
+    # every exponent field just full (largest exponent 2^k - 1) or one bit
+    # wider (2^k), next to 2^k - 1 and its neighbours, with residues that
+    # fill the c field, zero residues, and repeated keys across blocks, some
+    # summing to 0
+    ctx = field_ctx(p, 1)
+    rng = np.random.default_rng(p)
+
+    def factor(k):
+        exps = [0, 1, 2**k - 2, 2**k - 1] + ([2**k] if top == "2^k" else [])
+        return np.array(exps, dtype=np.int64), rng.integers(0, p, len(exps))
+
+    blocks = [tuple(factor(k) for k in (5, 9, 13)) for _ in range(3)]
+    blocks.append(tuple((exps, (p - res) % p) for exps, res in blocks[0]))  # -block 0
+    blocks.append(((np.array([3]), np.array([0])), *blocks[1][1:]))  # keys of its own, all 0
+    assert any((res == 0).any() for block in blocks for _, res in block)
+    want = _summed_terms(p, blocks)
+    for chunk in (1, 1 << 16):  # a chunk of one key at a time, or all at once
+        monkeypatch.setattr(hughes_core, "_SUM_CHUNK", chunk)
+        assert [a.tolist() for a in emit_arrays(ctx, blocks)] == want
+    assert _emit(ctx, blocks) == _ring_sum(ctx, blocks)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
+def test_emit_arrays_refuses_64_bit_keys_before_allocating(ctx9, monkeypatch, chunk):
+    # p = 3 takes 2 bits for c; exponents of 20 bits in two variables and of
+    # 21 in the third fill 63 bits, and one bit more in any of them needs 64.
+    # At 63 bits the largest key sets every exponent bit: its two terms are
+    # summed across chunks as any others
+    monkeypatch.setattr(hughes_core, "_SUM_CHUNK", chunk)
+    x = (np.array([0, 2**20 - 1]), np.array([1, 2]))
+    z63 = (np.array([3, 2**21 - 1]), np.array([2, 2]))
+    z64 = (np.array([3, 2**21]), np.array([2, 2]))
+    blocks = [(x, x, z63)] * 2 + [(x, x, x)]
+    got = [a.tolist() for a in emit_arrays(ctx9, blocks)]
+    assert got == _summed_terms(3, blocks)
+    assert got[0][-1] == 2**20 - 1 and got[1][-1] == 2**20 - 1 and got[2][-1] == 2**21 - 1
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("emit_arrays allocated before refusing")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    for refused in ([(x, x, z64)], [(x, x, z63), (z63, x, x)]):
+        with pytest.raises(OverflowError, match="64 bits"):
+            emit_arrays(ctx9, refused)
+
+
 def test_emit_arrays_of_the_empty_sum(ctx9):
     # the empty sum is zero, as evaluate_blocks reads it
     got = emit_arrays(ctx9, [])
@@ -432,32 +494,91 @@ def test_evaluate_blocks_matches_emitted_polynomial(p, e, form):
                           grid[X[:, None], Y[0], Z[None, :50]])
 
 
+# every order Q = p^(2e) <= 531441 with p <= 13
+LADDER = [(p, e) for p in (3, 5, 7, 11, 13) for e in range(1, 7) if p ** (2 * e) <= 531441]
+
+
+def _record_tops(ctx, records):
+    """The largest X, Y and Z exponents of X*Y + Z plus the records, read off
+    the records alone: the top term of tq(V)^n is V^(qn)."""
+    return (max([1] + [int(f[0].max()) for f, _, _ in records]),
+            max([1] + [ctx.q * a for _, a, _ in records]),
+            max([1] + [ctx.q * b for _, _, b in records]))
+
+
+@pytest.mark.parametrize("form", sorted(BLOCKS))
+def test_key_widths_on_the_ladder(form):
+    # emit_arrays packs every form up to Q = 531441, and the nonreduced form
+    # up to Q = 28561: from Q = 59049 on its keys need 64 bits or more, and
+    # it is refused before anything is allocated
+    for p, e in LADDER:
+        ctx = field_ctx(p, e)
+        records = BLOCKS[form](ctx)
+        tops = _record_tops(ctx, records)
+        if ctx.Q <= 81:
+            blocks = expand_blocks(ctx, records)
+            assert tops == tuple(max(int(block[v][0].max()) for block in blocks) for v in range(3))
+        if form == "nonreduced" and ctx.Q > 28561:
+            with pytest.raises(OverflowError, match="bits"):
+                _key_widths(p, tops)
+        else:
+            assert sum(_key_widths(p, tops)) <= 63, (p, e)
+    if form == "nonreduced":
+        ctx = field_ctx(3, 5)
+        with pytest.raises(OverflowError, match="need 64 bits"):
+            _key_widths(3, _record_tops(ctx, nonreduced_blocks(ctx)))
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
 def test_tq_pow_evaluates_to_tq_powers(p, e):
     # the Lucas expansion of tq(V)^n, as a function on GF(Q), for every n < 2Q
     ctx = field_ctx(p, e)
     t = ctx.tables
     V = np.arange(ctx.Q, dtype=np.int32)
-    for n in range(2 * ctx.Q):
-        assert np.array_equal(t.poly(*_tq_pow(ctx, n), V), t.pow(t.tq, n)), n
+    ns = range(2 * ctx.Q)
+    for n, factor in zip(ns, _tq_pows(ctx, ns)):
+        assert np.array_equal(t.poly(*factor, V), t.pow(t.tq, n)), n
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_tq_pows_match_one_power_at_a_time(p, e):
+    # the batched expansion of every n < 2Q, of a shuffled list with a
+    # repeat, and of no n, against the per-exponent oracle
+    ctx = field_ctx(p, e)
+    for ns in (list(range(2 * ctx.Q)), [7, 0, ctx.q, 7, 2 * ctx.Q - 1, 1], []):
+        got = _tq_pows(ctx, ns)
+        assert len(got) == len(ns)
+        for n, (exps, res) in zip(ns, got):
+            want_exps, want_res = tq_pow(ctx, n)
+            assert exps.dtype == res.dtype == np.int64
+            assert np.array_equal(exps, want_exps) and np.array_equal(res, want_res), n
+
+
+def test_tq_pows_refuses_negative_exponents(ctx9):
+    # the per-exponent loop never ends on n < 0 (-1 // p is -1): the batched
+    # expansion names the first negative exponent instead
+    for ns in ([-1], [3, 0, -2, -5]):
+        with pytest.raises(ValueError, match=f"n = {next(n for n in ns if n < 0)}$"):
+            _tq_pows(ctx9, ns)
 
 
 @pytest.mark.parametrize("form", sorted(BLOCKS))
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 2)])
 def test_expand_blocks_expands_each_power_once(p, e, form, monkeypatch):
-    # the reduced and t2 records use every n in 1..q-1 as a Y and a Z exponent
+    # the reduced and t2 records use every n in 1..q-1 as a Y and a Z
+    # exponent: one batched call expands each distinct n once, in order
     ctx = field_ctx(p, e)
     records = BLOCKS[form](ctx)
     expected = expand_blocks(ctx, records)
     calls = []
 
-    def counted(ctx, n):
-        calls.append(n)
-        return _tq_pow(ctx, n)
+    def counted(ctx, ns):
+        calls.append(list(ns))
+        return _tq_pows(ctx, ns)
 
-    monkeypatch.setattr(hughes_core, "_tq_pow", counted)
+    monkeypatch.setattr(hughes_core, "_tq_pows", counted)
     blocks = expand_blocks(ctx, records)
-    assert sorted(calls) == sorted({n for _, a, b in records for n in (a, b)})
+    assert calls == [sorted({n for _, a, b in records for n in (a, b)})]
     assert all(np.array_equal(u, v) for got, want in zip(blocks, expected)
                for f, g in zip(got, want) for u, v in zip(f, g))
 
@@ -467,14 +588,13 @@ def test_shape_check_rejects_stray_blocks(p, e, monkeypatch):
     ctx = field_ctx(p, e)
     records = reduced_blocks(ctx)
     q, f = ctx.q, records[1][0]
-    expand = hughes_core._tq_pow
+    calls = []
 
-    def nonnegative_only(ctx, n):
-        # _tq_pow loops forever on a negative n: fail at once instead
-        assert n >= 0, "a negative exponent reached the expansion"
-        return expand(ctx, n)
+    def counted(ctx, ns):
+        calls.append(list(ns))
+        return _tq_pows(ctx, ns)
 
-    monkeypatch.setattr(hughes_core, "_tq_pow", nonnegative_only)
+    monkeypatch.setattr(hughes_core, "_tq_pows", counted)
     label = "polynomial_matches_piecewise"
     end = len(records)
     cases = {
@@ -485,6 +605,8 @@ def test_shape_check_rejects_stray_blocks(p, e, monkeypatch):
     }
     for name, (mutant, i) in cases.items():
         assert piecewise_match(ctx, mutant) == PtrReport(label, False, ("block_shape", i)), name
+    # the shape check fires before any power is expanded
+    assert calls == []
     # the same polynomial in another order, or with the last g record split
     # in two, passes
     (exps, res), a, b = records[-1]

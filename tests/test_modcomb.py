@@ -99,6 +99,24 @@ def test_lucas_at_block_boundaries(p):
             assert type(got) is int and got == lucas_scalar(x, y, p)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_lucas_at_the_int32_boundary(p):
+    # the passes run in int32 up to a largest argument of 2^31 - 1 and in
+    # int64 from 2^31 on; int32 and int64 arguments give the same int64 result
+    edges = [0, 1, p, 2**16 + 3, 2**31 - 2, 2**31 - 1]
+    want = [[lucas_scalar(x, y, p) for y in edges] for x in edges]
+    for dtype in (np.int32, np.int64):
+        col, row = np.array(edges, dtype=dtype)[:, None], np.array(edges, dtype=dtype)[None, :]
+        got = binom_mod_lucas(col, row, p)
+        assert got.dtype == np.int64 and got.tolist() == want
+    for wide in (edges + [2**31, 2**31 + 1, 2**32 - 1], edges + [2**40 + 5]):
+        got = binom_mod_lucas(np.array(wide)[:, None], np.array(wide)[None, :], p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[lucas_scalar(x, y, p) for y in wide] for x in wide]
+    assert binom_mod_lucas(np.array(edges, dtype=np.int32), 2**31, p).tolist() == [
+        lucas_scalar(x, 2**31, p) for x in edges]
+
+
 def test_block_table_follows_digit_table(monkeypatch):
     # the block table is cached on the digit table's contents: a wrong digit
     # patched in after a call with the real table still reaches the kernel
@@ -198,6 +216,13 @@ def test_identity_suite_matches_scalar_sweep(p, e, max_n):
     assert _summary(identity_suite(p, e, max_n)) == identity_suite_scalar(p, e, max_n)
 
 
+@pytest.mark.parametrize("p,dtype", [(127, np.uint8), (131, np.int64)])
+def test_identity_suite_at_the_pascal_dtype_boundary(p, dtype):
+    # p = 127 is the largest prime whose row sums, up to 252, fit uint8
+    assert next(modcomb._pascal_chunks(300, p, 1 << 16))[2].dtype == dtype
+    assert _summary(identity_suite(p, 1, 300)) == identity_suite_scalar(p, 1, 300)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_lucas_sweep_chunking_keeps_counts_and_witness(monkeypatch, chunk):
     monkeypatch.setattr(modcomb, "_LUCAS_CHUNK", chunk)
@@ -231,11 +256,13 @@ def test_identity_suite_detects_violation(monkeypatch):
 @pytest.mark.parametrize("fault", [(0, 0), (10, 4), (380, 17), (400, 400)])
 def test_identity_suite_detects_wrong_pascal_residue(monkeypatch, fault):
     # one wrong residue of Pascal's triangle, in the first chunk, the second
-    # or the last entry: the sweep fails with the oracle's witness
+    # or the last entry, on the uint8 entries of p = 3: the sweep fails with
+    # the oracle's witness
     real = modcomb._pascal_chunks
 
     def corrupted(max_n, p, size):
         for a, b, entry in real(max_n, p, size):
+            assert entry.dtype == np.uint8 and a.dtype == b.dtype == np.int32
             hit = (a == fault[0]) & (b == fault[1])
             yield a, b, np.where(hit, (entry + 1) % p, entry)
 

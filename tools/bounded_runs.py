@@ -29,10 +29,12 @@ RUNS = [
     # measured 243 MiB (the sorted raw-term keys and the int32 term arrays);
     # the bound leaves 45 MiB for other allocators and numpy versions
     ("gen --p 7 --e 2 --form nonreduced", 288, False),
-    # about 4.5M Lucas entries, checked 2^16 at a time, two passes of the
-    # 49 x 49 block table each: measured 38 MiB
+    # about 4.5M Lucas entries, checked 2^16 at a time against uint8 rows of
+    # Pascal's triangle, two int32 passes of the 49 x 49 block table each:
+    # measured 0.36-0.48 s at 35 MiB
     ("identities --p 7 --e 2 --max-n 3000", 64, False),
-    # the same sweep at p = 3: 27 x 27 block table, three passes: measured 39 MiB
+    # the same sweep at p = 3: 27 x 27 block table, three passes: measured
+    # 0.45-0.62 s at 39 MiB
     ("identities --p 3 --e 4 --max-n 3000", 64, False),
     # the top of the verify cap, Q=361: measured 7-8 s at 392 MiB, the value
     # table and the line array both alive while the plane is built; (E) and
@@ -47,6 +49,10 @@ RUNS = [
     # symmetry check and direction 1; exit 1 on any delta other than the
     # expected one: measured 1.9-3.1 s at 45 MiB
     ("du --p 13 --e 1 --exhaustive --section x", 64, False),
+    # Q=531441, the top of the order ladder: 14,397,137 terms, 1.2 GB of
+    # JSON; measured 3.1-3.5 s at 398-401 MiB, the sorted int64 raw-term keys
+    # and the four int32 term arrays
+    ("gen --p 3 --e 6 --form reduced --max-order 531441", 448, False),
     # a child's ru_maxrss starts at this process's high-water RSS, which
     # holds each captured stdout (28.5 MB for the nonreduced form); so the
     # rows that capture stdout run last
