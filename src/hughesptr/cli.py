@@ -5,11 +5,11 @@ Subcommands: gen, verify, du, plane, identities.  Exit codes: 0 on success,
 (an unexpected exception, whose traceback goes to stderr), and 141
 (128 + SIGPIPE, as a shell reports a process killed by that signal) when
 the reader of stdout closes it early, as ``head`` does; no traceback is
-printed then, and the output is cut short.  JSON output is
-byte-identical for a fixed configuration regardless of worker count.  Each
-subcommand writes bytes to the output stream (the buffer under stdout, or
-``--out`` opened in binary mode) itself, after all of its computation:
-``gen`` streams its JSON a chunk of terms at a time.
+printed then, and the output is cut short.  JSON output is byte-identical
+for a fixed configuration.  Each subcommand writes bytes to the output
+stream (the buffer under stdout, or ``--out`` opened in binary mode)
+itself, after all of its computation: ``gen`` streams its JSON a chunk of
+terms at a time.
 """
 
 from __future__ import annotations
@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_int_at_least(1), default=100,
                     help="fixings per family when sampling (default %(default)s)")
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
-    sp.add_argument("--workers", type=_int_at_least(1), default=1,
-                    help="shard the sweep across processes (output is unchanged)")
 
     sp = sub.add_parser("plane", help="build the plane and verify its axioms")
     field_args(sp)
@@ -149,6 +147,7 @@ def _cmd_verify(ctx, args, out) -> int:
     reports += ptr_verify.check_pp_classes(table)
     reports.append(hughes_core.piecewise_match(ctx, hughes_core.reduced_blocks(ctx)))
     payload = {r.label: r.to_json_dict() for r in reports}
+    payload["z_sections"] = payload["D"]  # T(a, b, Z) is a bijection: (D)
     if args.plane:
         plane = ptr_verify.build_plane(table)
         del table  # not needed by the plane check, which sets the peak
@@ -159,8 +158,7 @@ def _cmd_verify(ctx, args, out) -> int:
 def _cmd_du(ctx, args, out) -> int:
     families = args.section if args.section else "xyz"
     sample = None if args.exhaustive else args.samples
-    report = du_analysis.du_sections(ctx, families=families, sample=sample,
-                                     seed=args.seed, workers=args.workers)
+    report = du_analysis.du_sections(ctx, families=families, sample=sample, seed=args.seed)
     payload = {
         fam: {
             "per_fixing": [[i1, i2, d] for (i1, i2), d in zip(res["fixings"], res["deltas"])],

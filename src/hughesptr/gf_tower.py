@@ -239,7 +239,7 @@ class FieldElement:
 class FieldCtx:
     """Immutable description of the tower: canonical moduli and GF(q) tables.
 
-    All operations are pure; a context can be shared freely across workers.
+    All operations are pure, so ``field_ctx`` hands one context to every caller.
     """
 
     def __init__(self, p: int, e: int):

@@ -346,12 +346,14 @@ def check_axioms(table: np.ndarray) -> list[PtrReport]:
 
 
 def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
-    """Verify the three section families of a (Q,Q,Q) value table induce
+    """Verify that two section families of a (Q,Q,Q) value table induce
     bijections of GF(Q):
 
     * T(X, y, z) for every y != 0 and every z,
-    * T(x, Y, z) for every x != 0 and every z,
-    * T(x, y, Z) for every (x, y).
+    * T(x, Y, z) for every x != 0 and every z.
+
+    The third family, T(x, y, Z) for every (x, y), is axiom (D): its report
+    in ``check_axioms`` has the same verdict and witness.
     """
     Q = table.shape[0]
     reports = []
@@ -359,8 +361,6 @@ def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
         # index 0 of the first remaining axis gives a constant section
         bad = _first_bad_row(np.moveaxis(table, axis, -1)[1:], Q)
         reports.append(PtrReport(label, bad is None, None if bad is None else (bad[0] + 1, bad[1])))
-    bad = _first_bad_row(table, Q)  # the test of (D), for callers without check_axioms
-    reports.append(PtrReport("z_sections", bad is None, bad))
     return reports
 
 

@@ -88,8 +88,9 @@ def test_criterion_4_pp_classes():
     ok = True
     for Q in (9, 25):
         ctx = field_ctx(*FIELDS[Q])
-        reports = check_pp_classes(evaluate_grid(build_reduced_T(ctx)))
-        ok &= all(r.passed for r in reports)
+        grid = evaluate_grid(build_reduced_T(ctx))
+        z_sections = [r for r in check_axioms(grid) if r.label == "D"]  # T(a, b, Z): (D)
+        ok &= all(r.passed for r in check_pp_classes(grid) + z_sections)
     _criterion(4, "all three section families are bijections, exhaustive at Q in {9,25}", ok)
 
 

@@ -167,6 +167,24 @@ def test_verify_reports_the_grid_witness(capsys, monkeypatch):
     assert all(report[label]["pass"] for label in ["A", "B", "C", "D", "E", "z_sections"])
 
 
+def test_verify_reports_the_z_sections_from_axiom_d(capsys, monkeypatch):
+    # a repeated value in the z-section (2, 5): it fails (D), with that witness
+    from hughesptr import hughes_core
+
+    full = hughes_core.ptr_table
+
+    def broken(ctx):
+        table = full(ctx)
+        table[2, 5, 1] = table[2, 5, 0]
+        return table
+
+    monkeypatch.setattr(hughes_core, "ptr_table", broken)
+    code, out = run_cli(capsys, ["verify", "--p", "3", "--e", "1"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["z_sections"] == report["D"] == {"pass": False, "witness": [2, 5]}
+
+
 def test_verify_does_not_tabulate_the_polynomial(capsys, monkeypatch):
     from hughesptr import trivar_poly
 
@@ -187,15 +205,20 @@ def test_plane_subcommand(capsys):
     assert data["points_per_line"] == 10
 
 
-def test_du_deterministic_and_worker_independent(capsys):
+def test_du_deterministic(capsys):
     args = ["du", "--p", "3", "--e", "1", "--exhaustive"]
     code1, out1 = run_cli(capsys, args)
     code2, out2 = run_cli(capsys, args)
     assert code1 == code2 == 0
     assert out1 == out2
-    code3, out3 = run_cli(capsys, args + ["--workers", "2"])
-    assert code3 == 0
-    assert out3 == out1
+
+
+def test_du_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["du", "--p", "3", "--e", "1", "--workers", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
 
 
 def test_du_sampled(capsys):
@@ -241,7 +264,7 @@ def test_out_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["du", "--p", "3", "--e", "1", "--samples", "0"],
     ["du", "--p", "3", "--e", "1", "--samples", "-3"],
-    ["du", "--p", "3", "--e", "1", "--workers", "0"],
+    ["identities", "--p", "3", "--e", "1", "--max-n", "0"],
     ["identities", "--p", "3", "--e", "1", "--max-n", "-1"],
     ["du", "--p", "5", "--e", "1", "--seed", "-1"],
 ])
@@ -390,12 +413,11 @@ _OPTIONS = {
     "--max-n": _value(st.integers(1, 100).map(str)),
     "--form": _value(st.sampled_from(["reduced", "nonreduced", "t2"])),
     "--section": _value(st.sampled_from(["x", "y", "z"])),
-    "--workers": _value(st.sampled_from(["1", "2"])),
 }
 _OWN = {
     "gen": ["--max-order", "--form"],
     "verify": ["--max-order", "--plane"],
-    "du": ["--max-order", "--samples", "--seed", "--section", "--workers", "--exhaustive"],
+    "du": ["--max-order", "--samples", "--seed", "--section", "--exhaustive"],
     "plane": ["--max-order"],
     "identities": ["--max-order", "--max-n"],
 }

@@ -182,17 +182,17 @@ def test_section_delta_stops_only_at_q(monkeypatch, p, e, rows):
     tables += [rng.integers(0, Q, Q).astype(np.int32) for _ in range(3)]
     tables += [rng.permutation(Q).astype(np.int32) for _ in range(3)]
     for tbl in tables:
-        assert _section_delta(t, tbl) == _row_maxima(t, tbl).max()
+        assert _section_delta(t, tbl[None])[0] == _row_maxima(t, tbl).max()
 
     last = [t.shift_reps[-1] - 1, t.neg[t.shift_reps[-1]] - 1]
     periodic, bump = along_rep(ctx, "periodic"), along_rep(ctx, "bump")
     um = _row_maxima(t, periodic)
     assert um[last].tolist() == [Q, Q] and (p > 3 or np.count_nonzero(um == Q) == 2)
-    assert _section_delta(t, periodic) == Q
+    assert _section_delta(t, periodic[None])[0] == Q
     um = _row_maxima(t, bump)
     assert um[last].tolist() == [Q - 2, Q - 2] and np.count_nonzero(um == Q - 2) == 2
     assert set(um.tolist()) == {Q - 4, Q - 2}
-    assert _section_delta(t, bump) == Q - 2
+    assert _section_delta(t, bump[None])[0] == Q - 2
 
 
 def record_chunks(monkeypatch):
@@ -215,16 +215,16 @@ def test_section_delta_reads_one_chunk_when_the_first_reaches_q(monkeypatch, ctx
     read = record_chunks(monkeypatch)
     # an X-section with y in GF(q) is linear: direction 1 reaches Q, and no
     # chunk is read
-    assert _section_delta(t, piecewise_section(ctx81, "x", 2, 5)) == Q
+    assert _section_delta(t, piecewise_section(ctx81, "x", 2, 5)[None])[0] == Q
     assert read == []
     # u = Q in the first chunk's second row, but not in direction 1
     periodic = along_rep(ctx81, "periodic", row=1)
     assert _row_maxima(t, periodic)[0] < Q
     read.clear()
-    assert _section_delta(t, periodic) == Q
+    assert _section_delta(t, periodic[None])[0] == Q
     assert read == [(0, 3)]
     read.clear()
-    assert _section_delta(t, along_rep(ctx81, "bump")) == Q - 2
+    assert _section_delta(t, along_rep(ctx81, "bump")[None])[0] == Q - 2
     assert len(read) == -(-len(t.shift_reps) // 3)
 
 
@@ -246,7 +246,7 @@ def test_one_direction_du_on_every_x_class(monkeypatch, p, e):
         um = _row_maxima(t, s)
         assert set(um.tolist()) == {(Q + 3) // 4}
         read.clear()
-        assert _section_delta(t, s, x_center(t, a + q, z)) == (Q + 3) // 4
+        assert _section_delta(t, s[None], [x_center(t, a + q, z)])[0] == (Q + 3) // 4
         assert read == []
 
 
@@ -266,7 +266,7 @@ def test_two_slope_maps_have_one_u_in_every_direction(monkeypatch, p, e):
             um = _row_maxima(t, s)
             assert um.min() == um.max(), (A, B)
             read.clear()
-            assert _section_delta(t, s, 0) == um.max(), (A, B)
+            assert _section_delta(t, s[None], [0])[0] == um.max(), (A, B)
             assert read == []
 
 
@@ -321,8 +321,49 @@ def test_symmetry_failure_falls_back_to_the_full_scan(monkeypatch, p, e):
         for tbl, center in cases:
             expected = _row_maxima(t, tbl).max()
             read.clear()
-            assert _section_delta(t, tbl, int(center)) == expected
+            assert _section_delta(t, tbl[None], [center])[0] == expected
             assert len(read) > 0
+
+
+def record_scanned_rows(monkeypatch):
+    """Record the table of every row the full scan reads."""
+    scanned = []
+    chunk_maxima = du_analysis._chunk_maxima
+
+    def recorded(t, tbl):
+        scanned.append(tbl.tolist())
+        return chunk_maxima(t, tbl)
+
+    monkeypatch.setattr(du_analysis, "_chunk_maxima", recorded)
+    return scanned
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2)])
+def test_one_batch_takes_all_three_exits(monkeypatch, p, e):
+    # a linear X-section (the probe), a translated two-slope map with its
+    # center (the symmetry check), the same map with a wrong center and a
+    # random table (the full scan), interleaved in one batch
+    ctx = field_ctx(p, e)
+    t, Q = ctx.tables, ctx.Q
+    scanned = record_scanned_rows(monkeypatch)
+    rng = np.random.default_rng(Q)
+    ar = np.arange(Q, dtype=np.int32)
+    k, k_prime = 3, 7
+    shifted = t.add(ar, k)
+    two_slope = t.add(np.where(t.quad[shifted] >= 0, t.mul(1, shifted), t.mul(2, shifted)), k_prime)
+    linear = piecewise_section(ctx, "x", 1, 4)
+    noise = rng.integers(0, Q, Q).astype(np.int32)
+    rows = np.stack([noise, linear, two_slope, two_slope, linear, two_slope])
+    centers = [k, 0, k, t.add(k, 1), k, k]
+    want = [_row_maxima(t, row).max() for row in rows]
+    assert want[1] == Q and want[2] < Q
+    scanned.clear()
+    assert _section_delta(t, rows, centers).tolist() == want
+    assert scanned == [noise.tolist(), two_slope.tolist()]
+    # with no centers every row the probe leaves is scanned
+    scanned.clear()
+    assert _section_delta(t, rows).tolist() == want
+    assert scanned == [rows[i].tolist() for i in (0, 2, 3, 5)]
 
 
 def test_half_power_difference_case_formula(ctx9):
@@ -418,41 +459,48 @@ def test_du_sections_sampled_fixings_index_all_pairs(ctx81, sample, seed):
         assert all(type(i) is int for pair in fixings for i in pair)
 
 
-def test_du_sections_workers_match(ctx9, ctx25):
-    seq = du_sections(ctx9)
-    for workers in (1, 2):
-        assert du_sections(ctx9, workers=workers) == seq
+def test_du_sections_sample_sizes(ctx25):
     for family in "yz":
         sampled = du_sections(ctx25, families=family, sample=30, seed=7)
         assert all(d == ctx25.Q for d in sampled[family]["deltas"])
-        for workers in (1, 2):
-            assert du_sections(ctx25, families=family, sample=30, seed=7, workers=workers) == sampled
-    # contiguous chunks of 34, 34 and 32 fixings, fewer fixings than workers,
-    # and none
+    # a sample of 100 fixings, of 2 and of none is the exhaustive sweep at
+    # the sampled fixings
+    full = du_sections(ctx25, families="x")["x"]
+    by_fixing = dict(zip(full["fixings"], full["deltas"]))
     for sample in (100, 2, 0):
-        seq = du_sections(ctx25, families="x", sample=sample, seed=5)
-        par = du_sections(ctx25, families="x", sample=sample, seed=5, workers=3)
-        assert seq == par and len(par["x"]["deltas"]) == sample
+        report = du_sections(ctx25, families="x", sample=sample, seed=5)["x"]
+        assert len(report["fixings"]) == len(report["deltas"]) == sample
+        assert report["deltas"] == [by_fixing[f] for f in report["fixings"]]
+        assert report["passed"]
 
 
-def test_du_sections_pool_spawns_its_workers(ctx9, monkeypatch):
-    # the workers start as fresh interpreters, not forks of a process running numpy
-    import concurrent.futures
+@pytest.mark.parametrize("p,e,sample", [(3, 1, None), (5, 1, None), (3, 2, 40), (3, 2, 0)])
+def test_du_sections_batches_match_the_default_budget(monkeypatch, p, e, sample):
+    # batches of 1, 2 and 3 sections, the last one partial where the count
+    # is no multiple of the size, give the result of the default batches,
+    # with one piecewise_section call per batch
+    ctx = field_ctx(p, e)
+    want = du_sections(ctx, sample=sample, seed=3)
+    n = len(want["x"]["fixings"])
+    shapes = []
+    section = du_analysis.piecewise_section
 
-    methods = []
-    pool_class = concurrent.futures.ProcessPoolExecutor
+    def recorded(ctx, family, i1, i2):
+        out = section(ctx, family, i1, i2)
+        shapes.append(out.shape)
+        return out
 
-    def recording_pool(*args, mp_context=None, **kwargs):
-        methods.append(None if mp_context is None else mp_context.get_start_method())
-        return pool_class(*args, mp_context=mp_context, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-    assert du_sections(ctx9, families="y", sample=4, workers=2) == du_sections(ctx9, families="y", sample=4)
-    assert methods == ["spawn"]
+    monkeypatch.setattr(du_analysis, "piecewise_section", recorded)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(du_analysis, "_ROW_COUNT_BUDGET", rows * ctx.Q + ctx.Q // 2)
+        shapes.clear()
+        assert du_sections(ctx, sample=sample, seed=3) == want
+        batches = [(rows, ctx.Q)] * (n // rows) + ([(n % rows, ctx.Q)] if n % rows else [])
+        assert shapes == batches * 3
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only du --workers N with N > 1 needs concurrent.futures and multiprocessing
+    # no subcommand needs concurrent.futures or multiprocessing
     env = dict(os.environ, PYTHONPATH=str(Path(hughesptr.__file__).parents[1]))
     probe = ("import sys, hughesptr\n"
              "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
@@ -469,6 +517,17 @@ def test_piecewise_sections_match_grid(p, e):
             assert np.array_equal(piecewise_section(ctx, "x", i1, i2), table[:, i1, i2])
             assert np.array_equal(piecewise_section(ctx, "y", i1, i2), table[i1, :, i2])
             assert np.array_equal(piecewise_section(ctx, "z", i1, i2), table[i1, i2, :])
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1)])
+def test_piecewise_section_batch_matches_grid(p, e):
+    # every fixing at once, as (Q^2, 1) index columns, in lexicographic order
+    ctx = field_ctx(p, e)
+    Q, table = ctx.Q, ptr_table(ctx)
+    i1, i2 = np.divmod(np.arange(Q * Q, dtype=np.int32)[:, None], Q)
+    for family, axes in (("x", (1, 2, 0)), ("y", (0, 2, 1)), ("z", (0, 1, 2))):
+        want = table.transpose(axes).reshape(Q * Q, Q)
+        assert np.array_equal(piecewise_section(ctx, family, i1, i2), want)
 
 
 def test_k_sets(ctx9, ctx25):
