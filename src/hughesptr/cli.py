@@ -159,7 +159,12 @@ def _cmd_du(ctx, args, out) -> int:
     families = args.section if args.section else "xyz"
     sample = None if args.exhaustive else args.samples
     report = du_analysis.du_sections(ctx, families=families, sample=sample, seed=args.seed)
-    payload = {
+    return _report(out, _du_payload(report), all(res["passed"] for res in report.values()),
+                   _du_dumps)
+
+
+def _du_payload(report: dict) -> dict:
+    return {
         fam: {
             "per_fixing": [[i1, i2, d] for (i1, i2), d in zip(res["fixings"], res["deltas"])],
             "aggregate": {
@@ -170,7 +175,27 @@ def _cmd_du(ctx, args, out) -> int:
         }
         for fam, res in report.items()
     }
-    return _report(out, payload, all(res["passed"] for res in report.values()))
+
+
+def _du_dumps(payload: dict) -> str:
+    """``_dumps(payload)`` for a ``du`` payload, byte for byte.
+
+    With ``indent``, ``json.dumps`` runs CPython's pure-Python encoder, which
+    took 0.62 s of 1.43 s of ``du --p 13 --e 1 --exhaustive --section x``
+    under cProfile.  So each ``per_fixing`` list of int triples is left out
+    of the dump and written with one format, at its depth of two levels.
+    """
+    marks = {fam: f"per_fixing of {fam}" for fam in payload}
+    text = _dumps({fam: {**body, "per_fixing": marks[fam]} for fam, body in payload.items()})
+    for fam, body in payload.items():
+        rows = body["per_fixing"]
+        if rows:
+            row = "      [\n        %d,\n        %d,\n        %d\n      ]"
+            block = "[\n" + ",\n".join([row] * len(rows)) % tuple(v for r in rows for v in r) + "\n    ]"
+        else:
+            block = "[]"
+        text = text.replace(json.dumps(marks[fam]), block, 1)
+    return text
 
 
 def _cmd_plane(ctx, args, out) -> int:
@@ -199,9 +224,13 @@ def _cmd_identities(ctx, args, out) -> int:
     return _report(out, payload, all(chk.passed for chk in suite.values()))
 
 
-def _report(out, payload, ok: bool) -> int:
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _report(out, payload, ok: bool, dumps=_dumps) -> int:
     """Write a report as canonical JSON; exit code 0 when it passed, else 1."""
-    out.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    out.write((dumps(payload) + "\n").encode())
     return 0 if ok else 1
 
 

@@ -117,6 +117,7 @@ def _subfield_tables(p: int, modulus: tuple[int, ...]) -> tuple[list, list, list
     q = p**e
     place = p ** np.arange(e, dtype=np.int64)
     D = np.arange(q, dtype=np.int64)[:, None] // place % p  # D[i, k]: digit k of i
+    # these @ products stay int64: numpy's integer loops, never BLAS (see __init__)
     add = (D[:, None, :] + D[None, :, :]) % p @ place
     neg = -D % p @ place
     prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
@@ -465,6 +466,7 @@ class FieldTables:
         # digits respaced to radix 2p-1: a sum of two packed values holds each
         # digit sum in [0, 2p-2], and _canon reduces every digit mod p
         r = 2 * p - 1
+        # these @ products stay int32: numpy's integer loops, never BLAS (see __init__)
         self._packed = np.array([r**d for d in range(D)], dtype=np.int32) @ digits
         canon = np.zeros(1, dtype=np.int32)
         for d in range(D):

@@ -237,6 +237,24 @@ def test_du_single_section(capsys):
     assert data["y"]["aggregate"]["max_delta"] == 9
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_du_dumps_equals_json_dumps(p, e):
+    # the spliced per_fixing blocks, byte for byte, on every exhaustive family
+    from hughesptr import du_sections
+
+    payload = cli._du_payload(du_sections(field_ctx(p, e)))
+    assert len(payload["x"]["per_fixing"]) == (p ** (2 * e)) ** 2
+    assert cli._du_dumps(payload) + "\n" == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_du_dumps_empty_per_fixing():
+    payload = {
+        "x": {"per_fixing": [], "aggregate": {"max_delta": 7, "min_delta": 7, "pass": True}},
+        "y": {"per_fixing": [[0, 1, 9]], "aggregate": {"max_delta": 9, "min_delta": 9, "pass": False}},
+    }
+    assert cli._du_dumps(payload) + "\n" == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_identities_subcommand(capsys):
     code, out = run_cli(capsys, ["identities", "--p", "3", "--e", "1", "--max-n", "60"])
     assert code == 0

@@ -4,10 +4,11 @@
 
 Run from the root of the repository, with ``hughesptr`` importable.  Each
 row of ``RUNS`` starts ``python -m hughesptr.cli COMMAND`` in a child
-process, prints its exit code, wall time and peak RSS (the child's own
-``ru_maxrss``, from ``os.wait4``), and fails when the command exits non-zero,
-its peak exceeds the bound or, where asked, its stdout's SHA-256 differs from
-``perfbench/reference_sha256.json``.  Every row runs; the exit code is 1 if
+process, prints its exit code, wall time, CPU time and peak RSS (the
+child's own ``ru_utime + ru_stime`` and ``ru_maxrss``, from ``os.wait4``;
+the CPU time counts every thread of the child), and fails when the command
+exits non-zero, its peak exceeds the bound or, where asked, its stdout's
+SHA-256 differs from ``perfbench/reference_sha256.json``.  Every row runs; the exit code is 1 if
 any row failed.
 """
 
@@ -82,7 +83,8 @@ def run(command: str, bound: int, digest: bool, reference: dict) -> bool:
     wall = time.perf_counter() - start
     proc.returncode = code = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     peak = usage.ru_maxrss / 1024
-    line = f"{command}: exit {code}, {wall:.1f} s"
+    cpu = usage.ru_utime + usage.ru_stime
+    line = f"{command}: exit {code}, {wall:.1f} s, CPU {cpu:.1f} s"
     ok = code == 0 and peak <= bound
     if digest:
         match = hashlib.sha256(out).hexdigest() == reference[command]
