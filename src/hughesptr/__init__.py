@@ -26,6 +26,7 @@ try:
         phi_poly,
         ptr_nearfield_form,
         ptr_piecewise,
+        ptr_slabs,
         ptr_table,
         ptr_values,
         piecewise_match,
@@ -62,6 +63,7 @@ __all__ = [
     "solve_kkprime",
     "ptr_piecewise",
     "ptr_nearfield_form",
+    "ptr_slabs",
     "ptr_table",
     "ptr_values",
     "phi_eval",

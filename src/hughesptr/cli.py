@@ -27,13 +27,14 @@ from .trivar_poly import write_json
 
 DEFAULT_MAX_ORDER = 6561
 
-# verify and plane tabulate the oracle on all of GF(Q)^3 (the polynomial is
-# checked on Q*q points only).  Axiom (E) and the plane's pair count scan one
-# member per orbit of the symmetries verified on the input: at Q=361, the
-# largest order below this cap, verify took 3.6-3.8 s at a peak RSS of
-# 218 MiB, verify --plane 7.1-8.1 s at 392 MiB and plane 5.4-6.3 s at
-# 391 MiB; at Q=169, 0.65 s at 51 MiB, 0.94 s at 68 MiB and 0.7-0.8 s at
-# 67 MiB (shared 2-core x86-64 VM with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s,
+# verify tabulates the oracle on all of GF(Q)^3, and plane writes its lines
+# from the oracle one y-slab at a time (the polynomial is checked on Q*q
+# points only).  Axiom (E) and the plane's pair count scan one member per
+# orbit of the symmetries verified on the input: at Q=361, the largest order
+# below this cap, verify took 2.4 s at a peak RSS of 218 MiB, verify --plane
+# 4.9-5.4 s at 392 MiB and plane 4.0-4.6 s at 224 MiB; at Q=169, 0.5 s at
+# 51 MiB, 0.65-0.8 s at 68 MiB and 0.45-0.75 s at 54 MiB (shared 2-core
+# x86-64 VM with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s,
 # 324 s and 169 s at Q=361, and Q=529 passed with them (verify 463 s at
 # 604 MiB, plane 656 s at 1179 MiB).  A table without these symmetries still
 # takes the Q^4 scans, so the cap stays at 400
@@ -149,7 +150,7 @@ def _cmd_verify(ctx, args, out) -> int:
     payload = {r.label: r.to_json_dict() for r in reports}
     payload["z_sections"] = payload["D"]  # T(a, b, Z) is a bijection: (D)
     if args.plane:
-        plane = ptr_verify.build_plane(table)
+        plane = ptr_verify.build_plane(table.swapaxes(0, 1))  # a view whose rows are the y-slabs
         del table  # not needed by the plane check, which sets the peak
         payload["projective_plane"] = ptr_verify.check_plane(plane).to_json_dict()
     return _report(out, payload, all(v["pass"] for v in payload.values()))
@@ -199,7 +200,8 @@ def _du_dumps(payload: dict) -> str:
 
 
 def _cmd_plane(ctx, args, out) -> int:
-    plane = ptr_verify.build_plane(hughes_core.ptr_table(ctx))  # the table is freed here
+    # the plane is written one y-slab of the oracle at a time: no Q^3 table
+    plane = ptr_verify.build_plane(hughes_core.ptr_slabs(ctx))
     report = ptr_verify.check_plane(plane)
     n_lines, per_line = plane.shape
     payload = {

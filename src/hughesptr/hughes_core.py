@@ -17,8 +17,12 @@ subfield pair with z = k*y + k':
 
 ``ptr_piecewise`` is the ground-truth oracle; everything polynomial is
 checked against it.  ``ptr_values`` is its single vectorized restatement, on
-broadcastable index arrays: the full grid (``ptr_table``) and every section
-sweep are calls to it.  Three polynomial forms are provided:
+broadcastable index arrays, and every section sweep is a call to it.  The
+full grid comes from one source, ``ptr_slabs``: one ``ptr_values`` call per
+y, each giving the y-slab T(., y, .), whose y- and z-only lookups are
+Q-vectors.  ``ptr_table`` stacks the slabs into the Q^3 table, and
+``ptr_verify.build_plane`` writes the plane from them without it.  Three
+polynomial forms are provided:
 
 * ``build_nonreduced_T``: binomial-coefficient form, exponents up to Q*q.
 * ``build_reduced_T``: the reduced form, whose inner coefficients are
@@ -78,6 +82,7 @@ __all__ = [
     "ptr_piecewise",
     "ptr_nearfield_form",
     "ptr_values",
+    "ptr_slabs",
     "ptr_table",
     "phi_eval",
     "phi_poly",
@@ -156,23 +161,38 @@ def ptr_values(ctx: FieldCtx, X, Y, Z) -> np.ndarray:
     the test suite.  The result has the broadcast shape of X, Y and Z.
     """
     t = ctx.tables
-    same = t.add(t.mul(X, Y), Z)                     # x*y + z
-    twisted = t.add(t.mul(X, t.frob[Y]), t.frob[Z])  # x*y^q + z^q
-    k = t.mul(t.inv[t.tq[Y]], t.tq[Z])               # garbage for y in GF(q), masked
-    square_branch = t.quad[t.add(X, k)] >= 0         # x + k
-    return np.where(t.in_subfield[Y] | square_branch, same, twisted)
+    same = t.add(t.mul(X, Y), Z)                               # x*y + z
+    twisted = t.add(t.mul(X, t.frob.take(Y)), t.frob.take(Z))  # x*y^q + z^q
+    k = t.mul(t.inv.take(t.tq.take(Y)), t.tq.take(Z))          # garbage for y in GF(q), masked
+    square_branch = t.quad.take(t.add(X, k)) >= 0              # x + k
+    return np.where(t.in_subfield.take(Y) | square_branch, same, twisted)
+
+
+def ptr_slabs(ctx: FieldCtx):
+    """The y-slabs T(., y, .) of the piecewise operation, for y = 0 .. Q-1 in
+    order, each a fresh (Q, Q) int32 array indexed [x, z].
+
+    Each slab is one ``ptr_values`` call with y a scalar, so every value
+    that depends on y or z alone (k = tq(z)/tq(y), the Frobenius images)
+    is a Q-vector, and only the terms in both x and z fill Q^2 entries
+    (by x-slabs, k is a Q^2 product, and the grid took 5-7% longer at
+    Q = 81 to 361).  A slab is also the affine lines of slope y of the
+    plane, which ``ptr_verify.build_plane`` reads one slab at a time.
+    """
+    ar = np.arange(ctx.Q, dtype=np.int32)
+    for y in range(ctx.Q):
+        yield ptr_values(ctx, ar[:, None], np.int32(y), ar[None, :])
 
 
 def ptr_table(ctx: FieldCtx) -> np.ndarray:
     """Values of the piecewise operation on the whole grid, indexed [x, y, z].
 
-    Filled one x-slab at a time, so the temporaries of ``ptr_values`` stay
-    at O(Q^2) next to the int32 output.
+    Filled from ``ptr_slabs``, one y-slab at a time, so the temporaries of
+    ``ptr_values`` stay at O(Q^2) next to the int32 output.
     """
-    ar = np.arange(ctx.Q, dtype=np.int32)
     out = np.empty((ctx.Q,) * 3, dtype=np.int32)
-    for x in range(ctx.Q):
-        out[x] = ptr_values(ctx, np.int32(x), ar[:, None], ar[None, :])
+    for y, slab in enumerate(ptr_slabs(ctx)):
+        out[:, y, :] = slab
     return out
 
 

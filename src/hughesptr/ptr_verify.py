@@ -1,8 +1,8 @@
 """Exhaustive verification of the planar-ternary-ring axioms, the
 permutation-polynomial section families, and projective-plane construction.
 
-All checks operate on a full (Q,Q,Q) value table; ``value_table`` tabulates
-a ternary callable into one.  The five axioms:
+The axiom and section checks operate on a full (Q,Q,Q) value table;
+``value_table`` tabulates a ternary callable into one.  The five axioms:
 
   (A) T(a,0,z) = T(0,b,z) = z
   (B) T(x,1,0) = x and T(1,y,0) = y
@@ -16,13 +16,14 @@ sweep overall.  (C) follows from (D) and (E) by counting (see
 ``check_axioms``), so it is computed only when one of them fails, by
 comparing every pair of columns in Q^5 (``_axiom_c_direct``).  The plane,
 N = Q^2+Q+1 points and as many lines, is its (N, Q+1) int32 line -> points
-array (``build_plane``), whose shape fixes Q.  The plane check derives
-point -> lines from it and counts, chunk by chunk, the lines shared by each
-pair of points, in O(N (Q+1)^2) time and O(N (Q+1)) memory.  That one pass
-suffices: the dual statement, any two lines meet in exactly one point,
-follows from it by counting (see ``check_plane``).  Failures are reported,
-never raised, and carry the lexicographically first counterexample under
-canonical element indexing.
+array, whose shape fixes Q; ``build_plane`` writes it from the y-slabs of
+the operation, one slab at a time, so it needs no Q^3 table.  The plane
+check derives point -> lines from it and counts, chunk by chunk, the lines
+shared by each pair of points, in O(N (Q+1)^2) time and O(N (Q+1))
+memory.  That one pass suffices: the dual statement, any two lines meet in
+exactly one point, follows from it by counting (see ``check_plane``).
+Failures are reported, never raised, and carry the lexicographically first
+counterexample under canonical element indexing.
 
 Both Q^4 scans, (E) and the pair count, visit one representative per orbit
 of a group of symmetries, and every generator of that group is first
@@ -73,6 +74,7 @@ gives the same witness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,10 +168,10 @@ def _orbit_minima(perms: list[np.ndarray], M: int) -> np.ndarray:
     while True:
         before = least.copy()
         for perm in perms:
-            np.minimum(least, least[perm], out=least)
-            least[perm] = np.minimum(least[perm], least)
+            np.minimum(least, least.take(perm), out=least)
+            least[perm] = np.minimum(least.take(perm), least)
         while True:
-            jumped = least[least]
+            jumped = least.take(least)
             if np.array_equal(jumped, least):
                 break
             least = jumped
@@ -209,8 +211,8 @@ def _table_map_candidates(Q: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
         maps.append((ar, y * Q + t.add(z, s), t.add(w, s)))
         maps.append((ar, t.add(y, s) * Q + z, t.add(w, t.mul(s, x))))
     gx = t.mul(g, ar)
-    maps.append((gx, y * Q + gx[z], gx[w]))
-    maps.append((ar, gx[y] * Q + gx[z], gx[w]))
+    maps.append((gx, y * Q + gx.take(z), gx.take(w)))
+    maps.append((ar, gx.take(y) * Q + gx.take(z), gx.take(w)))
     return [(pi, psi.ravel(), lam) for pi, psi, lam in maps]
 
 
@@ -224,6 +226,7 @@ def _table_symmetries(table: np.ndarray) -> list[np.ndarray]:
     moved, mapped = np.empty(Q * Q, dtype=table.dtype), np.empty(Q * Q, dtype=np.int32)
 
     def holds(pi, psi, lam):
+        psi = psi.astype(np.intp)  # take's index type: converted once, not once per x
         for x in range(Q):
             np.take(flat[pi[x]], psi, out=moved, mode="clip")  # every index is in range
             np.take(lam[x], flat[x], out=mapped, mode="clip")
@@ -369,23 +372,37 @@ def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
 # ---------------------------------------------------------------------------
 
 
-def build_plane(table: np.ndarray) -> np.ndarray:
-    """The plane of a (Q,Q,Q) value table, as its (N, Q+1) int32 line array,
-    N = Q^2+Q+1: row l lists the Q+1 points of line l in ascending order.
+def build_plane(slabs) -> np.ndarray:
+    """The plane of a ternary operation given by its y-slabs, as its
+    (N, Q+1) int32 line array, N = Q^2+Q+1: row l lists the Q+1 points of
+    line l in ascending order.
+
+    ``slabs`` yields T(., m, .) for m = 0 .. Q-1 in order, each a (Q, Q)
+    array indexed [x, k]: ``hughes_core.ptr_slabs(ctx)``, or a (Q,Q,Q)
+    value table as ``table.swapaxes(0, 1)``.  The slab of slope m is the
+    Q affine lines [m, k], so a slab is written into the line array and
+    dropped, and the plane never needs the Q^3 table.  A source with
+    fewer or more than Q slabs raises ``ValueError``.
 
     Points: affine (x, y) -> x*Q + y, slope points (m) -> Q^2 + m, and one
     point at infinity -> Q^2 + Q.  Lines: [m, k] = {(x, T(x,m,k))} + {(m)}
     -> m*Q + k, verticals [c] = {(c, y)} + {inf} -> Q^2 + c, and the line at
     infinity -> Q^2 + Q.  The point -> lines view is derived when needed.
     """
-    Q = table.shape[0]
+    slabs = iter(slabs)
+    first = next(slabs)
+    Q = len(first)
     N = Q * Q + Q + 1
     ar = np.arange(Q, dtype=np.int32)
     points_on = np.empty((N, Q + 1), dtype=np.int32)
 
     # lines [m, k]: affine points (x, T(x, m, k)), then the slope point (m)
     affine = points_on[:Q * Q].reshape(Q, Q, Q + 1)
-    np.add(table.transpose(1, 2, 0), ar * Q, out=affine[:, :, :Q])
+    slabs = itertools.chain([first], slabs)
+    for m, slab in zip(range(Q), slabs):
+        np.add(slab.T, ar * Q, out=affine[m, :, :Q])
+    if m != Q - 1 or next(slabs, None) is not None:
+        raise ValueError(f"a plane of order {Q} takes exactly {Q} slabs")
     affine[:, :, Q] = Q * Q + ar[:, None]
 
     # vertical lines [c]: points (c, y), then the point at infinity
@@ -418,14 +435,14 @@ def _lines_through(points_on: np.ndarray, points: np.ndarray | None = None) -> n
     free = np.arange(0, n * k, k)  # flat position of each row's next free slot
     chunk = max(1, _PAIR_COUNT_BUDGET // k)
     for lo in range(0, N, chunk):
-        rows = slot[points_on[lo:lo + chunk]]
+        rows = slot.take(points_on[lo:lo + chunk])
         c = len(rows)
         keys = (rows * c + np.arange(c)[:, None]).ravel()
         pairs = np.sort(keys[keys < n * c])
         owner = pairs // c
         counts = np.bincount(owner, minlength=n)
         run_start = np.cumsum(counts) - counts  # where each point's run begins in pairs
-        through[(free - run_start)[owner] + np.arange(len(pairs))] = lo + pairs % c
+        through[(free - run_start).take(owner) + np.arange(len(pairs))] = lo + pairs % c
         free += counts
     return through.reshape(n, k)
 
@@ -532,7 +549,7 @@ def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray,
     for lo in range(0, len(rows), chunk):
         objects = rows[lo:lo + chunk]
         r = np.arange(len(objects))
-        keys = members[through[lo:lo + chunk]] + (r * N)[:, None, None]
+        keys = members.take(through[lo:lo + chunk], axis=0) + (r * N)[:, None, None]
         counts = np.bincount(keys.ravel(), minlength=len(objects) * N).reshape(len(objects), N)
         counts[r, objects] = 1
         bad = _first_true(counts != 1)

@@ -267,10 +267,11 @@ def write_json(p: int, e: int, arrays, stream) -> None:
     sorted by exponent triple, with c the nonzero coefficient indices.  The
     bytes are ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` of the
     schema above.  Each chunk of ``_JSON_CHUNK`` terms is an array of
-    fixed-width records that already hold the constant text; one gather per
-    column from that column's ``_decimal_table`` fills in the digits, and one
-    compress drops the 0 bytes of their padding; the stream gets each chunk
-    as a memoryview of that array, copied into no ``bytes`` or ``str``.
+    fixed-width records that already hold the constant text; one ``take``
+    per column from that column's ``_decimal_table`` fills in the digits,
+    and ``bytes.replace`` drops the 0 bytes of their padding: with a numpy
+    boolean compress instead, the nonreduced form at Q=625 took 59 ms to
+    write, against 35 ms (2-core x86-64 VM, numpy 2.4).
     """
     ex, ey, ez, c = arrays
     stream.write(f'{{\n  "e": {e},\n  "p": {p},\n  "terms": '.encode())
@@ -296,10 +297,9 @@ def write_json(p: int, e: int, arrays, stream) -> None:
         buf[:] = template
         records = buf.view(record)[:, 0]
         for name, col in columns.items():
-            records[name] = tables[name][col[start:stop]]
-        text = buf.ravel()
-        text = text[text != 0]
-        stream.write(text[1 if start == 0 else 0:].data)  # no comma before the first term
+            records[name] = tables[name].take(col[start:stop])
+        text = memoryview(buf.tobytes().replace(b"\0", b""))
+        stream.write(text[1:] if start == 0 else text)  # no comma before the first term
     stream.write(b"\n  ]\n}\n")
 
 
@@ -319,8 +319,8 @@ def evaluate_grid(poly: TriPoly) -> np.ndarray:
     Write T = sum_j y^j W_j(x, z), W_j = sum_k u_jk(x) z^k and
     u_jk = sum_i c_ijk x^i.  Per Y exponent j, each u_jk is one
     ``FieldTables.poly`` on GF(Q), W_j is summed on the Q x Q plane, and
-    y^j W_j is added into the grid one x-slab at a time, as ``ptr_table``
-    fills it, so the temporaries stay at O(Q^2) next to the output.
+    y^j W_j is added into the grid one x-slab at a time, so the
+    temporaries stay at O(Q^2) next to the output.
     """
     ctx = poly.ctx
     t = ctx.tables

@@ -2,15 +2,19 @@
 
 ``lucas_scalar`` is Lucas' theorem one base-p digit at a time, and
 ``identity_suite_scalar`` runs every identity sweep one instance at a time:
-the Lucas sweep against exact big-integer rows of Pascal's triangle, and the
-other sweeps on ``binom_exact`` and ``gen_catalan_exact``.  The array kernel
-and the batched sweeps of ``modcomb`` are held to them.
+the Lucas sweep against exact big-integer rows of Pascal's triangle, the
+central split against one exact row of binom((Q+1)/2, k)
+(``binom_row_mod``: q^2 calls of ``math.comb`` on (Q+1)/2 took 5.3 s of
+5.7 s at q = 127), and the other sweeps on ``binom_exact`` and
+``gen_catalan_exact``.  The array kernel and the batched sweeps of
+``modcomb`` are held to them; nothing here calls ``modcomb``'s array code.
 
 Both take faults for the negative controls: ``digit(a, b)`` replaces
 ``math.comb`` on the digits, ``pascal_fault`` = (a, b) adds 1 mod p to one
-entry of the triangle, and the big-integer helpers are looked up on
-``modcomb`` at call time, so a monkeypatched ``binom_exact`` or
-``_catalan_run`` reaches both suites.
+entry of the triangle, the big-integer helpers are looked up on ``modcomb``
+at call time, so a monkeypatched ``binom_exact`` or ``_catalan_run`` reaches
+both suites, and ``binom_row_mod`` is looked up on this module at call time,
+so a wrong binomial can be put into the oracle's row as well.
 """
 
 import math
@@ -32,6 +36,17 @@ def lucas_scalar(alpha: int, beta: int, p: int, digit=math.comb) -> int:
         alpha //= p
         beta //= p
     return r
+
+
+def binom_row_mod(n: int, upto: int, p: int) -> list[int]:
+    """binom(n, k) mod p for k = 0 .. upto, from one run of the exact
+    big-integer recurrence binom(n, k+1) = binom(n, k) (n-k) / (k+1), each
+    term reduced only when stored (0 past k = n)."""
+    row, c = [], 1
+    for k in range(upto + 1):
+        row.append(c % p)
+        c = c * (n - k) // (k + 1)
+    return row
 
 
 class _Check:
@@ -65,9 +80,11 @@ def identity_suite_scalar(p: int, e: int, max_n: int, digit=math.comb, pascal_fa
             chk.record(lucas_scalar(a, b, p, digit) == residue, (a, b))
 
     chk = checks["central_binom_split"]
+    top = min(q, cap) - 1
+    half_row = binom_row_mod((Q + 1) // 2, top * q + top, p)
     for a in range(min(q, cap)):
         for b in range(min(q, cap)):
-            lhs = binom_exact((Q + 1) // 2, a * q + b) % p
+            lhs = half_row[a * q + b]
             rhs = binom_exact((q - 1) // 2, a) * binom_exact((q + 1) // 2, b) % p
             chk.record(lhs == rhs, (a, b))
 

@@ -131,7 +131,7 @@ def test_criterion_7_plane_construction():
     for Q in (9, 25):
         ctx = field_ctx(*FIELDS[Q])
         table = value_table(ctx, lambda x, y, z: ptr_piecewise(ctx, x, y, z))
-        plane = build_plane(table)
+        plane = build_plane(table.swapaxes(0, 1))  # its y-slabs
         ok &= plane.shape == (Q * Q + Q + 1, Q + 1)  # as many points as lines
         ok &= bool((np.diff(plane, axis=1) > 0).all())  # Q+1 distinct points per line
         degree = np.bincount(plane.ravel(), minlength=Q * Q + Q + 1)

@@ -205,6 +205,18 @@ def test_plane_subcommand(capsys):
     assert data["points_per_line"] == 10
 
 
+def test_plane_builds_no_value_table(capsys, monkeypatch):
+    # the plane comes from the oracle's y-slabs, one at a time
+    from hughesptr import hughes_core
+
+    def refuse(ctx):
+        raise AssertionError("plane tabulated the Q^3 grid")
+
+    monkeypatch.setattr(hughes_core, "ptr_table", refuse)
+    code, out = run_cli(capsys, ["plane", "--p", "5", "--e", "1"])
+    assert code == 0 and json.loads(out)["projective_plane"] == {"pass": True}
+
+
 def test_du_deterministic(capsys):
     args = ["du", "--p", "3", "--e", "1", "--exhaustive"]
     code1, out1 = run_cli(capsys, args)

@@ -278,6 +278,18 @@ def test_packed_add_sub_exhaustive(p, e):
     assert vsub.tolist() == [[add_i(i, neg_i(j)) for j in range(ctx.Q)] for i in range(ctx.Q)]
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_vector_ops_reject_an_index_past_the_field(ctx9, op):
+    # the gathers raise IndexError as indexing does (a clipping gather would
+    # return a wrong element), and a negative index wraps as it does there
+    t, Q = ctx9.tables, ctx9.Q
+    f = getattr(t, op)
+    for A, B in [(Q, 0), (0, Q), (np.arange(Q + 1), 1), (1, np.array([[3], [Q + 3]], dtype=np.int32))]:
+        with pytest.raises(IndexError):
+            f(A, B)
+    assert f(-1, np.arange(Q)).tolist() == f(Q - 1, np.arange(Q)).tolist()
+
+
 @pytest.mark.parametrize("p,e", [(7, 2), (3, 4)])
 def test_large_q_tower_add(p, e):
     # Q = 2401 and 6561, past the reach of the exhaustive table tests

@@ -14,6 +14,7 @@ from hughesptr import (
     phi_poly,
     ptr_nearfield_form,
     ptr_piecewise,
+    ptr_slabs,
     ptr_table,
     ptr_values,
     sigma_eval,
@@ -112,6 +113,23 @@ def test_ptr_table_matches_scalar(p, e):
         for y in ctx.enumerate_field():
             for z in ctx.enumerate_field():
                 assert tbl[x.index, y.index, z.index] == ptr_piecewise(ctx, x, y, z).index
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (13, 1)])
+def test_ptr_slabs_match_the_table_and_the_x_slabs(p, e):
+    # Q = 9, 25, 81 and 169: each y-slab against ptr_table and against the
+    # grid stacked from x-slabs of ptr_values, the fill the slabs replaced
+    ctx = field_ctx(p, e)
+    Q = ctx.Q
+    ar = np.arange(Q, dtype=np.int32)
+    by_x = np.stack([ptr_values(ctx, np.int32(x), ar[:, None], ar[None, :]) for x in range(Q)])
+    table = ptr_table(ctx)
+    assert table.dtype == np.int32 and np.array_equal(table, by_x)
+    slabs = list(ptr_slabs(ctx))
+    assert len(slabs) == Q
+    for y, slab in enumerate(slabs):
+        assert slab.shape == (Q, Q) and slab.dtype == np.int32
+        assert np.array_equal(slab, table[:, y, :]) and np.array_equal(slab, by_x[:, y, :])
 
 
 @pytest.mark.parametrize("p,e", [(7, 2), (3, 4)])

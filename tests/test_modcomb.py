@@ -16,6 +16,7 @@ from hughesptr.modcomb import (
     gen_catalan_mod,
     identity_suite,
 )
+import scalar_identities
 from scalar_identities import identity_suite_scalar, lucas_scalar
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -274,9 +275,11 @@ def test_identity_suite_detects_wrong_pascal_residue(monkeypatch, fault):
 
 @pytest.mark.parametrize("p,e,n,k", [(3, 2, 41, 20), (3, 2, 5, 2), (5, 1, 13, 4), (3, 2, 4, 1)])
 def test_identity_suite_detects_wrong_binomial(monkeypatch, p, e, n, k):
-    # one wrong big-integer binomial, the same in the exact rows and in the
-    # oracle's binom_exact: every sweep reading it fails at the same witness
+    # one wrong big-integer binomial, the same in the exact rows, in the
+    # oracle's row and in the oracle's binom_exact: every sweep reading it
+    # fails at the same witness
     real_row, real_exact = modcomb._binom_row, modcomb.binom_exact
+    real_oracle_row = scalar_identities.binom_row_mod
 
     def row(m, upto, p):
         out = real_row(m, upto, p)
@@ -284,7 +287,14 @@ def test_identity_suite_detects_wrong_binomial(monkeypatch, p, e, n, k):
             out[k] = (out[k] + 1) % p
         return out
 
+    def oracle_row(m, upto, p):
+        out = real_oracle_row(m, upto, p)
+        if m == n and k <= upto:
+            out[k] = (out[k] + 1) % p
+        return out
+
     monkeypatch.setattr(modcomb, "binom_exact", lambda m, j: real_exact(m, j) + ((m, j) == (n, k)))
+    monkeypatch.setattr(scalar_identities, "binom_row_mod", oracle_row)
     want = identity_suite_scalar(p, e, 300)
     assert not all(passed for passed, _, _ in want.values())
     monkeypatch.setattr(modcomb, "binom_exact", real_exact)
@@ -297,6 +307,7 @@ def test_binom_row_matches_exact():
         for p in PRIMES:
             assert modcomb._binom_row(n, n + 3, p).tolist() == [binom_exact(n, k) % p for k in range(n + 4)]
             assert modcomb._binom_row(n, n // 2, p).tolist() == [binom_exact(n, k) % p for k in range(n // 2 + 1)]
+            assert scalar_identities.binom_row_mod(n, n + 3, p) == [math.comb(n, k) % p for k in range(n + 4)]
 
 
 @pytest.mark.parametrize("p,e,max_n,n", [(3, 2, 300, 5), (3, 2, 300, 17), (3, 2, 300, 40), (5, 1, 130, 0),

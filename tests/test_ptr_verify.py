@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_table, ptr_verify
+from hughesptr import build_reduced_T, evaluate_grid, field_ctx, ptr_piecewise, ptr_slabs, ptr_table, ptr_verify
 from hughesptr.ptr_verify import (
     PtrReport,
     _axiom_c_direct,
@@ -30,6 +30,11 @@ def classical_table(ctx):
 
 def hughes_table(ctx):
     return ptr_table(ctx)
+
+
+def table_plane(table):
+    """The line array of a (Q,Q,Q) value table, built from its own y-slabs."""
+    return build_plane(table.swapaxes(0, 1))
 
 
 def test_axioms_pass_hughes_q9(ctx9):
@@ -264,7 +269,7 @@ def dense_incidence(plane):
 
 
 def test_plane_counts_q9(ctx9):
-    plane = build_plane(table=hughes_table(ctx9))
+    plane = table_plane(hughes_table(ctx9))
     assert plane.shape == (91, 10) and plane.dtype == np.int32
     assert (np.diff(plane, axis=1) > 0).all()  # rows ascending
     inc = dense_incidence(plane)
@@ -275,20 +280,50 @@ def test_plane_counts_q9(ctx9):
 
 def test_plane_lines_as_documented(ctx9):
     Q, tbl = ctx9.Q, hughes_table(ctx9)
-    plane = build_plane(table=tbl)
+    plane = table_plane(tbl)
     m, k = 4, 7
     assert plane[m * Q + k].tolist() == [x * Q + tbl[x, m, k] for x in range(Q)] + [Q * Q + m]
     assert plane[Q * Q + 2].tolist() == [2 * Q + y for y in range(Q)] + [Q * Q + Q]
     assert plane[Q * Q + Q].tolist() == list(range(Q * Q, Q * Q + Q + 1))
 
 
+def plane_by_definition(table):
+    """The line array of a (Q,Q,Q) value table, written from the whole table
+    in ``build_plane``'s labelling: [m, k] is x*Q + T(x, m, k) for x = 0 ..
+    Q-1, then Q^2 + m; [c] is c*Q + y, then Q^2 + Q; the line at infinity
+    is Q^2 .. Q^2 + Q."""
+    Q = len(table)
+    ar = np.arange(Q)
+    affine = np.concatenate([(table.transpose(1, 2, 0) + ar * Q).reshape(Q * Q, Q),
+                             Q * Q + np.repeat(ar, Q)[:, None]], axis=1)
+    vertical = np.concatenate([ar[:, None] * Q + ar, np.full((Q, 1), Q * Q + Q)], axis=1)
+    return np.concatenate([affine, vertical, Q * Q + np.arange(Q + 1)[None]]).astype(np.int32)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (13, 1)])
+def test_plane_from_the_oracle_slabs_is_the_table_plane(p, e):
+    # Q = 9, 25, 81 and 169: the plane written one oracle slab at a time, as
+    # the plane command builds it, byte for byte
+    ctx = field_ctx(p, e)
+    plane = build_plane(ptr_slabs(ctx))
+    assert plane.dtype == np.int32
+    assert plane.tobytes() == plane_by_definition(ptr_table(ctx)).tobytes()
+
+
+def test_build_plane_takes_exactly_q_slabs(ctx9):
+    slabs = list(ptr_slabs(ctx9))
+    for wrong in (slabs[:-1], slabs + slabs[:1], slabs[:1]):
+        with pytest.raises(ValueError, match="exactly 9 slabs"):
+            build_plane(wrong)
+
+
 def test_plane_classical_control(ctx9):
-    plane = build_plane(table=classical_table(ctx9))
+    plane = table_plane(classical_table(ctx9))
     assert check_plane(plane).passed
 
 
 def test_plane_negative_control(ctx9):
-    plane = build_plane(table=hughes_table(ctx9))
+    plane = table_plane(hughes_table(ctx9))
     plane[0, 0] = plane[0, 1]  # line 0 loses a point
     report = check_plane(plane)
     assert not report.passed and report.witness == ("line_size", 0)
@@ -334,7 +369,7 @@ def _degree_preserving_swap(points_on, rng):
 @pytest.mark.parametrize("p", [3, 5])
 def test_plane_swap_controls_match_dense_oracle(p, seed):
     ctx = field_ctx(p, 1)
-    plane = build_plane(table=hughes_table(ctx))
+    plane = table_plane(hughes_table(ctx))
     assert check_plane(plane) == dense_plane_report(plane) == PtrReport("projective_plane", True)
     _degree_preserving_swap(plane, np.random.default_rng(seed))
     report = check_plane(plane)
@@ -343,7 +378,7 @@ def test_plane_swap_controls_match_dense_oracle(p, seed):
 
 
 def test_plane_size_controls_match_dense_oracle(ctx9):
-    plane = build_plane(table=classical_table(ctx9))
+    plane = table_plane(classical_table(ctx9))
     plane[7] = plane[8]  # line 7 := line 8
     report = check_plane(plane)
     assert report == dense_plane_report(plane)
@@ -372,7 +407,7 @@ def _random_perturbation(points_on, rng):
 def _random_controls(p):
     """The Hughes plane of order p and 100 seeded perturbations of it."""
     rng = np.random.default_rng(p)
-    base = build_plane(hughes_table(field_ctx(p, 1)))
+    base = table_plane(hughes_table(field_ctx(p, 1)))
     planes = []
     for _ in range(100):
         plane = base.copy()
@@ -409,7 +444,7 @@ def test_chunked_degree_count_matches_default_budget(p, lines, monkeypatch):
 def test_lines_through_matches_stable_argsort(ctx9, monkeypatch, budget):
     monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
     rng = np.random.default_rng(budget)
-    base = build_plane(hughes_table(ctx9))
+    base = table_plane(hughes_table(ctx9))
     swapped = base.copy()
     _degree_preserving_swap(swapped, rng)
     relabelled = rng.permutation(len(base)).astype(np.int32)[base]
@@ -429,7 +464,7 @@ def test_lines_through_matches_stable_argsort(ctx9, monkeypatch, budget):
     (lambda on: np.where(on == 90, 91, on), ("line_size", 81)),  # first line through inf
 ])
 def test_plane_malformed_lines_fail_without_raising(ctx9, corrupt, witness):
-    plane = build_plane(table=hughes_table(ctx9))
+    plane = table_plane(hughes_table(ctx9))
     bad = corrupt(plane)
     assert check_plane(bad) == PtrReport("projective_plane", False, witness)
 
@@ -437,7 +472,7 @@ def test_plane_malformed_lines_fail_without_raising(ctx9, corrupt, witness):
 @pytest.mark.parametrize("budget", [10, 64])  # line-size chunks of 1 line and of 6 lines
 def test_chunked_line_size_check_matches_dense_oracle(ctx9, monkeypatch, budget):
     monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
-    base = build_plane(hughes_table(ctx9))
+    base = table_plane(hughes_table(ctx9))
     for line in (0, 5, 6, 90):  # first and last line of a chunk, and the last line
         plane = base.copy()
         plane[line, 2] = plane[line, 7]
@@ -453,8 +488,8 @@ def test_chunked_line_size_check_matches_dense_oracle(ctx9, monkeypatch, budget)
 def test_hughes_plane_differs_from_classical(ctx9):
     # quadrangles with collinear diagonal points exist in the Hughes plane
     # and never in the classical plane of odd order
-    hughes = build_plane(table=hughes_table(ctx9))
-    classical = build_plane(table=classical_table(ctx9))
+    hughes = table_plane(hughes_table(ctx9))
+    classical = table_plane(classical_table(ctx9))
     n_hughes = count_fano_quadrangles(hughes)
     n_classical = count_fano_quadrangles(classical)
     assert n_classical == 0
@@ -571,13 +606,23 @@ def test_axiom_e_on_orbits_matches_full_scan(p, e, case, monkeypatch):
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_plane_on_orbits_matches_full_scan(p, e, case, monkeypatch):
-    plane = build_plane(ORBIT_CASES[case](field_ctx(p, e)))
+    plane = table_plane(ORBIT_CASES[case](field_ctx(p, e)))
     report = check_plane(plane)
     if p ** (2 * e) <= 25:
         assert report == dense_plane_report(plane)
     monkeypatch.setattr(ptr_verify, "_collineation_candidates", lambda Q: [])
     assert check_plane(plane) == report
     assert report.passed == (case in ("hughes", "classical"))
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_plane_from_a_tables_own_slabs_is_its_plane(p, e, case):
+    # the mutants too, their slabs as a view and as separate arrays
+    tbl = ORBIT_CASES[case](field_ctx(p, e))
+    want = plane_by_definition(tbl).tobytes()
+    assert table_plane(tbl).tobytes() == want
+    assert build_plane(tbl[:, y].copy() for y in range(len(tbl))).tobytes() == want
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -596,7 +641,7 @@ def test_orbit_scans_fire_on_hughes(p, e, n_pairs):
     tbl = hughes_table(ctx)
     assert len(_table_symmetries(tbl)) == e + 1
     assert len(_e_pairs(tbl)) == n_pairs <= 3 * Q
-    plane = build_plane(tbl)
+    plane = table_plane(tbl)
     assert len(_collineations(plane)) == 3 * e + 2
     # (0,0), (0,w), (w,0), the slopes (0) and (w), and the point at infinity
     assert _plane_points(plane).tolist() == [0, q, q * Q, Q * Q, Q * Q + q, Q * Q + Q]
@@ -633,7 +678,7 @@ def test_lifted_collineation_holds_with_its_table_identity(p, e, case, monkeypat
     holds = generator_identities(ctx, tbl)
     a, b = LIFT_COUNTS[case]
     assert sum(holds) == a * e + b
-    plane = build_plane(tbl)
+    plane = table_plane(tbl)
     candidates = ptr_verify._collineation_candidates(ctx.Q)
     assert len(candidates) == len(holds) == 3 * e + 2
     kept = []
@@ -644,7 +689,7 @@ def test_lifted_collineation_holds_with_its_table_identity(p, e, case, monkeypat
 
 
 def test_lines_through_asked_points_are_rows_of_the_full_array(ctx9):
-    plane = build_plane(hughes_table(ctx9))
+    plane = table_plane(hughes_table(ctx9))
     _degree_preserving_swap(plane, np.random.default_rng(0))
     points = np.array([0, 3, 40, 90])
     assert np.array_equal(_lines_through(plane, points), _lines_through(plane)[points])
@@ -654,7 +699,7 @@ def test_lines_through_asked_points_are_rows_of_the_full_array(ctx9):
 def test_pair_count_on_asked_points_matches_dense_counts(ctx9, seed):
     # the witness names the asked point, not its position among those asked
     rng = np.random.default_rng(seed)
-    plane = build_plane(hughes_table(ctx9))
+    plane = table_plane(hughes_table(ctx9))
     _degree_preserving_swap(plane, rng)
     common = dense_incidence(plane).astype(np.int64) @ dense_incidence(plane).T.astype(np.int64)
     np.fill_diagonal(common, 1)
