@@ -30,14 +30,15 @@ DEFAULT_MAX_ORDER = 6561
 # verify tabulates the oracle on all of GF(Q)^3, and plane writes its lines
 # from the oracle one y-slab at a time (the polynomial is checked on Q*q
 # points only).  Axiom (E) and the plane's pair count scan one member per
-# orbit of the symmetries verified on the input: at Q=361, the largest order
-# below this cap, verify took 2.4 s at a peak RSS of 218 MiB, verify --plane
-# 4.9-5.4 s at 392 MiB and plane 4.0-4.6 s at 224 MiB; at Q=169, 0.5 s at
-# 51 MiB, 0.65-0.8 s at 68 MiB and 0.45-0.75 s at 54 MiB (shared 2-core
-# x86-64 VM with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s,
-# 324 s and 169 s at Q=361, and Q=529 passed with them (verify 463 s at
-# 604 MiB, plane 656 s at 1179 MiB).  A table without these symmetries still
-# takes the Q^4 scans, so the cap stays at 400
+# orbit of the group generated by those of the four symmetries X, Y, Gx, Gy
+# that hold on the input: at Q=361, the largest order below this cap, verify
+# took 1.7-1.8 s at a peak RSS of 218 MiB, verify --plane 3.5-3.6 s at
+# 392 MiB and plane 2.3-2.5 s at 223 MiB; at Q=169, 0.35 s at 51 MiB,
+# 0.46-0.47 s at 68 MiB and 0.40-0.42 s at 53 MiB (shared 2-core x86-64 VM
+# with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s, 324 s and
+# 169 s at Q=361, and Q=529 passed with them (verify 463 s at 604 MiB, plane
+# 656 s at 1179 MiB).  A table without these symmetries still takes the Q^4
+# scans, so the cap stays at 400
 FULL_GRID_MAX_ORDER = 400
 
 

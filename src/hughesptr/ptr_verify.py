@@ -28,26 +28,40 @@ counterexample under canonical element indexing.
 Both Q^4 scans, (E) and the pair count, visit one representative per orbit
 of a group of symmetries, and every generator of that group is first
 verified exhaustively on the input itself.  When Q = p^(2e) for an odd
-prime p, the generators are 3e+2 table identities T(pi x, psi(y,z)) =
-lam[x, T(x,y,z)] over the field GF(Q), with q = p^e, s running over the
-GF(p)-basis p^0, ..., p^(e-1) of GF(q) (element indices) and g a generator
-of GF(q)^*:
+prime p, the generators are four table identities T(pi x, psi(y,z)) =
+lam[x, T(x,y,z)] over the field GF(Q), with q = p^e and g a generator of
+GF(q)^*:
 
-  T(x+s, y, z - s*y) = T,  T(x, y, z+s) = T + s,  T(x, y+s, z) = T + s*x,
-  T(g*x, y, g*z) = g*T,    T(x, g*y, g*z) = g*T.
+  X:  T(x+1, y, z-y) = T,         Y:  T(x, y+1, z) = T + x,
+  Gx: T(g*x, y, g*z) = g*T,       Gy: T(x, g*y, g*z) = g*T.
 
 The Hughes operation has all of them (D. R. Hughes, *A class of non-
 Desarguesian projective planes*, Canad. J. Math. 9, 1957), and the tests
 hold that they verify on ``ptr_table``; any other table is checked with
 those that hold on it, the full scan when none does.  (E) uses those with
-pi != id, since the others fix every pair (a, c).  The plane uses their
-lifts to ``build_plane``'s labelling: sigma takes the point (x, w) to
+pi != id, X and Gx, since the others fix every pair (a, c).  The plane uses
+their lifts to ``build_plane``'s labelling: sigma takes the point (x, w) to
 (pi x, lam[x, w]) and the slope point (m) to the slope of psi(m, 0); tau
 takes the line [m, k] to psi(m, k) and the vertical [c] to [pi c]; the
 point and the line at infinity stay fixed.  So the point (x, T(x,m,k)) of
 [m, k] goes to (pi x, T(pi x, psi(m,k))), a point of psi(m, k), and psi
 moves the slope m alike for every k.  The minimum of each orbit comes from
 ``_orbit_minima``.
+
+Why four generators.  For s, t, u in GF(q) write X_s: (x, w) -> (x+s, w),
+Y_t: (x, w) -> (x, w + t*x) and Z_u: (x, w) -> (x, w+u) on the affine
+points, the lifts of T(x+s, y, z-s*y) = T, T(x, y+t, z) = T + t*x and
+T(x, y, z+u) = T + u; a collineation is fixed by its point map.  Then
+Gx X_s Gx^-1 = X_(g*s) and Gy Y_t Gy^-1 = Y_(g*t), while X_s X_s' =
+X_(s+s') and Y_t Y_t' = Y_(t+t'), so X_0 and Y_0 are the identity.  As
+GF(q) = {0} u <g>, X = X_1 and Gx generate every X_s, and Y = Y_1 and Gy
+every Y_t.  Y_t X_s takes (x, w) to (x+s, w + t*x + s*t) and X_s Y_t to
+(x+s, w + t*x): they differ by Z_(s*t), so every Z_u is generated too.
+On the table maps this is the same computation with pi, psi and lam.  So
+the four generate the group of the 3e+2 maps X_s, Y_s, Z_s
+(s = p^0, ..., p^(e-1), a GF(p)-basis of GF(q)), Gx and Gy, which holds
+them: when all four hold on a table, the orbits are those of that group.
+When some do not, the arguments below apply to the group of those that do.
 
 Why (E) needs one pair per orbit.  Suppose T(pi x, psi(y,z)) =
 lam[x, T(x,y,z)] for all x, y, z, with bijections pi of GF(Q), psi of
@@ -154,6 +168,26 @@ def _first_bad_row(values: np.ndarray, M: int) -> tuple | None:
     return None
 
 
+def _first_bad_line(points_on: np.ndarray, N: int) -> tuple | None:
+    """``_first_bad_row(points_on, N)``, with no sort of a chunk of rows
+    that are all strictly ascending and in [0, N).
+
+    Such a row holds distinct ids in range, so it passes; a chunk with any
+    other row goes to ``_first_bad_row``, which gives the same witness.
+    ``build_plane`` lists every line in ascending order, so a plane it
+    built is never sorted.
+    """
+    chunk = max(1, _PAIR_COUNT_BUDGET // points_on.shape[1])
+    for lo in range(0, len(points_on), chunk):
+        rows = points_on[lo:lo + chunk]
+        if (rows[:, 0] >= 0).all() and (rows[:, -1] < N).all() and (rows[:, 1:] > rows[:, :-1]).all():
+            continue
+        bad = _first_bad_row(rows, N)
+        if bad is not None:
+            return (lo + bad[0],)
+    return None
+
+
 def _orbit_minima(perms: list[np.ndarray], M: int) -> np.ndarray:
     """For each id in [0, M), the least id of its orbit under the group the
     permutations ``perms`` generate.
@@ -193,26 +227,22 @@ def _field_tables(Q: int) -> FieldTables | None:
 
 
 def _table_map_candidates(Q: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The generators (pi, psi, lam) of the module docstring, in its order
-    with the s-maps grouped by s: T(pi x, psi(y,z)) = lam[x, T(x,y,z)], psi
-    as flat indices y*Q + z into a (Q, Q) slab and lam as a (Q, Q) array.
-    Empty when Q is not an even power of an odd prime."""
+    """The generators (pi, psi, lam) X, Y, Gx, Gy of the module docstring:
+    T(pi x, psi(y,z)) = lam[x, T(x,y,z)], psi as flat indices y*Q + z into a
+    (Q, Q) slab and lam as a (Q, Q) array.  Empty when Q is not an even
+    power of an odd prime."""
     t = _field_tables(Q)
     if t is None:
         return []
-    ctx = t.ctx
     ar = np.arange(Q, dtype=np.int32)
     x = y = ar[:, None]
     z, w = ar[None, :], np.broadcast_to(ar, (Q, Q))
-    g = int(t.exp_pad[ctx.q + 1])  # generates GF(q)^*
-    maps = []
-    for s in (ctx.p**i for i in range(ctx.e)):
-        maps.append((t.add(ar, s), y * Q + t.sub(z, t.mul(s, y)), w))
-        maps.append((ar, y * Q + t.add(z, s), t.add(w, s)))
-        maps.append((ar, t.add(y, s) * Q + z, t.add(w, t.mul(s, x))))
+    g = int(t.exp_pad[t.ctx.q + 1])  # generates GF(q)^*
     gx = t.mul(g, ar)
-    maps.append((gx, y * Q + gx.take(z), gx.take(w)))
-    maps.append((ar, gx.take(y) * Q + gx.take(z), gx.take(w)))
+    maps = [(t.add(ar, 1), y * Q + t.sub(z, y), w),
+            (ar, t.add(y, 1) * Q + z, t.add(w, x)),
+            (gx, y * Q + gx.take(z), gx.take(w)),
+            (ar, gx.take(y) * Q + gx.take(z), gx.take(w))]
     return [(pi, psi.ravel(), lam) for pi, psi, lam in maps]
 
 
@@ -422,23 +452,25 @@ def _lines_through(points_on: np.ndarray, points: np.ndarray | None = None) -> n
     chunk's (point, line) pairs of the asked points, packed as
     slot * c + (line - lo) with slot the point's position in ``points``,
     puts each point's lines in one ascending run, which goes to the next
-    free slots of that point's row.  Nothing wider than the int32 result is
-    built over all N x (Q+1) entries.
+    free slots of that point's row; a point not asked for gets slot -1, so
+    its keys are negative and dropped before the sort.  The keys are int32,
+    int64 only when n * c reaches 2^31, and nothing wider than the int32
+    result is built over all N x (Q+1) entries.
     """
     N, k = points_on.shape
     if points is None:
         points = np.arange(N)
     n = len(points)
-    slot = np.full(N, n, dtype=np.int64)  # n: a point not asked for
+    chunk = max(1, _PAIR_COUNT_BUDGET // k)
+    slot = np.full(N, -1, dtype=np.int32 if n * chunk < 2**31 else np.int64)  # -1: not asked for
     slot[points] = np.arange(n)
     through = np.empty(n * k, dtype=np.int32)
     free = np.arange(0, n * k, k)  # flat position of each row's next free slot
-    chunk = max(1, _PAIR_COUNT_BUDGET // k)
     for lo in range(0, N, chunk):
         rows = slot.take(points_on[lo:lo + chunk])
         c = len(rows)
-        keys = (rows * c + np.arange(c)[:, None]).ravel()
-        pairs = np.sort(keys[keys < n * c])
+        keys = rows * c + np.arange(c, dtype=rows.dtype)[:, None]
+        pairs = np.sort(keys[keys >= 0])
         owner = pairs // c
         counts = np.bincount(owner, minlength=n)
         run_start = np.cumsum(counts) - counts  # where each point's run begins in pairs
@@ -463,7 +495,11 @@ def _collineations(points_on: np.ndarray) -> list[np.ndarray]:
 
     Equal rows mean equal point sets.  ``build_plane`` lists every line in
     ascending order; a line array stored otherwise can only lose candidates,
-    and so the shortcut, never gain a wrong one.
+    and so the shortcut, never gain a wrong one.  A chunk whose image rows
+    are all non-decreasing is compared unsorted, as sorting leaves such a
+    row as it is: Y and Gy fix x, so their images of the lines [m, k] keep
+    the ascending order.  The chunk's first row is tested alone first, so
+    that a map which moves x pays no pass over the whole chunk.
     """
     N, k = points_on.shape
     chunk = max(1, _PAIR_COUNT_BUDGET // k)
@@ -472,10 +508,12 @@ def _collineations(points_on: np.ndarray) -> list[np.ndarray]:
     def holds(sigma, tau):
         for lo in range(0, N, chunk):  # into reused buffers, as in _table_symmetries
             c = min(chunk, N - lo)
-            np.take(sigma, points_on[lo:lo + c], out=image[:c], mode="clip")  # every id is in range
-            image[:c].sort(axis=1)
+            rows = image[:c]
+            np.take(sigma, points_on[lo:lo + c], out=rows, mode="clip")  # every id is in range
+            if not ((rows[0, 1:] >= rows[0, :-1]).all() and (rows[:, 1:] >= rows[:, :-1]).all()):
+                rows.sort(axis=1)
             np.take(points_on, tau[lo:lo + c], axis=0, out=target[:c], mode="clip")
-            if not np.array_equal(image[:c], target[:c]):
+            if not np.array_equal(rows, target[:c]):
                 return False
         return True
 
@@ -494,8 +532,9 @@ def check_plane(points_on: np.ndarray) -> PtrReport:
 
     Its order is Q = ``points_on.shape[1] - 1``, and it must have
     N = Q^2+Q+1 rows.  Every line must hold Q+1 distinct point ids in
-    [0, N) (sorted a chunk of lines at a time) and every point must lie on
-    Q+1 lines; then the point -> lines array is read off the line -> points
+    [0, N) (a chunk of lines at a time, sorted unless every row is already
+    strictly ascending and in range) and every point must lie on Q+1
+    lines; then the point -> lines array is read off the line -> points
     array by a counting sort, for the least point of each orbit of the
     verified collineations only (see the module docstring).  For a chunk
     of those points, the points on the lines through each of them are
@@ -517,7 +556,7 @@ def check_plane(points_on: np.ndarray) -> PtrReport:
     if points_on.shape != (N, Q + 1):
         return PtrReport("projective_plane", False, ("shape", points_on.shape))
 
-    bad_line = _first_bad_row(points_on, N)
+    bad_line = _first_bad_line(points_on, N)
     if bad_line is not None:
         return PtrReport("projective_plane", False, ("line_size",) + bad_line)
     # one count per chunk of about _PAIR_COUNT_BUDGET ids: no N x (Q+1) intp copy

@@ -628,7 +628,7 @@ def test_plane_from_a_tables_own_slabs_is_its_plane(p, e, case):
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_symmetric_broken_control_keeps_the_table_maps(p, e):
     tbl = symmetric_broken_table(field_ctx(p, e))
-    assert len(_table_symmetries(tbl)) == e + 1
+    assert len(_table_symmetries(tbl)) == 2
     assert not ptr_verify._axiom_e(tbl).passed
 
 
@@ -639,33 +639,29 @@ def test_orbit_scans_fire_on_hughes(p, e, n_pairs):
     ctx = field_ctx(p, e)
     Q, q = ctx.Q, ctx.q
     tbl = hughes_table(ctx)
-    assert len(_table_symmetries(tbl)) == e + 1
+    assert len(_table_symmetries(tbl)) == 2
     assert len(_e_pairs(tbl)) == n_pairs <= 3 * Q
     plane = table_plane(tbl)
-    assert len(_collineations(plane)) == 3 * e + 2
+    assert len(_collineations(plane)) == 4
     # (0,0), (0,w), (w,0), the slopes (0) and (w), and the point at infinity
     assert _plane_points(plane).tolist() == [0, q, q * Q, Q * Q, Q * Q + q, Q * Q + Q]
 
 
 def generator_identities(ctx, tbl):
-    """Whether each table identity of the ``ptr_verify`` docstring holds on
-    ``tbl``, in its order, each s-group in turn: both sides on the grid."""
+    """Whether each table identity X, Y, Gx, Gy of the ``ptr_verify``
+    docstring holds on ``tbl``, in its order: both sides on the grid."""
     t, Q, q = ctx.tables, ctx.Q, ctx.q
     x, y, z = np.ix_(*[np.arange(Q, dtype=np.int32)] * 3)
     g = int(t.exp_pad[q + 1])
     assert g < q and len({int(t.pow(g, n)) for n in range(q - 1)}) == q - 1  # generates GF(q)^*
-    holds = []
-    for s in (ctx.p**i for i in range(ctx.e)):
-        holds.append(np.array_equal(tbl[t.add(x, s), y, t.sub(z, t.mul(s, y))], tbl))
-        holds.append(np.array_equal(tbl[x, y, t.add(z, s)], t.add(tbl, s)))
-        holds.append(np.array_equal(tbl[x, t.add(y, s), z], t.add(tbl, t.mul(s, x))))
-    holds.append(np.array_equal(tbl[t.mul(g, x), y, t.mul(g, z)], t.mul(g, tbl)))
-    holds.append(np.array_equal(tbl[x, t.mul(g, y), t.mul(g, z)], t.mul(g, tbl)))
-    return holds
+    return [np.array_equal(tbl[t.add(x, 1), y, t.sub(z, y)], tbl),
+            np.array_equal(tbl[x, t.add(y, 1), z], t.add(tbl, x)),
+            np.array_equal(tbl[t.mul(g, x), y, t.mul(g, z)], t.mul(g, tbl)),
+            np.array_equal(tbl[x, t.mul(g, y), t.mul(g, z)], t.mul(g, tbl))]
 
 
-LIFT_COUNTS = {"hughes": (3, 2), "classical": (3, 2), "symmetric_broken": (2, 1),
-               "x*y^2+z": (1, 1), "hughes_row_swap": (0, 0)}  # (a, b): a*e + b hold
+LIFT_COUNTS = {"hughes": (1, 1, 1, 1), "classical": (1, 1, 1, 1), "symmetric_broken": (1, 0, 1, 0),
+               "x*y^2+z": (0, 0, 1, 0), "hughes_row_swap": (0, 0, 0, 0)}  # per map X, Y, Gx, Gy: 1 holds
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
@@ -676,11 +672,10 @@ def test_lifted_collineation_holds_with_its_table_identity(p, e, case, monkeypat
     ctx = field_ctx(p, e)
     tbl = ORBIT_CASES[case](ctx)
     holds = generator_identities(ctx, tbl)
-    a, b = LIFT_COUNTS[case]
-    assert sum(holds) == a * e + b
+    assert holds == [bool(h) for h in LIFT_COUNTS[case]]
     plane = table_plane(tbl)
     candidates = ptr_verify._collineation_candidates(ctx.Q)
-    assert len(candidates) == len(holds) == 3 * e + 2
+    assert len(candidates) == len(holds) == 4
     kept = []
     for cand in candidates:
         monkeypatch.setattr(ptr_verify, "_collineation_candidates", lambda Q: [cand])
@@ -710,3 +705,143 @@ def test_pair_count_on_asked_points_matches_dense_counts(ctx9, seed):
     want = (i, int(np.argmax(common[i] != 1)))
     got = ptr_verify._first_pair_count_not_one(_lines_through(plane, points), plane, points)
     assert got == want and got[0] > 0
+
+
+def all_table_maps(Q):
+    """The 3e+2 table identities from which X, Y, Gx and Gy are drawn, as
+    (pi, psi, lam) in ``_table_map_candidates``' form, with s over the
+    GF(p)-basis p^0, ..., p^(e-1) of GF(q): T(x+s, y, z - s*y) = T,
+    T(x, y, z+s) = T + s and T(x, y+s, z) = T + s*x for each s, then
+    T(g*x, y, g*z) = g*T and T(x, g*y, g*z) = g*T."""
+    t = _field_tables(Q)
+    ctx = t.ctx
+    ar = np.arange(Q, dtype=np.int32)
+    x = y = ar[:, None]
+    z, w = ar[None, :], np.broadcast_to(ar, (Q, Q))
+    g = int(t.exp_pad[ctx.q + 1])
+    maps = []
+    for s in (ctx.p**i for i in range(ctx.e)):
+        maps.append((t.add(ar, s), y * Q + t.sub(z, t.mul(s, y)), w))
+        maps.append((ar, y * Q + t.add(z, s), t.add(w, s)))
+        maps.append((ar, t.add(y, s) * Q + z, t.add(w, t.mul(s, x))))
+    gx = t.mul(g, ar)
+    maps.append((gx, y * Q + gx.take(z), gx.take(w)))
+    maps.append((ar, gx.take(y) * Q + gx.take(z), gx.take(w)))
+    return [(pi, psi.ravel(), lam) for pi, psi, lam in maps]
+
+
+def _pair_minima(pis, Q):
+    """Orbit minima of the pair ids a*Q + c under the x-maps and the swap."""
+    ar = np.arange(Q)
+    perms = [(pi[:, None] * Q + pi[None, :]).ravel() for pi in pis]
+    perms.append((ar[None, :] * Q + ar[:, None]).ravel())
+    return _orbit_minima(perms, Q * Q)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (13, 1)])
+def test_four_generators_give_the_orbits_of_all_table_maps(p, e, monkeypatch):
+    # the verified maps on the Hughes table: X, Y, Gx, Gy against all 3e+2
+    tbl = hughes_table(field_ctx(p, e))
+    Q = len(tbl)
+    plane = table_plane(tbl)
+    pairs, points = _pair_minima(_table_symmetries(tbl), Q), _orbit_minima(_collineations(plane), len(plane))
+    monkeypatch.setattr(ptr_verify, "_table_map_candidates", all_table_maps)
+    pis, sigmas = _table_symmetries(tbl), _collineations(plane)
+    assert (len(pis), len(sigmas)) == (e + 1, 3 * e + 2)  # all of them hold
+    assert np.array_equal(_pair_minima(pis, Q), pairs)
+    assert np.array_equal(_orbit_minima(sigmas, len(plane)), points)
+
+
+def test_four_generators_give_the_orbits_of_all_table_maps_at_e3(monkeypatch):
+    # Q = 729, the candidates alone: no table is built
+    Q = 729
+
+    def minima():
+        pis = [pi for pi, _, _ in ptr_verify._table_map_candidates(Q) if not np.array_equal(pi, np.arange(Q))]
+        sigmas = [sigma for sigma, _ in ptr_verify._collineation_candidates(Q)]
+        return _pair_minima(pis, Q), _orbit_minima(sigmas, Q * Q + Q + 1), len(sigmas)
+
+    pairs, points, n = minima()
+    monkeypatch.setattr(ptr_verify, "_table_map_candidates", all_table_maps)
+    all_pairs, all_points, n_all = minima()
+    assert (n, n_all) == (4, 11)
+    assert np.array_equal(pairs, all_pairs)
+    assert np.array_equal(points, all_points)
+
+
+def _collineations_always_sorted(points_on):
+    """``_collineations`` with every image row sorted, in one piece."""
+    return [sigma for sigma, tau in ptr_verify._collineation_candidates(points_on.shape[1] - 1)
+            if np.array_equal(np.sort(sigma.take(points_on), axis=1), points_on.take(tau, axis=0))]
+
+
+def _same_maps(got, want):
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_collineations_match_always_sorting(p, e, case):
+    plane = table_plane(ORBIT_CASES[case](field_ctx(p, e)))
+    reversed_row = plane.copy()
+    reversed_row[5] = reversed_row[5, ::-1]  # a stored row out of order: no candidate holds
+    for points_on in (plane, reversed_row):
+        assert _same_maps(_collineations(points_on), _collineations_always_sorted(points_on))
+    assert _collineations(reversed_row) == []
+
+
+@pytest.mark.parametrize("budget", [64, 2**17])  # chunks of 6 lines, one chunk of all 91
+def test_chunk_with_an_ascending_first_row_is_still_sorted(ctx9, monkeypatch, budget):
+    # Y and Gy keep the affine lines ascending but not the verticals 81-89:
+    # the 6-line chunk 78-83 and the single chunk both start with an affine line
+    monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
+    plane = table_plane(hughes_table(ctx9))
+    y_map = ptr_verify._collineation_candidates(9)[1][0]
+    image = y_map.take(plane[78:84])
+    assert (np.diff(image[0]) > 0).all() and not (np.diff(image, axis=1) > 0).all()
+    got = _collineations(plane)
+    assert len(got) == 4 and _same_maps(got, _collineations_always_sorted(plane))
+
+
+def _corrupt_row(row, kind, N):
+    if kind == "adjacent_duplicate":
+        row[4] = row[3]  # non-decreasing, not strictly ascending
+    elif kind == "duplicate":
+        row[2] = row[7]  # not ascending, an id twice
+    elif kind == "out_of_range":
+        row[2] = N + 3  # not ascending, an id above N - 1
+    elif kind == "negative_first":
+        row[0] = -1  # still ascending, an id below 0
+    elif kind == "n_last":
+        row[-1] = N  # still ascending, an id of N
+    elif kind == "swap":
+        row[[2, 7]] = row[[7, 2]]  # not ascending, but a valid line
+
+
+@pytest.mark.parametrize("budget", [10, 64, 2**17])  # chunks of 1 and 6 lines, one chunk
+@pytest.mark.parametrize("kind", ["adjacent_duplicate", "duplicate", "out_of_range",
+                                  "negative_first", "n_last", "swap"])
+def test_line_check_without_sorting_ascending_rows_matches_the_sort(ctx9, monkeypatch, budget, kind):
+    monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
+    base = table_plane(hughes_table(ctx9))
+    N = len(base)
+    assert ptr_verify._first_bad_line(base, N) is None
+    for line in (0, 5, 6, 40, 90):
+        plane = base.copy()
+        _corrupt_row(plane[line], kind, N)
+        want = ptr_verify._first_bad_row(plane, N)
+        assert (want is None) == (kind == "swap")
+        assert ptr_verify._first_bad_line(plane, N) == want
+        if want is not None:
+            assert check_plane(plane).witness == ("line_size",) + want
+
+
+def test_lines_through_with_int64_keys_matches_int32(ctx9, monkeypatch):
+    # a budget so large that n * chunk reaches 2^31 takes the int64 keys
+    plane = table_plane(hughes_table(ctx9))
+    _degree_preserving_swap(plane, np.random.default_rng(3))
+    points = np.array([0, 3, 40, 90])
+    want = _lines_through(plane), _lines_through(plane, points)
+    monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", 2**40)
+    got = _lines_through(plane), _lines_through(plane, points)
+    assert all(np.array_equal(a, b) and a.dtype == np.int32 for a, b in zip(got, want))

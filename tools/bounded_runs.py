@@ -37,13 +37,13 @@ RUNS = [
     # the same sweep at p = 3: 27 x 27 block table, three passes: measured
     # 0.45-0.62 s at 39 MiB
     ("identities --p 3 --e 4 --max-n 3000", 64, False),
-    # the top of the verify cap, Q=361: measured 4.8-6.0 s at 392 MiB, the
+    # the top of the verify cap, Q=361: measured 3.5-3.6 s at 392 MiB, the
     # value table and the line array both alive while the plane is built; (E)
-    # and the pair count scan one member per symmetry orbit, and the full
-    # scans took 324 s here
+    # and the pair count scan one member per orbit of the four generators,
+    # and the full scans took 324 s here
     ("verify --p 19 --e 1 --plane", 448, False),
     # the same plane from the oracle's y-slabs, with no value table: measured
-    # 4.0 s at 224 MiB, the line array (189 MB at Q=361) and one slab
+    # 2.3-2.5 s at 223 MiB, the line array (189 MB at Q=361) and one slab
     ("plane --p 19 --e 1", 256, False),
     # Q=59049: measured 0.4-0.5 s at 88 MiB, probe and symmetry deciding every
     # section; with both X-sections sent to the full scan instead, which holds
