@@ -46,10 +46,10 @@ kernel (``_tq_pows``), into a triple of univariate factors:
   bit fields ex | ey | ez | c, and equal exponent triples are summed mod p
   after one sort; the fields are read back with shifts and masks.  No ring
   product is taken.
-  ``gen`` streams those arrays to JSON (``trivar_poly.write_json``) and
-  builds no ``TriPoly``; the ``build_*`` functions wrap them in one
-  (``_emit``), and the tests hold every form to its expansion by
-  ``TriPoly`` products.
+  ``gen`` hands those arrays, uncopied, to the JSON writer
+  (``cli.write_json``) and builds no ``TriPoly``; the ``build_*``
+  functions wrap them in one (``_emit``), and the tests hold every form to
+  its expansion by ``TriPoly`` products.
 * ``piecewise_match`` proves the main theorem, that the form equals the
   piecewise operation on all of GF(Q)^3: it checks the shape of every
   record on its exponents (a, b) alone, then evaluates the expanded blocks

@@ -18,26 +18,16 @@ polynomial.
 
 JSON schema: {"p": p, "e": e, "terms": [{"ex": i, "ey": j, "ez": k, "c": c},
 ...]} with c the canonical element index and terms sorted lexicographically
-by exponent triple, so output is byte-stable.
+by exponent triple, so output is byte-stable (``gen`` writes it).
 """
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement, field_ctx
 
-__all__ = ["TriPoly", "variables", "evaluate_grid", "write_json"]
-
-# terms in one write of write_json (about 1.3 MB of JSON)
-_JSON_CHUNK = 1 << 14
-
-# the constant text around the four values of one term, in key order c, ex,
-# ey, ez; every term but the first is written with its leading comma
-_JSON_PIECES = (',\n    {\n      "c": ', ',\n      "ex": ', ',\n      "ey": ', ',\n      "ez": ',
-                "\n    }")
+__all__ = ["TriPoly", "variables", "evaluate_grid"]
 
 
 class TriPoly:
@@ -218,16 +208,6 @@ class TriPoly:
             ],
         }
 
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\\n"``,
-        byte for byte, written by ``write_json``."""
-        keys = sorted(self.terms)
-        exps = np.array(keys, dtype=np.int64).reshape(-1, 3).T
-        c = np.array([self.terms[k].index for k in keys], dtype=np.int64)
-        out = io.BytesIO()
-        write_json(self.ctx.p, self.ctx.e, (*exps, c), out)
-        return out.getvalue().decode("ascii")
-
     @classmethod
     def from_json_dict(cls, data: dict, ctx: FieldCtx | None = None) -> "TriPoly":
         if ctx is None:
@@ -241,66 +221,6 @@ class TriPoly:
     def __repr__(self):
         n = len(self.terms)
         return f"TriPoly(GF({self.ctx.Q}), {n} term{'s' if n != 1 else ''})"
-
-
-def _decimal_table(values: np.ndarray) -> np.ndarray:
-    """The ASCII digits of 0 .. values.max(), one fixed-width void item each,
-    right-aligned behind 0 bytes, so that item v is the text of v."""
-    if values.min(initial=0) < 0:
-        raise ValueError("write_json takes non-negative exponents and coefficient indices")
-    top = int(values.max(initial=0))
-    width = len(str(top))
-    v = np.arange(top + 1)
-    table = np.zeros((top + 1, width), dtype=np.uint8)
-    rest = v
-    for j in range(width - 1, -1, -1):
-        rest, digit = np.divmod(rest, 10)
-        table[:, j] = np.where(v >= 10 ** (width - 1 - j), digit + ord("0"), 0)
-    table[0, -1] = ord("0")
-    return table.view(np.dtype((np.void, width))).ravel()
-
-
-def write_json(p: int, e: int, arrays, stream) -> None:
-    """Write the JSON of a polynomial to a binary stream, a chunk of terms at a time.
-
-    ``arrays`` is (ex, ey, ez, c): non-negative integer arrays of one length,
-    sorted by exponent triple, with c the nonzero coefficient indices.  The
-    bytes are ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` of the
-    schema above.  Each chunk of ``_JSON_CHUNK`` terms is an array of
-    fixed-width records that already hold the constant text; one ``take``
-    per column from that column's ``_decimal_table`` fills in the digits,
-    and ``bytes.replace`` drops the 0 bytes of their padding: with a numpy
-    boolean compress instead, the nonreduced form at Q=625 took 59 ms to
-    write, against 35 ms (2-core x86-64 VM, numpy 2.4).
-    """
-    ex, ey, ez, c = arrays
-    stream.write(f'{{\n  "e": {e},\n  "p": {p},\n  "terms": '.encode())
-    n = len(c)
-    if n == 0:
-        stream.write(b"[]\n}\n")
-        return
-    stream.write(b"[")
-    columns = {"c": np.asarray(c), "ex": np.asarray(ex), "ey": np.asarray(ey), "ez": np.asarray(ez)}
-    tables = {name: _decimal_table(col) for name, col in columns.items()}
-    template, offsets = bytearray(), []
-    for piece, table in zip(_JSON_PIECES, tables.values()):
-        template += piece.encode()
-        offsets.append(len(template))
-        template += bytes(table.itemsize)
-    template += _JSON_PIECES[-1].encode()
-    record = np.dtype({"names": list(tables), "formats": [t.dtype for t in tables.values()],
-                       "offsets": offsets, "itemsize": len(template)})
-    template = np.frombuffer(template, dtype=np.uint8)
-    for start in range(0, n, _JSON_CHUNK):
-        stop = min(start + _JSON_CHUNK, n)
-        buf = np.empty((stop - start, template.size), dtype=np.uint8)
-        buf[:] = template
-        records = buf.view(record)[:, 0]
-        for name, col in columns.items():
-            records[name] = tables[name].take(col[start:stop])
-        text = memoryview(buf.tobytes().replace(b"\0", b""))
-        stream.write(text[1:] if start == 0 else text)  # no comma before the first term
-    stream.write(b"\n  ]\n}\n")
 
 
 def variables(ctx: FieldCtx) -> tuple[TriPoly, TriPoly, TriPoly]:

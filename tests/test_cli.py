@@ -8,12 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hughesptr import build_reduced_T, build_T2, field_ctx
-from hughesptr import cli, gf_tower, trivar_poly
+from hughesptr import build_reduced_T, build_T2, du_sections, field_ctx
+from hughesptr import cli, gf_tower, hughes_core, trivar_poly
 from hughesptr.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_sha256.json"
@@ -68,8 +69,9 @@ def test_verify_matches_reference_digest(capsys, cmd):
 
 
 # SHA-256 of outputs outside the benchmark's reference digests: the text
-# rendering of each form and the plane report, so that any byte a change of
-# render_text or of the plane command moves shows here
+# rendering of each form, the plane report and du's JSON (the last is the
+# du-q2401 benchmark command), so that any byte a change of render_text, of
+# the plane command or of du's rows moves shows here
 PINNED = {
     "gen --p 3 --e 1 --form reduced --format text": "264eaeb78296bc6f444cf659f68295af0e3c86263a76b7ecccc663e0a7db2e89",
     "gen --p 3 --e 2 --form reduced --format text": "88b114e60298428e902dc5240239afe54cf51d12be393e03e0756dd2f5572cde",
@@ -79,6 +81,10 @@ PINNED = {
     "gen --p 3 --e 2 --form t2 --format text": "9695f522466447b55cad7cac3c5374c2433777993bece8366fff04de4e5a59e4",
     "plane --p 3 --e 1": "bf6899c83c238ad47f32582aa795f64f22dc4b085eafd8ae342e7c39feca0339",
     "plane --p 5 --e 1": "65e186ca54decdf93f42d1fd125940baeade3db0c9101818ab786cc759fed00b",
+    "du --p 3 --e 1": "eba3bcacdffb86237c23dabe0defbaea0cfd33c8acaa097fb278c90d504dc135",
+    "du --p 5 --e 1 --exhaustive": "386c115e7f0776b776f756fe647e34e854f1a892b905c48fb7c7e8830901c987",
+    "du --p 3 --e 2 --exhaustive": "1481d038587958a40b61723c297b2199adf3d425eaba62f77d47738898bb4df0",
+    "du --p 7 --e 2 --samples 8 --seed 1": "0d7a7d40b475772855d6351b597986232d58306ea0b4afa84bfdf50240b02264",
 }
 
 
@@ -97,7 +103,7 @@ def test_gen_out_file_equals_stdout(tmp_path, capsys):
     argv = ["gen", "--p", "5", "--e", "2", "--form", "nonreduced"]
     code, out = run_cli(capsys, argv)
     assert code == 0
-    assert out.count('"c": ') > 20 * trivar_poly._JSON_CHUNK  # many chunks
+    assert out.count('"c": ') > 20 * cli._JSON_CHUNK  # many chunks
     target = tmp_path / "T.json"
     assert main([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
@@ -249,22 +255,91 @@ def test_du_single_section(capsys):
     assert data["y"]["aggregate"]["max_delta"] == 9
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
-def test_du_dumps_equals_json_dumps(p, e):
-    # the spliced per_fixing blocks, byte for byte, on every exhaustive family
-    from hughesptr import du_sections
+def _plain(value):
+    """The payload with each Rows leaf as the list of its rows: json.dumps' input."""
+    if isinstance(value, cli.Rows):
+        rows = zip(*(np.asarray(col).tolist() for col in value.columns))
+        return [dict(zip(value.keys, row)) if value.keys else list(row) for row in rows]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
+
+def _du_exhaustive(p, e):
     payload = cli._du_payload(du_sections(field_ctx(p, e)))
-    assert len(payload["x"]["per_fixing"]) == (p ** (2 * e)) ** 2
-    assert cli._du_dumps(payload) + "\n" == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(payload["x"]["per_fixing"].columns[0]) == (p ** (2 * e)) ** 2
+    return payload
 
 
-def test_du_dumps_empty_per_fixing():
-    payload = {
-        "x": {"per_fixing": [], "aggregate": {"max_delta": 7, "min_delta": 7, "pass": True}},
-        "y": {"per_fixing": [[0, 1, 9]], "aggregate": {"max_delta": 9, "min_delta": 9, "pass": False}},
-    }
-    assert cli._du_dumps(payload) + "\n" == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _cli_payload(argv):
+    """A plain-dict payload of a subcommand, read back from its output."""
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())) as stdout:
+        assert main(argv) == 0
+        return json.loads(stdout.buffer.getvalue())
+
+
+def _gen_case(p, e, form):
+    ctx = field_ctx(p, e)
+    blocks = hughes_core.expand_blocks(ctx, cli._FORM_BLOCKS[form](ctx))
+    return cli._gen_payload(p, e, hughes_core.emit_arrays(ctx, blocks))
+
+
+# payload factories, called in the test: every payload shape the CLI makes,
+# and Rows leaves at other depths and widths
+WRITE_JSON_CASES = {
+    "du-q9": lambda: _du_exhaustive(3, 1),
+    "du-q25": lambda: _du_exhaustive(5, 1),
+    "du-q81": lambda: _du_exhaustive(3, 2),
+    "du-empty-per-fixing": lambda: {
+        "x": {"per_fixing": cli.Rows((np.zeros(0, np.int64),) * 3),
+              "aggregate": {"max_delta": 7, "min_delta": 7, "pass": True}},
+        "y": {"per_fixing": cli.Rows(([0], [1], [9])),
+              "aggregate": {"max_delta": 9, "min_delta": 9, "pass": False}},
+    },
+    "gen-q9-nonreduced": lambda: _gen_case(3, 1, "nonreduced"),
+    "verify-plane-q9": lambda: _cli_payload(["verify", "--p", "3", "--e", "1", "--plane"]),
+    "plane-q9": lambda: _cli_payload(["plane", "--p", "3", "--e", "1"]),
+    "identities-q9": lambda: _cli_payload(["identities", "--p", "3", "--e", "1"]),
+    "rows-at-depth-0": lambda: cli.Rows(([3, 0], [10, 2])),
+    "rows-at-depth-1": lambda: {"rows": cli.Rows(([0, 1, 2],), ("only",)), "z": None},
+    "rows-at-depth-3": lambda: {"a": [{"b": cli.Rows(([4, 5], [60, 7]), ("k", "v"))}, "s"], "c": 1.5},
+    "widths-1-and-5": lambda: {"r": cli.Rows((np.array([0, 7, 3], np.int32), np.array([12345, 0, 99999])))},
+    "two-leaves-of-one-width": lambda: {  # inserted out of the key order that the output follows
+        "c": [cli.Rows(([], [])), cli.Rows(([1],))],
+        "b": cli.Rows((np.array([0, 57], np.uint16), [3, 40]), ("k", "v")),
+        "a": cli.Rows(([10, 99],)),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_JSON_CASES))
+def test_write_json_matches_json_dumps(case):
+    payload = WRITE_JSON_CASES[case]()
+    out = io.BytesIO()
+    cli.write_json(payload, out)
+    assert out.getvalue() == (json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("payload", [
+    # a negative value in the second leaf: the first is not written either
+    {"x": {"per_fixing": cli.Rows(([0, 1], [2, 3], [9, 9]))},
+     "y": {"per_fixing": cli.Rows(([0, 1], [2, 3], [9, -9]))}},
+    {"r": cli.Rows(([0.5, 1.0],))},
+    {"r": cli.Rows(([0, 1], [2]))},
+    {"r": cli.Rows(([0], [1]), ("b", "a"))},
+    {"r": cli.Rows(([0], [1]), ("a",))},
+    {"r": cli.Rows(([0], [1]), ("a", "a"))},
+    {"r": cli.Rows(())},
+    {"r": cli.Rows(([0],)), "s": cli._ROWS_MARK},
+], ids=["negative", "float", "ragged", "unsorted-keys", "key-count", "repeated-key", "no-columns",
+        "mark-in-a-string"])
+def test_write_json_rejects_a_bad_payload_before_writing(payload):
+    out = io.BytesIO()
+    with pytest.raises(ValueError):
+        cli.write_json(payload, out)
+    assert out.getvalue() == b""
 
 
 def test_identities_subcommand(capsys):

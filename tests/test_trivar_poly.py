@@ -14,8 +14,8 @@ from hughesptr import (
     ptr_table,
     variables,
 )
+from hughesptr.cli import _JSON_CHUNK, _gen_payload, write_json
 from hughesptr.hughes_core import evaluate_blocks
-from hughesptr.trivar_poly import _JSON_CHUNK, write_json
 from conftest import random_elements
 
 
@@ -232,7 +232,7 @@ def test_json_round_trip(ctx9):
 
 
 def _chunk_poly(ctx, n):
-    """n terms with distinct exponent triples, for the chunk boundaries of write_json."""
+    """n terms with distinct exponent triples, for the chunk boundaries of the writer."""
     rng = np.random.default_rng(n)
     coeffs = rng.integers(1, ctx.Q, n).tolist()
     return TriPoly(ctx, {(i // 900, i // 30 % 30, i % 30): ctx.element_from_index(c)
@@ -252,7 +252,13 @@ def _json_text_cases():
 
 @pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in _json_text_cases()])
 def test_json_text_matches_json_dumps(P):
-    text = P.to_json_text()
+    # gen's writer on the term arrays writes the schema of to_json_dict
+    keys = sorted(P.terms)
+    exps = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    c = np.array([P.terms[k].index for k in keys], dtype=np.int64)
+    out = io.BytesIO()
+    write_json(_gen_payload(P.ctx.p, P.ctx.e, (*exps, c)), out)
+    text = out.getvalue().decode("ascii")
     assert text == json.dumps(P.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert TriPoly.from_json_dict(json.loads(text)) == P
 
@@ -271,7 +277,7 @@ def _columns(n, dtype, seed):
 def test_write_json_matches_json_dumps(n, dtype):
     for arrays in (_columns(n, dtype, n), [np.zeros(n, dtype=dtype)] * 4):
         out = io.BytesIO()
-        write_json(7, 2, arrays, out)
+        write_json(_gen_payload(7, 2, arrays), out)
         ex, ey, ez, c = (a.tolist() for a in arrays)
         data = {"p": 7, "e": 2, "terms": [{"ex": i, "ey": j, "ez": k, "c": v}
                                           for i, j, k, v in zip(ex, ey, ez, c)]}
@@ -280,8 +286,10 @@ def test_write_json_matches_json_dumps(n, dtype):
 
 def test_write_json_rejects_negative_values():
     arrays = [np.array([0, 1]), np.array([0, -1]), np.array([0, 0]), np.array([1, 1])]
+    out = io.BytesIO()
     with pytest.raises(ValueError):
-        write_json(3, 1, arrays, io.BytesIO())
+        write_json(_gen_payload(3, 1, arrays), out)
+    assert out.getvalue() == b""  # checked before the head is written
 
 
 def test_negative_exponent_rejected(ctx9):

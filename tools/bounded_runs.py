@@ -27,8 +27,9 @@ RUNS = [
     ("verify --p 13 --e 1", 128, False),
     ("du --p 3 --e 4 --samples 2", 96, False),
     ("du --p 11 --e 2 --samples 2 --max-order 14641", 128, False),
-    # measured 243 MiB (the sorted raw-term keys and the int32 term arrays);
-    # the bound leaves 45 MiB for other allocators and numpy versions
+    # measured 1.5-1.9 s at 247 MiB (the sorted raw-term keys and the int32
+    # term arrays); the bound leaves 41 MiB for other allocators and numpy
+    # versions
     ("gen --p 7 --e 2 --form nonreduced", 288, False),
     # about 4.5M Lucas entries, checked 2^16 at a time against uint8 rows of
     # Pascal's triangle, two int32 passes of the 49 x 49 block table each:
@@ -51,7 +52,8 @@ RUNS = [
     ("du --p 3 --e 5 --samples 2 --max-order 59049", 128, False),
     # all 28,561 X-sections at Q=169, 387 to a batch, each non-linear one
     # decided by the symmetry check and direction 1; exit 1 on any delta
-    # other than the expected one: measured 1.2-1.3 s at 46 MiB
+    # other than the expected one: measured 0.7-0.8 s at 38 MiB, the rows
+    # written by cli.write_json's digit tables
     ("du --p 13 --e 1 --exhaustive --section x", 64, False),
     # every fixing of all three families at Q=81, 809 sections to a batch:
     # the probe decides the Y-, Z- and linear X-sections and the symmetry
