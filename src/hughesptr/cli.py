@@ -174,10 +174,10 @@ def _cmd_du(ctx, args, out) -> int:
 def _du_payload(report: dict) -> dict:
     return {
         fam: {
-            "per_fixing": Rows((*np.array(res["fixings"], dtype=np.int64).reshape(-1, 2).T, res["deltas"])),
+            "per_fixing": Rows((*res["fixings"].T, res["deltas"])),  # views of du_sections' arrays
             "aggregate": {
-                "max_delta": max(res["deltas"]),
-                "min_delta": min(res["deltas"]),
+                "max_delta": int(res["deltas"].max()),
+                "min_delta": int(res["deltas"].min()),
                 "pass": res["passed"],
             },
         }

@@ -81,6 +81,7 @@ __all__ = [
     "solve_kkprime",
     "ptr_piecewise",
     "ptr_nearfield_form",
+    "centers",
     "ptr_values",
     "ptr_slabs",
     "ptr_table",
@@ -154,6 +155,13 @@ def ptr_nearfield_form(ctx: FieldCtx, x: FieldElement, y: FieldElement, z: Field
     return nearfield_mul(ctx, x + pair.k, y) + pair.k_prime
 
 
+def centers(ctx: FieldCtx, Y, Z) -> np.ndarray:
+    """k = tq(z)/tq(y) of ``solve_kkprime``, the center of the X-section
+    T(., y, z), on broadcastable index arrays; 0 for y in GF(q) (tq(y) = 0)."""
+    t = ctx.tables
+    return t.mul(t.inv.take(t.tq.take(Y)), t.tq.take(Z))
+
+
 def ptr_values(ctx: FieldCtx, X, Y, Z) -> np.ndarray:
     """The piecewise operation on broadcastable index arrays (or scalars).
 
@@ -163,7 +171,7 @@ def ptr_values(ctx: FieldCtx, X, Y, Z) -> np.ndarray:
     t = ctx.tables
     same = t.add(t.mul(X, Y), Z)                               # x*y + z
     twisted = t.add(t.mul(X, t.frob.take(Y)), t.frob.take(Z))  # x*y^q + z^q
-    k = t.mul(t.inv.take(t.tq.take(Y)), t.tq.take(Z))          # garbage for y in GF(q), masked
+    k = centers(ctx, Y, Z)                                     # 0 for y in GF(q), masked
     square_branch = t.quad.take(t.add(X, k)) >= 0              # x + k
     return np.where(t.in_subfield.take(Y) | square_branch, same, twisted)
 

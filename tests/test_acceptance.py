@@ -100,10 +100,10 @@ def test_criterion_5_du_reproduction():
         ctx = field_ctx(*FIELDS[Q])
         report = du_sections(ctx)
         ok &= all(report[f]["passed"] for f in "xyz")
-        x_deltas = dict(zip(report["x"]["fixings"], report["x"]["deltas"]))
+        x = report["x"]
         expect = (Q + 3) // 4
-        ok &= all(
-            d == (Q if y < ctx.q else expect) for (y, _), d in x_deltas.items()
+        ok &= len(x["fixings"]) == Q * Q and all(
+            d == (Q if y < ctx.q else expect) for (y, _), d in zip(x["fixings"].tolist(), x["deltas"].tolist())
         )
     ctx49 = field_ctx(7, 1)
     report = du_sections(ctx49, sample=100, seed=0)

@@ -433,8 +433,10 @@ def test_du_sections_exhaustive(p, e):
     report = du_sections(ctx)
     for family in "xyz":
         assert report[family]["passed"]
-    x_deltas = dict(zip(report["x"]["fixings"], report["x"]["deltas"]))
-    for (y, z), delta in x_deltas.items():
+        assert report[family]["fixings"] is report["x"]["fixings"]
+    fixings = report["x"]["fixings"].tolist()
+    assert fixings == [[y, z] for y in range(ctx.Q) for z in range(ctx.Q)]
+    for (y, z), delta in zip(fixings, report["x"]["deltas"].tolist()):
         assert delta == (ctx.Q if y < ctx.q else (ctx.Q + 3) // 4)
 
 
@@ -453,10 +455,13 @@ def test_du_sections_sampled_fixings_index_all_pairs(ctx81, sample, seed):
     pairs = [(i1, i2) for i1 in range(Q) for i2 in range(Q)]
     chosen = np.random.default_rng(seed).choice(len(pairs), size=sample, replace=False)
     report = du_sections(ctx81, families="xz", sample=sample, seed=seed)
-    for family in "xz":
-        fixings = report[family]["fixings"]
-        assert fixings == [pairs[i] for i in sorted(chosen)]
-        assert all(type(i) is int for pair in fixings for i in pair)
+    fixings = report["x"]["fixings"]
+    assert report["z"]["fixings"] is fixings
+    assert fixings.tolist() == [list(pairs[i]) for i in sorted(chosen)]
+    assert fixings.shape == (sample, 2) and fixings.dtype == np.int32
+    assert not fixings.flags.writeable
+    with pytest.raises(ValueError):
+        fixings[0, 0] = 0
 
 
 def test_du_sections_sample_sizes(ctx25):
@@ -466,12 +471,35 @@ def test_du_sections_sample_sizes(ctx25):
     # a sample of 100 fixings, of 2 and of none is the exhaustive sweep at
     # the sampled fixings
     full = du_sections(ctx25, families="x")["x"]
-    by_fixing = dict(zip(full["fixings"], full["deltas"]))
+    by_fixing = dict(zip(map(tuple, full["fixings"].tolist()), full["deltas"].tolist()))
     for sample in (100, 2, 0):
         report = du_sections(ctx25, families="x", sample=sample, seed=5)["x"]
-        assert len(report["fixings"]) == len(report["deltas"]) == sample
-        assert report["deltas"] == [by_fixing[f] for f in report["fixings"]]
+        assert report["fixings"].shape == (sample, 2) and len(report["deltas"]) == sample
+        assert report["deltas"].tolist() == [by_fixing[tuple(f)] for f in report["fixings"].tolist()]
         assert report["passed"]
+
+
+@pytest.mark.parametrize("families,sample", [("w", 0), ("xx", None), ("", None), ("xyw", 5), (["x"], 5)])
+def test_du_sections_rejects_bad_families_before_sweeping(monkeypatch, ctx9, families, sample):
+    def no_section(*args):
+        raise AssertionError("a section was swept")
+
+    monkeypatch.setattr(du_analysis, "piecewise_section", no_section)
+    with pytest.raises(ValueError, match="families"):
+        du_sections(ctx9, families=families, sample=sample)
+
+
+def test_du_payload_writes_the_sweep_arrays_uncopied(ctx25):
+    report = du_sections(ctx25, sample=30, seed=2)
+    payload = cli._du_payload(report)
+    for family, res in report.items():
+        y, z, deltas = payload[family]["per_fixing"].columns
+        assert np.shares_memory(y, res["fixings"]) and np.shares_memory(z, res["fixings"])
+        assert np.shares_memory(deltas, res["deltas"])
+        aggregate = payload[family]["aggregate"]
+        assert aggregate == {"max_delta": max(res["deltas"].tolist()),
+                             "min_delta": min(res["deltas"].tolist()), "pass": True}
+        assert type(aggregate["max_delta"]) is int and type(aggregate["min_delta"]) is int
 
 
 @pytest.mark.parametrize("p,e,sample", [(3, 1, None), (5, 1, None), (3, 2, 40), (3, 2, 0)])
@@ -494,7 +522,11 @@ def test_du_sections_batches_match_the_default_budget(monkeypatch, p, e, sample)
     for rows in (1, 2, 3):
         monkeypatch.setattr(du_analysis, "_ROW_COUNT_BUDGET", rows * ctx.Q + ctx.Q // 2)
         shapes.clear()
-        assert du_sections(ctx, sample=sample, seed=3) == want
+        got = du_sections(ctx, sample=sample, seed=3)
+        assert got.keys() == want.keys()
+        for family, res in got.items():
+            assert res.keys() == want[family].keys()
+            assert all(np.array_equal(res[key], want[family][key]) for key in res), family
         batches = [(rows, ctx.Q)] * (n // rows) + ([(n % rows, ctx.Q)] if n % rows else [])
         assert shapes == batches * 3
 

@@ -25,6 +25,7 @@ from hughesptr.hughes_core import (
     _emit,
     _key_widths,
     _tq_pows,
+    centers,
     emit_arrays,
     evaluate_blocks,
     expand_blocks,
@@ -82,6 +83,23 @@ def test_solve_kkprime_spot(ctx9):
         assert pair.k == ctx9.zero and pair.k_prime == z
     pair = solve_kkprime(ctx9, y, y)
     assert pair.k == ctx9.one and pair.k_prime == ctx9.zero
+
+
+def test_centers_match_solve_kkprime(ctx25):
+    # the vector k = tq(z)/tq(y) of ptr_values and of the X-section sweep
+    ar = np.arange(ctx25.Q, dtype=np.int32)
+    k = centers(ctx25, ar[:, None], ar[None, :])
+    assert k.shape == (ctx25.Q, ctx25.Q)
+    checked = 0
+    for y in ctx25.enumerate_field():
+        if ctx25.in_subfield(y):
+            assert not k[y.index].any()  # tq(y) = 0
+            continue
+        for z in ctx25.enumerate_field():
+            assert k[y.index, z.index] == solve_kkprime(ctx25, y, z).k.index
+            assert centers(ctx25, y.index, z.index) == k[y.index, z.index]
+            checked += 1
+    assert checked == (ctx25.Q - ctx25.q) * ctx25.Q
 
 
 def test_ptr_piecewise_basics(ctx9):

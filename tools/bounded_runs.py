@@ -52,14 +52,17 @@ RUNS = [
     ("du --p 3 --e 5 --samples 2 --max-order 59049", 128, False),
     # all 28,561 X-sections at Q=169, 387 to a batch, each non-linear one
     # decided by the symmetry check and direction 1; exit 1 on any delta
-    # other than the expected one: measured 0.7-0.8 s at 38 MiB, the rows
-    # written by cli.write_json's digit tables
+    # other than the expected one: measured 0.6-0.9 s at 35 MiB, the rows
+    # written by cli.write_json's digit tables from du_sections' own arrays
     ("du --p 13 --e 1 --exhaustive --section x", 64, False),
     # every fixing of all three families at Q=81, 809 sections to a batch:
     # the probe decides the Y-, Z- and linear X-sections and the symmetry
     # check the other X-sections, so no section needs the full scan;
-    # measured 0.6-0.7 s at 39-40 MiB
+    # measured 0.3-0.4 s at 33 MiB
     ("du --p 3 --e 2 --exhaustive", 64, False),
+    # all three families at Q=169, 3 x 28,561 sections over one shared
+    # read-only fixings array: measured 1.1-1.7 s at 35 MiB
+    ("du --p 13 --e 1 --exhaustive", 64, False),
     # Q=531441, the top of the order ladder: 14,397,137 terms, 1.2 GB of
     # JSON; measured 3.1-3.5 s at 398-401 MiB, the sorted int64 raw-term keys
     # and the four int32 term arrays
