@@ -168,7 +168,7 @@ def _cmd_du(ctx, args, out) -> int:
     families = args.section if args.section else "xyz"
     sample = None if args.exhaustive else args.samples
     report = du_analysis.du_sections(ctx, families=families, sample=sample, seed=args.seed)
-    return _report(out, _du_payload(report), all(res["passed"] for res in report.values()))
+    return _report(out, _du_payload(report), all(res["report"].passed for res in report.values()))
 
 
 def _du_payload(report: dict) -> dict:
@@ -178,7 +178,7 @@ def _du_payload(report: dict) -> dict:
             "aggregate": {
                 "max_delta": int(res["deltas"].max()),
                 "min_delta": int(res["deltas"].min()),
-                "pass": res["passed"],
+                **res["report"].to_json_dict(),
             },
         }
         for fam, res in report.items()
@@ -201,14 +201,7 @@ def _cmd_plane(ctx, args, out) -> int:
 
 def _cmd_identities(ctx, args, out) -> int:
     suite = modcomb.identity_suite(args.p, args.e, max_n=args.max_n)
-    payload = {
-        label: {
-            "pass": chk.passed,
-            "checked": chk.checked,
-            **({"witness": list(chk.witness)} if chk.witness else {}),
-        }
-        for label, chk in suite.items()
-    }
+    payload = {label: chk.to_json_dict() for label, chk in suite.items()}
     return _report(out, payload, all(chk.passed for chk in suite.values()))
 
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from .gf_tower import FieldCtx, FieldElement
 from .hughes_core import centers, ptr_values
+from .ptr_verify import PtrReport
 
 __all__ = [
     "DuProfile",
@@ -256,8 +257,8 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
     letters of "xyz") of the built-in piecewise operation, with the expected
     values for the Hughes operation: per family, ``fixings``, the fixed
     coordinates as one read-only (n, 2) int32 array that every family shares,
-    ``deltas`` and ``expected``, (n,) int64 arrays, and ``passed``, whether
-    the two are equal.
+    ``deltas``, an (n,) int64 array, and ``report``, a ``PtrReport`` whose
+    witness is the first fixing [i1, i2] whose delta is not the expected one.
 
     Sections are generated lazily in O(Q) each, so no full grid is built.
     ``sample`` limits each family to that many fixings (seeded, uniform
@@ -275,10 +276,11 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
         picks = np.sort(np.random.default_rng(seed).choice(Q * Q, size=sample, replace=False))
     else:
         picks = np.arange(Q * Q)
-    fixings = np.stack(np.divmod(picks, Q), axis=1).astype(np.int32)
+    fixings = np.empty((len(picks), 2), dtype=np.int32)
+    np.divmod(picks, Q, out=(fixings[:, 0], fixings[:, 1]))
     fixings.flags.writeable = False
     batch = max(1, _ROW_COUNT_BUDGET // Q)
-    report: dict = {}
+    out: dict = {}
     for family in families:
         deltas = np.empty(len(fixings), dtype=np.int64)
         for lo in range(0, len(fixings), batch):
@@ -286,11 +288,12 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
             # an X-section's center k is only a hint, checked on the table
             hint = centers(ctx, i1[:, 0], i2[:, 0]) if family == "x" else None
             deltas[lo:lo + batch] = _section_delta(t, piecewise_section(ctx, family, i1, i2), hint)
+        report = PtrReport(f"{family}_sections")
         # Q, but (Q+3)/4 for an X-section with y outside GF(q)
-        expected = np.where((family == "x") & (fixings[:, 0] >= ctx.q), (Q + 3) // 4, Q)
-        report[family] = {"fixings": fixings, "deltas": deltas, "expected": expected,
-                          "passed": np.array_equal(deltas, expected)}
-    return report
+        report.record(deltas == np.where((family == "x") & (fixings[:, 0] >= ctx.q), (Q + 3) // 4, Q),
+                      lambda i: fixings[i].tolist())
+        out[family] = {"fixings": fixings, "deltas": deltas, "report": report}
+    return out
 
 
 # ---------------------------------------------------------------------------

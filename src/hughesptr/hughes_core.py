@@ -581,20 +581,18 @@ def piecewise_match(ctx: FieldCtx, records: list[Record]) -> PtrReport:
     first failing (x, k) in scan order gives the witness (x, q, q*idx(k)),
     the same as a comparison of the full Q^3 grid would.
     """
-    label = "polynomial_matches_piecewise"
+    report = PtrReport("polynomial_matches_piecewise")
     q = ctx.q
-    for i, (_, a, b) in enumerate(records):
-        if a < 1 or b < 0 or (a + b - 1) % (q - 1):
-            return PtrReport(label, False, ("block_shape", i))
+    report.record([a >= 1 and b >= 0 and (a + b - 1) % (q - 1) == 0 for _, a, b in records],
+                  lambda i: ("block_shape", i))
+    if not report.passed:
+        return report
     X = np.arange(ctx.Q, dtype=np.int32)[:, None]
     w = np.int32(q)
     kw = q * np.arange(q, dtype=np.int32)[None, :]
     values = evaluate_blocks(ctx, expand_blocks(ctx, records), X, w, kw)
-    fails = np.flatnonzero(values != ptr_values(ctx, X, w, kw))
-    if fails.size == 0:
-        return PtrReport(label, True)
-    x, k = divmod(int(fails[0]), q)
-    return PtrReport(label, False, (x, q, q * k))
+    report.record(values == ptr_values(ctx, X, w, kw), lambda x, k: (x, q, q * k))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .ptr_verify import PtrReport
 
 __all__ = [
     "binom_exact",
@@ -50,7 +51,6 @@ __all__ = [
     "central_binoms",
     "gen_catalan_exact",
     "gen_catalan_mod",
-    "IdentityCheck",
     "identity_suite",
 ]
 
@@ -188,28 +188,6 @@ def gen_catalan_mod(n: int, k: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityCheck:
-    """Outcome of one identity sweep: instance count and first violator."""
-
-    label: str
-    passed: bool = True
-    checked: int = 0
-    witness: tuple | None = None
-
-    def record(self, ok, where) -> None:
-        """Record a batch of instances in scan order.
-
-        ``ok`` holds one verdict per instance; ``where(i)`` names instance i
-        and is called only for the first violator of the sweep.
-        """
-        ok = np.asarray(ok, dtype=bool)
-        self.checked += ok.size
-        if self.passed and not ok.all():
-            self.passed = False
-            self.witness = tuple(where(int(np.argmin(ok))))
-
-
 def _neg4_powers(count: int, p: int) -> np.ndarray:
     """(-4)^n mod p for n = 0 .. count-1."""
     return np.array([pow(-4 % p, n, p) for n in range(count)], dtype=np.int64)
@@ -279,7 +257,7 @@ EXACT_CAP = 60
 _LUCAS_CHUNK = 1 << 16
 
 
-def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]:
+def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, PtrReport]:
     """Verify the binomial/Catalan congruences over their full index ranges.
 
     Every check is exact.  The Lucas sweep holds ``binom_mod_lucas`` to
@@ -290,6 +268,9 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     ``max_n`` also caps the per-identity index ranges, since exact values at
     indices of order q^2 get expensive for large fields.  With the default
     cap, every field with q <= 300 is swept over its full hypothesis ranges.
+
+    Returns one ``PtrReport`` per identity, by label: ``checked`` counts
+    its instances and ``witness`` names the first that fails.
     """
     q = p**e
     Q = q * q
@@ -300,23 +281,23 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     central = central_binoms(max(max_n, EXACT_CAP) + 2)
     tprime = functools.cache(lambda n, k: _gen_catalan(n, k, central.__getitem__))
 
-    out: dict[str, IdentityCheck] = {}
+    out: dict[str, PtrReport] = {}
 
     # Lucas' theorem against Pascal's triangle mod p, rows 0 .. max_n.
-    chk = out.setdefault("lucas", IdentityCheck("lucas"))
+    chk = out.setdefault("lucas", PtrReport("lucas", checked=0))
     for a, b, entry in _pascal_chunks(max_n, p, _LUCAS_CHUNK):
         chk.record(binom_mod_lucas(a, b, p) == entry, lambda i: (int(a[i]), int(b[i])))
 
     # binom((Q+1)/2, aq+b) = binom((q-1)/2, a) * binom((q+1)/2, b) mod p.
-    chk = out.setdefault("central_binom_split", IdentityCheck("central_binom_split"))
+    chk = out.setdefault("central_binom_split", PtrReport("central_binom_split", checked=0))
     side = min(q, cap)
     lhs = _binom_row((Q + 1) // 2, (side - 1) * (q + 1), p)[(q * np.arange(side))[:, None] + np.arange(side)]
     rhs = _binom_row((q - 1) // 2, side - 1, p)[:, None] * _binom_row((q + 1) // 2, side - 1, p) % p
-    chk.record((lhs == rhs).ravel(), lambda i: divmod(i, side))
+    chk.record(lhs == rhs, lambda a, b: (a, b))
 
     # 2 * binom(2n-1, n) = (-4)^n * binom((p^t - 1)/2, n) mod p, 1 <= n < p^t,
     # where 2 * binom(2n-1, n) = binom(2n, n).
-    chk = out.setdefault("doubled_binom", IdentityCheck("doubled_binom"))
+    chk = out.setdefault("doubled_binom", PtrReport("doubled_binom", checked=0))
     for t in range(1, 2 * e + 1):
         pt = p**t
         top = min(pt, max_n + 1)
@@ -325,7 +306,7 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
         chk.record(lhs == rhs, lambda i: (t, i + 1))
 
     # C[n] = 2 * (-4)^n * binom((p^t + 1)/2, n+1) mod p, 0 <= n < p^t - 1.
-    chk = out.setdefault("catalan_binom", IdentityCheck("catalan_binom"))
+    chk = out.setdefault("catalan_binom", PtrReport("catalan_binom", checked=0))
     for t in range(1, 2 * e + 1):
         pt = p**t
         top = min(pt - 1, max_n + 1)
@@ -334,7 +315,7 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
         chk.record(lhs == rhs, lambda i: (t, i))
 
     # Exact integer identity: T'[n,k] - T'[n+1,k-1] = 2 * binom(2k-1, k) * C[n].
-    chk = out.setdefault("gen_catalan_diff", IdentityCheck("gen_catalan_diff"))
+    chk = out.setdefault("gen_catalan_diff", PtrReport("gen_catalan_diff", checked=0))
     chk.record(
         [tprime(n, k) - tprime(n + 1, k - 1) == central[k] * catalan(n)
          for n in range(EXACT_CAP + 1) for k in range(1, EXACT_CAP + 1)],
@@ -342,7 +323,7 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     )
 
     # C[kq+n] = T'[n,k] - T'[n+1,k-1] mod p, 0 <= n < q-1, 0 <= k < q.
-    chk = out.setdefault("catalan_block", IdentityCheck("catalan_block"))
+    chk = out.setdefault("catalan_block", PtrReport("catalan_block", checked=0))
     ns = min(q - 1, cap)
     chk.record(
         [catalan(k * q + n) % p == (tprime(n, k) - tprime(n + 1, k - 1)) % p
@@ -351,7 +332,7 @@ def identity_suite(p: int, e: int, max_n: int = 300) -> dict[str, IdentityCheck]
     )
 
     # C[j(q-1)+i] = 0 mod p for 0 <= i < i+1 < j <= (q-1)/2.
-    chk = out.setdefault("catalan_zero", IdentityCheck("catalan_zero"))
+    chk = out.setdefault("catalan_zero", PtrReport("catalan_zero", checked=0))
     pairs = [(i, j) for j in range(min((q - 1) // 2, cap) + 1) for i in range(max(j - 1, 0))]
     chk.record([catalan(j * (q - 1) + i) % p == 0 for i, j in pairs], pairs.__getitem__)
 

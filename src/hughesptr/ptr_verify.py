@@ -109,14 +109,32 @@ __all__ = [
 
 @dataclass
 class PtrReport:
-    """Outcome of one verification: failures carry a re-checkable witness."""
+    """Outcome of one verification: failures carry a re-checkable witness,
+    and ``checked``, when set, counts the instances recorded."""
 
     label: str
-    passed: bool
+    passed: bool = True
     witness: tuple | None = None
+    checked: int | None = None
+
+    def record(self, ok, where) -> None:
+        """Record a batch of instances in scan order.
+
+        ``ok`` holds one verdict per instance; ``where`` is called with the
+        unravelled index of the batch's first violator, only for the first
+        violator of the report, and names it.
+        """
+        ok = np.asarray(ok, dtype=bool)
+        if self.checked is not None:
+            self.checked += ok.size
+        if self.passed and not ok.all():
+            self.passed = False
+            self.witness = tuple(where(*_first_true(~ok)))
 
     def to_json_dict(self) -> dict:
         out: dict = {"pass": self.passed}
+        if self.checked is not None:
+            out["checked"] = self.checked
         if self.witness is not None:
             out["witness"] = list(self.witness)
         return out
@@ -347,25 +365,16 @@ def check_axioms(table: np.ndarray) -> list[PtrReport]:
     """
     Q = table.shape[0]
     ar = np.arange(Q)
-    reports = []
 
     # (A): z-slices through x=any,y=0 and x=0,y=any are the identity in z
-    bad = _first_true(table[:, 0, :] != ar[None, :])
-    if bad is None:
-        bad2 = _first_true(table[0, :, :] != ar[None, :])
-        witness = None if bad2 is None else (0, bad2[0], bad2[1])
-        reports.append(PtrReport("A", bad2 is None, witness))
-    else:
-        reports.append(PtrReport("A", False, (bad[0], 0, bad[1])))
+    report_a = PtrReport("A")
+    report_a.record(table[:, 0, :] == ar, lambda x, z: (x, 0, z))
+    report_a.record(table[0] == ar, lambda y, z: (0, y, z))
 
     # (B): T(x,1,0) = x and T(1,y,0) = y
-    bad = _first_true(table[:, 1, 0] != ar)
-    if bad is None:
-        bad2 = _first_true(table[1, :, 0] != ar)
-        witness = None if bad2 is None else (1, bad2[0], 0)
-        reports.append(PtrReport("B", bad2 is None, witness))
-    else:
-        reports.append(PtrReport("B", False, (bad[0], 1, 0)))
+    report_b = PtrReport("B")
+    report_b.record(table[:, 1, 0] == ar, lambda x: (x, 1, 0))
+    report_b.record(table[1, :, 0] == ar, lambda y: (1, y, 0))
 
     # (D): z -> T(a,b,z) is a bijection for every (a,b)
     bad = _first_bad_row(table, Q)
@@ -375,7 +384,7 @@ def check_axioms(table: np.ndarray) -> list[PtrReport]:
         report_c = PtrReport("C", True)  # implied, see above
     else:
         report_c = _axiom_c_direct(table)
-    return reports + [report_c, report_d, report_e]
+    return [report_a, report_b, report_c, report_d, report_e]
 
 
 def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
@@ -444,25 +453,24 @@ def build_plane(slabs) -> np.ndarray:
     return points_on
 
 
-def _lines_through(points_on: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
-    """Point -> lines for the ascending point ids ``points`` (default: all),
-    each row ascending; needs every point on Q+1 lines.
+def _lines_through(points_on: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Point -> lines for the ascending point ids ``points``, each row
+    ascending; needs every point on Q+1 lines.
 
     A counting sort over chunks of c lines in ascending order.  Sorting the
     chunk's (point, line) pairs of the asked points, packed as
     slot * c + (line - lo) with slot the point's position in ``points``,
     puts each point's lines in one ascending run, which goes to the next
     free slots of that point's row; a point not asked for gets slot -1, so
-    its keys are negative and dropped before the sort.  The keys are int32,
-    int64 only when n * c reaches 2^31, and nothing wider than the int32
-    result is built over all N x (Q+1) entries.
+    its keys are negative and dropped before the sort.  The keys are int32:
+    with n <= N = Q^2+Q+1 and c = 2^17 // (Q+1), n * c stays below 2^31
+    for every order below 17515, whose line array alone would take 21 TB.
+    Nothing wider than the int32 result is built over all N x (Q+1) entries.
     """
     N, k = points_on.shape
-    if points is None:
-        points = np.arange(N)
     n = len(points)
     chunk = max(1, _PAIR_COUNT_BUDGET // k)
-    slot = np.full(N, -1, dtype=np.int32 if n * chunk < 2**31 else np.int64)  # -1: not asked for
+    slot = np.full(N, -1, dtype=np.int32)  # -1: not asked for
     slot[points] = np.arange(n)
     through = np.empty(n * k, dtype=np.int32)
     free = np.arange(0, n * k, k)  # flat position of each row's next free slot
@@ -605,7 +613,7 @@ def _join_meet_tables(points_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     meet = np.zeros((N, N), dtype=np.int32)
     for ln, pts in enumerate(points_on):
         join[np.ix_(pts, pts)] = ln
-    for pt, lns in enumerate(_lines_through(points_on)):
+    for pt, lns in enumerate(_lines_through(points_on, np.arange(N))):
         meet[np.ix_(lns, lns)] = pt
     np.fill_diagonal(join, 0)
     np.fill_diagonal(meet, 0)

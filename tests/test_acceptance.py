@@ -5,6 +5,9 @@ Field sizes: Q = 9, 25, 49, 81 via (p, e) = (3,1), (5,1), (7,1), (3,2); the
 three-form identity also runs at Q = 169 and 625, via (13,1) and (5,2).
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,7 +102,7 @@ def test_criterion_5_du_reproduction():
     for Q in (9, 25):
         ctx = field_ctx(*FIELDS[Q])
         report = du_sections(ctx)
-        ok &= all(report[f]["passed"] for f in "xyz")
+        ok &= all(report[f]["report"].passed for f in "xyz")
         x = report["x"]
         expect = (Q + 3) // 4
         ok &= len(x["fixings"]) == Q * Q and all(
@@ -107,7 +110,7 @@ def test_criterion_5_du_reproduction():
         )
     ctx49 = field_ctx(7, 1)
     report = du_sections(ctx49, sample=100, seed=0)
-    ok &= all(report[f]["passed"] for f in "xyz")
+    ok &= all(report[f]["report"].passed for f in "xyz")
     ok &= set(report["x"]["deltas"]) <= {49, 13} and 13 in report["x"]["deltas"]
     _criterion(5, "X-section delta is (Q+3)/4 off the subfield and Q on it; Y/Z maximal", ok)
 
@@ -154,3 +157,10 @@ def test_criterion_8_involution_support_bounds():
                 a, b = divmod(m, q)
                 ok &= c.index != 0 and a <= (q - 1) // 2 and b <= (q + 1) // 2
     _criterion(8, "involution monomials X^(aq+b) satisfy a <= (q-1)/2, b <= (q+1)/2, Q in {9,25,49}", ok)
+
+
+def test_readme_quick_example_runs():
+    # the README's one python block, as a reader would paste it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})

@@ -255,6 +255,19 @@ def test_du_single_section(capsys):
     assert data["y"]["aggregate"]["max_delta"] == 9
 
 
+def test_du_failure_names_the_first_failing_fixing(capsys, monkeypatch):
+    # every section measured at Q: the X-sections with y outside GF(q) fail,
+    # and the first of them in scan order, (q, 0), is the witness
+    from hughesptr import du_analysis
+
+    monkeypatch.setattr(du_analysis, "_section_delta",
+                        lambda t, rows, centers=None: np.full(len(rows), rows.shape[1], dtype=np.int64))
+    code, out = run_cli(capsys, ["du", "--p", "3", "--e", "1", "--section", "x", "--exhaustive"])
+    assert code == 1
+    assert json.loads(out)["x"]["aggregate"] == {"max_delta": 9, "min_delta": 9, "pass": False,
+                                                 "witness": [3, 0]}
+
+
 def _plain(value):
     """The payload with each Rows leaf as the list of its rows: json.dumps' input."""
     if isinstance(value, cli.Rows):

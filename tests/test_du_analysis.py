@@ -22,6 +22,7 @@ from hughesptr.du_analysis import (
     square_shift_partition,
     uniformity,
 )
+from hughesptr.ptr_verify import PtrReport
 
 
 def power_map(ctx, n):
@@ -282,7 +283,7 @@ def test_hughes_sections_need_no_full_scan(monkeypatch, p, e):
 
     monkeypatch.setattr(du_analysis, "_chunk_maxima", no_scan)
     report = du_sections(ctx)
-    assert all(report[family]["passed"] for family in "xyz")
+    assert all(report[family]["report"].passed for family in "xyz")
     assert cli.main(["du", "--p", "7", "--e", "2", "--samples", "8"]) == 0
 
 
@@ -432,7 +433,8 @@ def test_du_sections_exhaustive(p, e):
     ctx = field_ctx(p, e)
     report = du_sections(ctx)
     for family in "xyz":
-        assert report[family]["passed"]
+        assert set(report[family]) == {"fixings", "deltas", "report"}
+        assert report[family]["report"] == PtrReport(f"{family}_sections", True)
         assert report[family]["fixings"] is report["x"]["fixings"]
     fixings = report["x"]["fixings"].tolist()
     assert fixings == [[y, z] for y in range(ctx.Q) for z in range(ctx.Q)]
@@ -442,7 +444,7 @@ def test_du_sections_exhaustive(p, e):
 
 def test_du_sections_sampled_q49(ctx49):
     report = du_sections(ctx49, sample=100, seed=0)
-    assert all(report[f]["passed"] for f in "xyz")
+    assert all(report[f]["report"].passed for f in "xyz")
     assert set(report["x"]["deltas"]) <= {49, 13}
     assert 13 in report["x"]["deltas"]
     assert len(report["x"]["deltas"]) == 100
@@ -476,7 +478,7 @@ def test_du_sections_sample_sizes(ctx25):
         report = du_sections(ctx25, families="x", sample=sample, seed=5)["x"]
         assert report["fixings"].shape == (sample, 2) and len(report["deltas"]) == sample
         assert report["deltas"].tolist() == [by_fixing[tuple(f)] for f in report["fixings"].tolist()]
-        assert report["passed"]
+        assert report["report"].passed
 
 
 @pytest.mark.parametrize("families,sample", [("w", 0), ("xx", None), ("", None), ("xyw", 5), (["x"], 5)])

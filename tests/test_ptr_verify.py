@@ -77,6 +77,21 @@ def test_negative_control_axiom_b(ctx9):
     assert not r.passed and r.witness is not None
 
 
+@pytest.mark.parametrize("cells,label,witness", [
+    ([(4, 0, 2)], "A", (4, 0, 2)),  # T(x, 0, z) = z
+    ([(0, 5, 2)], "A", (0, 5, 2)),  # T(0, y, z) = z
+    ([(0, 5, 2), (7, 0, 1)], "A", (7, 0, 1)),  # the first identity is read first
+    ([(6, 1, 0)], "B", (6, 1, 0)),  # T(x, 1, 0) = x
+    ([(1, 4, 0)], "B", (1, 4, 0)),  # T(1, y, 0) = y
+    ([(1, 4, 0), (8, 1, 0)], "B", (8, 1, 0)),
+])
+def test_axioms_a_and_b_report_the_first_failing_cell(ctx9, cells, label, witness):
+    table = classical_table(ctx9)
+    for cell in cells:
+        table[cell] = (table[cell] + 1) % ctx9.Q
+    assert {r.label: r for r in check_axioms(table)}[label] == PtrReport(label, False, witness)
+
+
 def test_negative_control_axiom_c(ctx9):
     r = _axiom_report(ctx9, lambda x, y, z: (x * x) * y + z, "C")
     assert not r.passed and r.witness is not None
@@ -450,7 +465,7 @@ def test_lines_through_matches_stable_argsort(ctx9, monkeypatch, budget):
     relabelled = rng.permutation(len(base)).astype(np.int32)[base]
     for points_on in (base, swapped, relabelled):
         reference = np.argsort(points_on, axis=None, kind="stable") // points_on.shape[1]
-        through = _lines_through(points_on)
+        through = _lines_through(points_on, np.arange(len(points_on)))
         assert through.dtype == np.int32
         assert np.array_equal(through, reference.reshape(points_on.shape))
         assert check_plane(points_on) == dense_plane_report(points_on)
@@ -687,7 +702,7 @@ def test_lines_through_asked_points_are_rows_of_the_full_array(ctx9):
     plane = table_plane(hughes_table(ctx9))
     _degree_preserving_swap(plane, np.random.default_rng(0))
     points = np.array([0, 3, 40, 90])
-    assert np.array_equal(_lines_through(plane, points), _lines_through(plane)[points])
+    assert np.array_equal(_lines_through(plane, points), _lines_through(plane, np.arange(len(plane)))[points])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -836,12 +851,30 @@ def test_line_check_without_sorting_ascending_rows_matches_the_sort(ctx9, monkey
             assert check_plane(plane).witness == ("line_size",) + want
 
 
-def test_lines_through_with_int64_keys_matches_int32(ctx9, monkeypatch):
-    # a budget so large that n * chunk reaches 2^31 takes the int64 keys
-    plane = table_plane(hughes_table(ctx9))
-    _degree_preserving_swap(plane, np.random.default_rng(3))
-    points = np.array([0, 3, 40, 90])
-    want = _lines_through(plane), _lines_through(plane, points)
-    monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", 2**40)
-    got = _lines_through(plane), _lines_through(plane, points)
-    assert all(np.array_equal(a, b) and a.dtype == np.int32 for a, b in zip(got, want))
+
+# first witnesses of the swapped Q=5 table below: (C), (E) and the plane
+SWAPPED_CLASSICAL_Q5 = ((0, 0, 3, 1), (0, 2, 2, 1, 3, 1), ("points_on_common_line", 1, 10))
+
+
+@pytest.mark.parametrize("Q", [5, 7])
+def test_tables_without_table_maps_take_the_full_scans(Q):
+    # a prime order is no even power: no candidate map, so (E) counts every
+    # pair and the plane every point, and each keeps its first witness
+    assert ptr_verify._table_map_candidates(Q) == []
+    ar = np.arange(Q)
+    table = ((ar[:, None, None] * ar[None, :, None] + ar[None, None, :]) % Q).astype(np.int32)
+    plane = table_plane(table)
+    assert all(r.passed for r in check_axioms(table) + check_pp_classes(table))
+    assert check_plane(plane).passed
+    assert np.array_equal(_plane_points(plane), np.arange(len(plane)))
+
+    table[2, 3, [1, 4]] = table[2, 3, [4, 1]]  # swap T(2,3,1) and T(2,3,4)
+    plane = table_plane(table)
+    _, _, c, d, e = check_axioms(table)
+    got = check_plane(plane)
+    assert d.passed
+    assert c == _axiom_c_direct(table) and not c.passed
+    assert e == _full_scan_e(table) and not e.passed
+    assert got == dense_plane_report(plane) and not got.passed
+    if Q == 5:
+        assert (c.witness, e.witness, got.witness) == SWAPPED_CLASSICAL_Q5
