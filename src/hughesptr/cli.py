@@ -33,9 +33,10 @@ DEFAULT_MAX_ORDER = 6561
 # from the oracle one y-slab at a time (the polynomial is checked on Q*q
 # points only).  Axiom (E) and the plane's pair count scan one member per
 # orbit of the group generated by those of the four symmetries X, Y, Gx, Gy
-# that hold on the input: at Q=361, the largest order below this cap, verify
-# took 1.7-1.8 s at a peak RSS of 218 MiB, verify --plane 3.5-3.6 s at
-# 392 MiB and plane 2.3-2.5 s at 223 MiB; at Q=169, 0.35 s at 51 MiB,
+# that hold on the input, and the x- and y-sections follow from the axioms:
+# at Q=361, the largest order below this cap, verify took 1.7-2.1 s at a
+# peak RSS of 218 MiB, verify --plane 3.3-4.3 s at 392 MiB and plane
+# 2.3-2.5 s at 223 MiB; at Q=169, 0.33-0.54 s at 51 MiB,
 # 0.46-0.47 s at 68 MiB and 0.40-0.42 s at 53 MiB (shared 2-core x86-64 VM
 # with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s, 324 s and
 # 169 s at Q=361, and Q=529 passed with them (verify 463 s at 604 MiB, plane
@@ -153,10 +154,8 @@ def _cmd_verify(ctx, args, out) -> int:
     # polynomial's whenever polynomial_matches_piecewise passes
     table = hughes_core.ptr_table(ctx)
     reports = ptr_verify.check_axioms(table)
-    reports += ptr_verify.check_pp_classes(table)
     reports.append(hughes_core.piecewise_match(ctx, hughes_core.reduced_blocks(ctx)))
     payload = {r.label: r.to_json_dict() for r in reports}
-    payload["z_sections"] = payload["D"]  # T(a, b, Z) is a bijection: (D)
     if args.plane:
         plane = ptr_verify.build_plane(table.swapaxes(0, 1))  # a view whose rows are the y-slabs
         del table  # not needed by the plane check, which sets the peak

@@ -274,10 +274,14 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
     # fixing number i is the pair divmod(i, Q), in lexicographic order
     if sample is not None and sample < Q * Q:
         picks = np.sort(np.random.default_rng(seed).choice(Q * Q, size=sample, replace=False))
-    else:
-        picks = np.arange(Q * Q)
-    fixings = np.empty((len(picks), 2), dtype=np.int32)
-    np.divmod(picks, Q, out=(fixings[:, 0], fixings[:, 1]))
+        fixings = np.empty((len(picks), 2), dtype=np.int32)
+        np.divmod(picks, Q, out=(fixings[:, 0], fixings[:, 1]))
+    else:  # filled in place: no Q^2 index array
+        ar = np.arange(Q, dtype=np.int32)
+        fixings = np.empty((Q, Q, 2), dtype=np.int32)
+        fixings[:, :, 0] = ar[:, None]
+        fixings[:, :, 1] = ar
+        fixings = fixings.reshape(Q * Q, 2)
     fixings.flags.writeable = False
     batch = max(1, _ROW_COUNT_BUDGET // Q)
     out: dict = {}

@@ -10,11 +10,12 @@ The axiom and section checks operate on a full (Q,Q,Q) value table;
   (D) for every (a,b): a unique z with T(a,b,z) = c
   (E) for a != c: a unique pair (y,z) with T(a,y,z) = b and T(c,y,z) = d
 
-(D) is the permutation test along z.  (E) is verified as bijectivity of
-F_(a,c): (y,z) -> (T(a,y,z), T(c,y,z)) per ordered pair a != c, a Q^4-scale
-sweep overall.  (C) follows from (D) and (E) by counting (see
-``check_axioms``), so it is computed only when one of them fails, by
-comparing every pair of columns in Q^5 (``_axiom_c_direct``).  The plane,
+(D) is the permutation test along z, the z-sections.  (E) is verified as
+bijectivity of F_(a,c): (y,z) -> (T(a,y,z), T(c,y,z)) per ordered pair
+a != c, a Q^4-scale sweep overall.  (C) follows from (D) and (E), and the
+x- and y-sections from (A), (C) and (E) (see ``check_axioms``); each is
+computed only when what implies it fails, (C) in Q^5 (``_axiom_c_direct``)
+and the sections by sorting their rows (``check_pp_classes``).  The plane,
 N = Q^2+Q+1 points and as many lines, is its (N, Q+1) int32 line -> points
 array, whose shape fixes Q; ``build_plane`` writes it from the y-slabs of
 the operation, one slab at a time, so it needs no Q^3 table.  The plane
@@ -90,7 +91,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,35 +175,22 @@ def _first_bad_row(values: np.ndarray, M: int) -> tuple | None:
     ``np.moveaxis`` view tests the sections along any axis.  The rows are
     sorted a chunk of leading indices at a time, about
     ``_PAIR_COUNT_BUDGET`` entries, so no sorted copy of ``values`` is made.
+    A chunk of rows all strictly ascending and in [0, M), as ``build_plane``
+    lists lines, passes unsorted; its last row is tested alone first, as a
+    table chunk's first row, T(x, 0, .), is the identity by (A).
     """
     chunk = max(1, _PAIR_COUNT_BUDGET // math.prod(values.shape[1:]))
     for lo in range(0, len(values), chunk):
-        ordered = np.sort(values[lo:lo + chunk], axis=-1)
+        rows = values[lo:lo + chunk]
+        if all((r[..., 0] >= 0).all() and (r[..., -1] < M).all() and (r[..., 1:] > r[..., :-1]).all()
+               for r in (rows[(-1,) * (rows.ndim - 1)], rows)):
+            continue
+        ordered = np.sort(rows, axis=-1)
         bad = (ordered[..., 0] < 0) | (ordered[..., -1] >= M)
         bad |= (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
         first = _first_true(bad)
         if first is not None:
             return (lo + first[0],) + first[1:]
-    return None
-
-
-def _first_bad_line(points_on: np.ndarray, N: int) -> tuple | None:
-    """``_first_bad_row(points_on, N)``, with no sort of a chunk of rows
-    that are all strictly ascending and in [0, N).
-
-    Such a row holds distinct ids in range, so it passes; a chunk with any
-    other row goes to ``_first_bad_row``, which gives the same witness.
-    ``build_plane`` lists every line in ascending order, so a plane it
-    built is never sorted.
-    """
-    chunk = max(1, _PAIR_COUNT_BUDGET // points_on.shape[1])
-    for lo in range(0, len(points_on), chunk):
-        rows = points_on[lo:lo + chunk]
-        if (rows[:, 0] >= 0).all() and (rows[:, -1] < N).all() and (rows[:, 1:] > rows[:, :-1]).all():
-            continue
-        bad = _first_bad_row(rows, N)
-        if bad is not None:
-            return (lo + bad[0],)
     return None
 
 
@@ -296,15 +284,15 @@ def _axiom_c_direct(tbl: np.ndarray) -> PtrReport:
     cols = tbl.transpose(1, 2, 0).reshape(Q * Q, Q)
     a_of = np.repeat(np.arange(Q), Q)
     chunk = max(1, 2**26 // (Q * Q * Q))
+    report = PtrReport("C")
     for lo in range(0, Q * Q, chunk):
         hi = min(lo + chunk, Q * Q)
         agree = (cols[lo:hi, None, :] == cols[None, :, :]).sum(axis=2)
-        differs = a_of[lo:hi, None] != a_of[None, :]
-        bad = _first_true(differs & (agree != 1))
-        if bad is not None:
-            i, j = lo + bad[0], bad[1]
-            return PtrReport("C", False, (i // Q, i % Q, j // Q, j % Q))  # (a, b, c, d)
-    return PtrReport("C", True)
+        same = a_of[lo:hi, None] == a_of[None, :]
+        report.record(same | (agree == 1), lambda i, j: (*divmod(lo + i, Q), *divmod(j, Q)))  # (a, b, c, d)
+        if not report.passed:
+            break
+    return report
 
 
 def _e_pairs(table: np.ndarray) -> np.ndarray:
@@ -331,27 +319,29 @@ def _axiom_e(table: np.ndarray) -> PtrReport:
     """
     Q = table.shape[0]
     flat = table.reshape(Q, Q * Q)
+    report = PtrReport("E")
     for a in range(Q):
-        bad = _first_true((flat[a] < 0) | (flat[a] >= Q))
-        if bad is not None:
-            return PtrReport("E", False, ("value_range", a, *divmod(bad[0], Q)))
+        report.record((flat[a] >= 0) & (flat[a] < Q), lambda h: ("value_range", a, *divmod(h, Q)))
+        if not report.passed:
+            return report
     row = -1
     for pair in _e_pairs(table).tolist():
         a, c = divmod(pair, Q)
         if a != row:
             row, high = a, flat[a].astype(np.int64) * Q
         combined = high + flat[c]
-        counts = np.bincount(combined, minlength=Q * Q)
-        if counts.max() > 1:
-            v = int(np.argmax(counts > 1))
-            h1, h2 = (int(h) for h in np.flatnonzero(combined == v)[:2])
-            return PtrReport("E", False, (a, c, h1 // Q, h1 % Q, h2 // Q, h2 % Q))
-    return PtrReport("E", True)
+        # the first value v hit twice, and its first two cells (y1, z1), (y2, z2)
+        report.record(np.bincount(combined, minlength=Q * Q) < 2,
+                      lambda v: (a, c, *np.argwhere(combined.reshape(Q, Q) == v)[:2].ravel().tolist()))
+        if not report.passed:
+            break
+    return report
 
 
 def check_axioms(table: np.ndarray) -> list[PtrReport]:
-    """Verify axioms (A)-(E) exhaustively on a (Q,Q,Q) value table; returns
-    one report per axiom.
+    """Verify axioms (A)-(E) and the section families exhaustively on a
+    (Q,Q,Q) value table; returns the reports of (A)-(E), ``x_sections``,
+    ``y_sections`` and ``z_sections``.
 
     (C) is computed only when (D) or (E) fails, because on a finite set it
     follows from the two.  Fix slopes a != c and an intercept b.  By (D),
@@ -362,6 +352,12 @@ def check_axioms(table: np.ndarray) -> list[PtrReport]:
     receives at most one x.  Q values of x spread over Q values of d, at
     most one each, means exactly one each, which is (C).  (D. R. Hughes and
     F. C. Piper, *Projective Planes*, 1973, ch. V.)
+
+    The x- and y-sections are sorted (``check_pp_classes``) only when (A),
+    (C) or (E) fails.  For a != 0 and any b, d, (C) for the slopes a and 0
+    gives one x with T(x,a,b) = T(x,0,d) = d, by (A); and (E) for the pair
+    (a, 0) gives one (y,z) with T(a,y,z) = b and T(0,y,z) = z = d, so one y
+    with T(a,y,d) = b.  The z-sections are (D), verdict and witness.
     """
     Q = table.shape[0]
     ar = np.arange(Q)
@@ -380,11 +376,11 @@ def check_axioms(table: np.ndarray) -> list[PtrReport]:
     bad = _first_bad_row(table, Q)
     report_d = PtrReport("D", bad is None, bad)
     report_e = _axiom_e(table)
-    if report_d.passed and report_e.passed:
-        report_c = PtrReport("C", True)  # implied, see above
-    else:
-        report_c = _axiom_c_direct(table)
-    return [report_a, report_b, report_c, report_d, report_e]
+    # implied when they pass, see above
+    report_c = PtrReport("C") if report_d.passed and report_e.passed else _axiom_c_direct(table)
+    implied = report_a.passed and report_c.passed and report_e.passed
+    sections = [PtrReport("x_sections"), PtrReport("y_sections")] if implied else check_pp_classes(table)
+    return [report_a, report_b, report_c, report_d, report_e, *sections, replace(report_d, label="z_sections")]
 
 
 def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
@@ -394,8 +390,8 @@ def check_pp_classes(table: np.ndarray) -> list[PtrReport]:
     * T(X, y, z) for every y != 0 and every z,
     * T(x, Y, z) for every x != 0 and every z.
 
-    The third family, T(x, y, Z) for every (x, y), is axiom (D): its report
-    in ``check_axioms`` has the same verdict and witness.
+    The exact full sort, which ``check_axioms`` calls only when the axioms
+    implying both families fail; the third family, T(x, y, Z), is (D).
     """
     Q = table.shape[0]
     reports = []
@@ -564,21 +560,22 @@ def check_plane(points_on: np.ndarray) -> PtrReport:
     if points_on.shape != (N, Q + 1):
         return PtrReport("projective_plane", False, ("shape", points_on.shape))
 
-    bad_line = _first_bad_line(points_on, N)
+    bad_line = _first_bad_row(points_on, N)
     if bad_line is not None:
         return PtrReport("projective_plane", False, ("line_size",) + bad_line)
     # one count per chunk of about _PAIR_COUNT_BUDGET ids: no N x (Q+1) intp copy
     chunk = max(1, _PAIR_COUNT_BUDGET // (Q + 1))
     per_point = sum(np.bincount(points_on[lo:lo + chunk].ravel(), minlength=N) for lo in range(0, N, chunk))
-    if not (per_point == Q + 1).all():
-        return PtrReport("projective_plane", False,
-                         ("point_degree", int(np.argmax(per_point != Q + 1))))
+    report = PtrReport("projective_plane")
+    report.record(per_point == Q + 1, lambda point: ("point_degree", point))
+    if not report.passed:
+        return report
 
     points = _plane_points(points_on)
     bad = _first_pair_count_not_one(_lines_through(points_on, points), points_on, points)
     if bad is not None:
         return PtrReport("projective_plane", False, ("points_on_common_line",) + bad)
-    return PtrReport("projective_plane", True)
+    return report
 
 
 def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray,

@@ -191,6 +191,29 @@ def test_verify_reports_the_z_sections_from_axiom_d(capsys, monkeypatch):
     assert report["z_sections"] == report["D"] == {"pass": False, "witness": [2, 5]}
 
 
+def test_verify_sorts_the_sections_when_axiom_e_fails(capsys, monkeypatch):
+    # the z-rows (2, 3) and (2, 5) swapped: (A) and (D) hold, (E) fails, so
+    # the x- and y-sections are not implied and come from the full sort
+    from hughesptr import hughes_core, ptr_verify
+
+    full = hughes_core.ptr_table
+    tables = []
+
+    def broken(ctx):
+        table = full(ctx)
+        table[2, [3, 5]] = table[2, [5, 3]]
+        tables.append(table.copy())
+        return table
+
+    monkeypatch.setattr(hughes_core, "ptr_table", broken)
+    code, out = run_cli(capsys, ["verify", "--p", "3", "--e", "1"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["A"]["pass"] and report["D"]["pass"] and not report["E"]["pass"]
+    want = ptr_verify.check_pp_classes(tables[0])
+    assert [report["x_sections"], report["y_sections"]] == [r.to_json_dict() for r in want]
+
+
 def test_verify_does_not_tabulate_the_polynomial(capsys, monkeypatch):
     from hughesptr import trivar_poly
 

@@ -39,7 +39,7 @@ def table_plane(table):
 
 def test_axioms_pass_hughes_q9(ctx9):
     reports = check_axioms(value_table(ctx9, lambda x, y, z: ptr_piecewise(ctx9, x, y, z)))
-    assert [r.label for r in reports] == list("ABCDE")
+    assert [r.label for r in reports] == [*"ABCDE", "x_sections", "y_sections", "z_sections"]
     assert all(r.passed for r in reports)
     assert all(r.witness is None for r in reports)
 
@@ -236,6 +236,10 @@ def test_chunked_section_checks_match_full_sort(p, e, budget, monkeypatch):
     ctx = field_ctx(p, e)
     rng = np.random.default_rng(p * budget if budget else p)
     base = hughes_table(ctx)
+    # two PTRs, whose sections are implied, and the x-slabs 0 and 1 swapped:
+    # (C), (D) and (E) hold, but (A) fails, and the y-section T(1, Y, z) with it
+    for tbl in (base, classical_table(ctx), base[[1, 0, *range(2, ctx.Q)]]):
+        assert check_axioms(tbl)[5:] == _full_sort_reports(tbl)
     for n in range(20):
         tbl = base.copy()
         for _ in range(rng.integers(1, 3)):
@@ -247,7 +251,21 @@ def test_chunked_section_checks_match_full_sort(p, e, budget, monkeypatch):
         assert ptr_verify._first_bad_row(tbl, ctx.Q) == want[2].witness  # (D), the z-sections
         # (C) is a Q^5 scan once (D) fails, and (E) counts ids in [0, Q) only
         if n % 5 and (ctx.Q <= 25 or want[2].passed):
-            assert check_axioms(tbl)[3] == PtrReport("D", want[2].passed, want[2].witness)
+            reports = check_axioms(tbl)
+            assert reports[3] == PtrReport("D", want[2].passed, want[2].witness)
+            assert reports[5:] == want  # implied by (A), (C) and (E), or sorted
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (13, 1)])
+def test_axioms_imply_the_sections_without_sorting(p, e, monkeypatch):
+    # (A) with (C) gives the x-sections and (A) with (E) the y-sections
+    def refuse(table):
+        raise AssertionError("the sections were sorted although (A), (C) and (E) hold")
+
+    monkeypatch.setattr(ptr_verify, "check_pp_classes", refuse)
+    reports = check_axioms(hughes_table(field_ctx(p, e)))
+    assert [r.label for r in reports[5:]] == ["x_sections", "y_sections", "z_sections"]
+    assert all(r.passed and r.witness is None for r in reports)
 
 
 def test_pp_classes_hughes(ctx9):
@@ -827,28 +845,42 @@ def _corrupt_row(row, kind, N):
         row[2] = N + 3  # not ascending, an id above N - 1
     elif kind == "negative_first":
         row[0] = -1  # still ascending, an id below 0
-    elif kind == "n_last":
+    elif kind in ("n_last", "d_n_last"):
         row[-1] = N  # still ascending, an id of N
     elif kind == "swap":
         row[[2, 7]] = row[[7, 2]]  # not ascending, but a valid line
 
 
+def _first_bad_row_by_sort(values, M):
+    """The first row whose values, sorted in one pass over all rows, are
+    not distinct ids in [0, M), or None."""
+    ordered = np.sort(values, axis=-1)
+    bad = (ordered[..., 0] < 0) | (ordered[..., -1] >= M) | (np.diff(ordered, axis=-1) == 0).any(axis=-1)
+    hits = np.argwhere(bad)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
 @pytest.mark.parametrize("budget", [10, 64, 2**17])  # chunks of 1 and 6 lines, one chunk
 @pytest.mark.parametrize("kind", ["adjacent_duplicate", "duplicate", "out_of_range",
-                                  "negative_first", "n_last", "swap"])
+                                  "negative_first", "n_last", "swap", "d_n_last"])
 def test_line_check_without_sorting_ascending_rows_matches_the_sort(ctx9, monkeypatch, budget, kind):
+    # d_n_last is (D) on a Q=9 table whose z-rows all ascend, one of them
+    # holding the id Q; the plane's chunks are of lines, the table's of x-slabs
     monkeypatch.setattr(ptr_verify, "_PAIR_COUNT_BUDGET", budget)
-    base = table_plane(hughes_table(ctx9))
-    N = len(base)
-    assert ptr_verify._first_bad_line(base, N) is None
-    for line in (0, 5, 6, 40, 90):
-        plane = base.copy()
-        _corrupt_row(plane[line], kind, N)
-        want = ptr_verify._first_bad_row(plane, N)
+    if kind == "d_n_last":
+        base, M = np.broadcast_to(np.arange(9, dtype=np.int32), (9, 9, 9)).copy(), 9
+    else:
+        base = table_plane(hughes_table(ctx9))
+        M = len(base)
+    assert ptr_verify._first_bad_row(base, M) is None
+    for line in (0, 5, 6, 40, -1):
+        values = base.copy()
+        _corrupt_row(values.reshape(-1, values.shape[-1])[line], kind, M)
+        want = _first_bad_row_by_sort(values, M)
         assert (want is None) == (kind == "swap")
-        assert ptr_verify._first_bad_line(plane, N) == want
-        if want is not None:
-            assert check_plane(plane).witness == ("line_size",) + want
+        assert ptr_verify._first_bad_row(values, M) == want
+        if want is not None and values.ndim == 2:
+            assert check_plane(values).witness == ("line_size",) + want
 
 
 
@@ -870,7 +902,7 @@ def test_tables_without_table_maps_take_the_full_scans(Q):
 
     table[2, 3, [1, 4]] = table[2, 3, [4, 1]]  # swap T(2,3,1) and T(2,3,4)
     plane = table_plane(table)
-    _, _, c, d, e = check_axioms(table)
+    _, _, c, d, e, *_ = check_axioms(table)
     got = check_plane(plane)
     assert d.passed
     assert c == _axiom_c_direct(table) and not c.passed

@@ -38,11 +38,15 @@ RUNS = [
     # the same sweep at p = 3: 27 x 27 block table, three passes: measured
     # 0.45-0.62 s at 39 MiB
     ("identities --p 3 --e 4 --max-n 3000", 64, False),
-    # the top of the verify cap, Q=361: measured 3.5-3.6 s at 392 MiB, the
+    # the top of the verify cap, Q=361: measured 3.3-4.3 s at 392 MiB, the
     # value table and the line array both alive while the plane is built; (E)
     # and the pair count scan one member per orbit of the four generators,
     # and the full scans took 324 s here
     ("verify --p 19 --e 1 --plane", 448, False),
+    # the same table without the plane: measured 1.7-2.1 s at 218 MiB, the
+    # value table (188 MB) and the (D) sort of a chunk of its rows; a sorted
+    # copy of the table would break the bound
+    ("verify --p 19 --e 1", 256, False),
     # the same plane from the oracle's y-slabs, with no value table: measured
     # 2.3-2.5 s at 223 MiB, the line array (189 MB at Q=361) and one slab
     ("plane --p 19 --e 1", 256, False),
