@@ -29,19 +29,20 @@ from .gf_tower import field_ctx, is_odd_prime
 
 DEFAULT_MAX_ORDER = 6561
 
-# verify tabulates the oracle on all of GF(Q)^3, and plane writes its lines
-# from the oracle one y-slab at a time (the polynomial is checked on Q*q
-# points only).  Axiom (E) and the plane's pair count scan one member per
-# orbit of the group generated by those of the four symmetries X, Y, Gx, Gy
-# that hold on the input, and the x- and y-sections follow from the axioms:
-# at Q=361, the largest order below this cap, verify took 1.7-2.1 s at a
-# peak RSS of 218 MiB, verify --plane 3.3-4.3 s at 392 MiB and plane
-# 2.3-2.5 s at 223 MiB; at Q=169, 0.33-0.54 s at 51 MiB,
-# 0.46-0.47 s at 68 MiB and 0.40-0.42 s at 53 MiB (shared 2-core x86-64 VM
-# with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s, 324 s and
-# 169 s at Q=361, and Q=529 passed with them (verify 463 s at 604 MiB, plane
-# 656 s at 1179 MiB).  A table without these symmetries still takes the Q^4
-# scans, so the cap stays at 400
+# verify holds the oracle's value table on all of GF(Q)^3, and plane the
+# (Q^2+Q+1) x (Q+1) line array, written from the oracle one y-slab at a time
+# (the polynomial is checked on Q*q points only).  Axiom (E) and the plane's
+# pair count scan one member per orbit of the group generated by those of the
+# four symmetries X, Y, Gx, Gy that hold on the input, the x- and y-sections
+# follow from the axioms, and verify --plane reads the plane off (D) and (E),
+# so it builds no line array when they hold: at Q=361, the largest order below
+# this cap, verify took 1.5-1.6 s at a peak RSS of 218 MiB, verify --plane
+# 1.5-1.8 s at 218 MiB and plane 2.4-2.7 s at 223 MiB; at Q=169, 0.33-0.41 s
+# at 51 MiB, 0.32-0.41 s at 51 MiB and 0.39-0.45 s at 53 MiB (shared 2-core
+# x86-64 VM with 7 GB, Python 3.11, numpy 2.4).  The full scans took 112 s,
+# 324 s and 169 s at Q=361, and Q=529 passed with them (verify 463 s at
+# 604 MiB, plane 656 s at 1179 MiB).  A table without these symmetries still
+# takes the Q^4 scans, so the cap stays at 400
 FULL_GRID_MAX_ORDER = 400
 
 
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run axiom and section checks")
     field_args(sp)
-    sp.add_argument("--plane", action="store_true", help="also build and check the plane")
+    sp.add_argument("--plane", action="store_true", help="also check the plane")
 
     sp = sub.add_parser("du", help="differential uniformity of the section families")
     field_args(sp)
@@ -116,8 +117,9 @@ def _get_ctx(parser: argparse.ArgumentParser, args):
         if Q > args.max_order:
             parser.error(f"Q = {args.p}^{2 * args.e} exceeds the configured bound {args.max_order}")
     if args.command in ("verify", "plane") and Q > FULL_GRID_MAX_ORDER:
+        held = "the Q^3 value table" if args.command == "verify" else "the (Q^2+Q+1) x (Q+1) line array"
         parser.error(
-            f"{args.command} tabulates the full GF(Q)^3 grid and supports "
+            f"{args.command} holds {held} and supports "
             f"Q <= {FULL_GRID_MAX_ORDER}; gen, du, and identities scale further"
         )
     if Q > DEFAULT_MAX_ORDER:
@@ -150,17 +152,16 @@ def _gen_payload(p: int, e: int, arrays) -> dict:
 
 
 def _cmd_verify(ctx, args, out) -> int:
-    # the sections are read off the oracle's table, which is the reduced
-    # polynomial's whenever polynomial_matches_piecewise passes
+    # the sections and the plane are read off the oracle's table, which is the
+    # reduced polynomial's whenever polynomial_matches_piecewise passes; the
+    # plane follows from (D) and (E), and its line array is built only when
+    # one of them fails
     table = hughes_core.ptr_table(ctx)
     reports = ptr_verify.check_axioms(table)
-    reports.append(hughes_core.piecewise_match(ctx, hughes_core.reduced_blocks(ctx)))
-    payload = {r.label: r.to_json_dict() for r in reports}
     if args.plane:
-        plane = ptr_verify.build_plane(table.swapaxes(0, 1))  # a view whose rows are the y-slabs
-        del table  # not needed by the plane check, which sets the peak
-        payload["projective_plane"] = ptr_verify.check_plane(plane).to_json_dict()
-    return _report(out, payload, all(v["pass"] for v in payload.values()))
+        reports.append(ptr_verify.check_table_plane(table, reports))
+    reports.append(hughes_core.piecewise_match(ctx, hughes_core.reduced_blocks(ctx)))
+    return _report(out, {r.label: r.to_json_dict() for r in reports}, all(r.passed for r in reports))
 
 
 def _cmd_du(ctx, args, out) -> int:

@@ -19,10 +19,12 @@ and the sections by sorting their rows (``check_pp_classes``).  The plane,
 N = Q^2+Q+1 points and as many lines, is its (N, Q+1) int32 line -> points
 array, whose shape fixes Q; ``build_plane`` writes it from the y-slabs of
 the operation, one slab at a time, so it needs no Q^3 table.  The plane
-check derives point -> lines from it and counts, chunk by chunk, the lines
-shared by each pair of points, in O(N (Q+1)^2) time and O(N (Q+1))
-memory.  That one pass suffices: the dual statement, any two lines meet in
-exactly one point, follows from it by counting (see ``check_plane``).
+of a value table follows from its (D) and (E), so ``check_table_plane``
+builds and checks it only when one of them fails.  The plane check
+derives point -> lines from it and counts, chunk by chunk, the lines shared
+by each pair of points, in O(N (Q+1)^2) time and O(N (Q+1)) memory.
+That one pass suffices: the dual statement, any two lines meet in exactly
+one point, follows from it by counting (see ``check_plane``).
 Failures are reported, never raised, and carry the lexicographically first
 counterexample under canonical element indexing.
 
@@ -104,6 +106,7 @@ __all__ = [
     "check_pp_classes",
     "build_plane",
     "check_plane",
+    "check_table_plane",
     "count_fano_quadrangles",
 ]
 
@@ -576,6 +579,41 @@ def check_plane(points_on: np.ndarray) -> PtrReport:
     if bad is not None:
         return PtrReport("projective_plane", False, ("points_on_common_line",) + bad)
     return report
+
+
+def check_table_plane(table: np.ndarray, axioms: list[PtrReport]) -> PtrReport:
+    """The report of ``check_plane(build_plane(table.swapaxes(0, 1)))``, the
+    plane of a (Q,Q,Q) value table, given ``axioms``, the reports
+    ``check_axioms(table)`` returned.
+
+    When (D) and (E) passed, it is a passing report read off theirs, and no
+    line array is built: a ternary ring with the PTR axioms coordinatizes a
+    projective plane (M. Hall, *Projective planes*, Trans. AMS 54, 1943;
+    Hughes and Piper, ch. V).  In ``build_plane``'s labelling, every check
+    of ``check_plane`` passes:
+
+    * (D) makes every row T(x, m, .) a permutation of [0, Q).  So the line
+      [m, k] lists the Q+1 distinct in-range ids x*Q + T(x,m,k), ascending
+      in x, then Q^2 + m; the verticals and the line at infinity do so by
+      construction.  An affine point (x, w) lies on its vertical [x] and,
+      for each slope m, on the one [m, k] with T(x,m,k) = w; a slope point
+      lies on its Q lines [m, k] and the line at infinity, and the point at
+      infinity on the Q verticals and that line.
+    * Two affine points (x1, w1), (x2, w2) with x1 != x2 share no vertical
+      and exactly the one [m, k] that (E) gives for the pair (x1, x2).  With
+      x1 = x2 they share only their vertical, as a line [m, k] holds one
+      point per x.
+    * (x, w) and the slope point (m) share the one [m, k] with
+      T(x,m,k) = w that (D) gives.  Every other pair shares one line by
+      construction: (x, w) and the point at infinity the vertical [x], and
+      any two points of the line at infinity that line alone.
+
+    Otherwise the plane is built and checked, which finds the witness.
+    """
+    passed = {report.label: report.passed for report in axioms}
+    if passed["D"] and passed["E"]:
+        return PtrReport("projective_plane")
+    return check_plane(build_plane(table.swapaxes(0, 1)))  # a view whose rows are the y-slabs
 
 
 def _first_pair_count_not_one(through: np.ndarray, members: np.ndarray,

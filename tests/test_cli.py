@@ -214,6 +214,48 @@ def test_verify_sorts_the_sections_when_axiom_e_fails(capsys, monkeypatch):
     assert [report["x_sections"], report["y_sections"]] == [r.to_json_dict() for r in want]
 
 
+@pytest.mark.parametrize("p,e", [(3, 2), (13, 1)])
+def test_verify_plane_reads_the_plane_off_the_axioms(capsys, monkeypatch, p, e):
+    # (D) and (E) hold on the Hughes table, so no line array is built or checked
+    from hughesptr import ptr_verify
+
+    def refuse(*args):
+        raise AssertionError("verify --plane built or checked the line array")
+
+    monkeypatch.setattr(ptr_verify, "build_plane", refuse)
+    monkeypatch.setattr(ptr_verify, "check_plane", refuse)
+    code, out = run_cli(capsys, ["verify", "--p", str(p), "--e", str(e), "--plane"])
+    assert code == 0 and json.loads(out)["projective_plane"] == {"pass": True}
+
+
+def _row_swap(table):  # hughes_row_swap of the C_CASES: keeps (D), fails (E)
+    table[2, 3, [0, 1]] = table[2, 3, [1, 0]]
+
+
+def _pair_swap(table):  # one permutation of the (y, z) pairs at every x: keeps (E), fails (D)
+    table[:, [0, 1], 0] = table[:, [1, 0], 0]
+
+
+@pytest.mark.parametrize("mutate", [_row_swap, _pair_swap])
+def test_verify_plane_checks_the_line_array_when_an_axiom_fails(capsys, monkeypatch, mutate):
+    from hughesptr import ptr_verify
+
+    full = hughes_core.ptr_table
+    tables = []
+
+    def broken(ctx):
+        table = full(ctx)
+        mutate(table)
+        tables.append(table.copy())
+        return table
+
+    monkeypatch.setattr(hughes_core, "ptr_table", broken)
+    code, out = run_cli(capsys, ["verify", "--p", "3", "--e", "1", "--plane"])
+    assert code == 1
+    want = ptr_verify.check_plane(ptr_verify.build_plane(tables[0].swapaxes(0, 1)))
+    assert not want.passed and json.loads(out)["projective_plane"] == want.to_json_dict()
+
+
 def test_verify_does_not_tabulate_the_polynomial(capsys, monkeypatch):
     from hughesptr import trivar_poly
 
@@ -433,12 +475,15 @@ def test_unwritable_out_rejected_before_computing(tmp_path, capsys, monkeypatch)
     ["verify", "--p", "23", "--e", "1", "--plane"],
 ])
 def test_plane_order_cap(capsys, argv):
-    # Q = 529: plane and verify --plane share the full-grid cap
+    # Q = 529: plane and verify --plane share the full-grid cap, and each
+    # names the array it holds
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Q <= 400" in err and "Traceback" not in err
+    held = "the Q^3 value table" if argv[0] == "verify" else "the (Q^2+Q+1) x (Q+1) line array"
+    assert f"{argv[0]} holds {held}" in err
 
 
 def _stub_command(monkeypatch, name):

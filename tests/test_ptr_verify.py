@@ -16,6 +16,7 @@ from hughesptr.ptr_verify import (
     build_plane,
     check_axioms,
     check_plane,
+    check_table_plane,
     count_fano_quadrangles,
     value_table,
     check_pp_classes,
@@ -266,6 +267,47 @@ def test_axioms_imply_the_sections_without_sorting(p, e, monkeypatch):
     reports = check_axioms(hughes_table(field_ctx(p, e)))
     assert [r.label for r in reports[5:]] == ["x_sections", "y_sections", "z_sections"]
     assert all(r.passed and r.witness is None for r in reports)
+
+
+def _pair_swapped_hughes_table(ctx):
+    """T(x, 0, 0) and T(x, 1, 0) swapped at every x: one permutation of the
+    (y, z) pairs at every x composes each F_(a,c) with it, so (E) holds, and
+    (D) fails at the row (1, 0)."""
+    tbl = hughes_table(ctx).copy()
+    tbl[:, [0, 1], 0] = tbl[:, [1, 0], 0]
+    return tbl
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_table_plane_matches_the_built_plane(p, e, monkeypatch):
+    # the plane read off (D) and (E), or built and checked when one fails,
+    # against the plane built and checked, verdict and witness
+    monkeypatch.setattr(ptr_verify, "_axiom_c_direct", lambda tbl: PtrReport("C", False))  # Q^5, not read
+    ctx = field_ctx(p, e)
+    Q = ctx.Q
+    base = hughes_table(ctx)
+    x_swap, pair_swap = base[[1, 0, *range(2, Q)]], _pair_swapped_hughes_table(ctx)
+    tables = [make(ctx) for make in C_CASES.values()] + [x_swap, pair_swap]
+    rng = np.random.default_rng(Q)
+    for _ in range(12):
+        tbl = base.copy()
+        for _ in range(rng.integers(1, 3)):
+            _perturb_table(tbl, rng)
+        tables.append(tbl)
+    seen = set()
+    for tbl in tables:
+        axioms = check_axioms(tbl)
+        report = check_table_plane(tbl, axioms)
+        assert report == check_plane(table_plane(tbl))
+        seen.add((axioms[3].passed, axioms[4].passed, report.passed))
+    assert seen == {(True, True, True), (True, False, False), (False, True, False), (False, False, False)}
+    # the x-slabs 0 and 1 swapped fail (A); their plane is the Hughes plane
+    # with the points of x = 0 and x = 1 relabelled
+    axioms = check_axioms(x_swap)
+    assert not axioms[0].passed and check_table_plane(x_swap, axioms).passed
+    axioms = check_axioms(pair_swap)
+    assert (axioms[3].witness, axioms[4].passed) == ((1, 0), True)
+    assert check_table_plane(pair_swap, axioms).witness == ("points_on_common_line", Q, Q * Q)
 
 
 def test_pp_classes_hughes(ctx9):

@@ -38,11 +38,12 @@ RUNS = [
     # the same sweep at p = 3: 27 x 27 block table, three passes: measured
     # 0.45-0.62 s at 39 MiB
     ("identities --p 3 --e 4 --max-n 3000", 64, False),
-    # the top of the verify cap, Q=361: measured 3.3-4.3 s at 392 MiB, the
-    # value table and the line array both alive while the plane is built; (E)
-    # and the pair count scan one member per orbit of the four generators,
-    # and the full scans took 324 s here
-    ("verify --p 19 --e 1 --plane", 448, False),
+    # the top of the verify cap, Q=361: measured 1.5-1.8 s at 218 MiB, the
+    # peak of verify alone, as the plane is read off (D) and (E); a line array
+    # built beside the value table adds 174 MiB and breaks the bound.  (E)
+    # scans one member per orbit of the four generators; with the full (E)
+    # and pair-count scans it took 324 s here
+    ("verify --p 19 --e 1 --plane", 256, False),
     # the same table without the plane: measured 1.7-2.1 s at 218 MiB, the
     # value table (188 MB) and the (D) sort of a chunk of its rows; a sorted
     # copy of the table would break the bound
@@ -74,7 +75,8 @@ RUNS = [
     # a child's ru_maxrss starts at this process's high-water RSS, which
     # holds each captured stdout (28.5 MB for the nonreduced form); so the
     # rows that capture stdout run last
-    # the full Q^3 path at Q=81 (oracle table, axioms, plane): measured 39-40 MiB
+    # the full Q^3 path at Q=81 (oracle table, axioms, the plane read off (D)
+    # and (E)): measured 34 MiB
     ("verify --p 3 --e 2 --plane", 64, True),
     ("gen --p 5 --e 2 --form nonreduced", 128, True),
     ("gen --p 3 --e 4 --form t2", 128, True),
