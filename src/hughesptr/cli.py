@@ -92,7 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="sweep every fixing instead of sampling")
     sp.add_argument("--samples", type=_int_at_least(1), default=100,
                     help="fixings per family when sampling (default %(default)s)")
-    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0,
+                    help="seed of the random.Random draw of the --samples fixings "
+                         "(default %(default)s)")
 
     sp = sub.add_parser("plane", help="build the plane and verify its axioms")
     field_args(sp)

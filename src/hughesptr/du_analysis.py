@@ -39,6 +39,7 @@ as follows, and ``du_sections`` re-derives it from each section's table:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +262,10 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
     witness is the first fixing [i1, i2] whose delta is not the expected one.
 
     Sections are generated lazily in O(Q) each, so no full grid is built.
-    ``sample`` limits each family to that many fixings (seeded, uniform
-    without replacement); by default the sweep is exhaustive.  Every family
+    ``sample`` limits each family to that many fixings, drawn uniformly
+    without replacement by ``random.Random(seed).sample`` over the Q^2
+    fixing numbers, a stream the same on every supported Python; a sample of
+    Q^2 or more, and the default, is the exhaustive sweep.  Every family
     is swept over the same fixings, in batches of ``_ROW_COUNT_BUDGET // Q``
     of them (at least one): each batch is one ``piecewise_section`` call and
     one ``_section_delta`` call, whose probe and symmetry check are one numpy
@@ -273,7 +276,7 @@ def du_sections(ctx: FieldCtx, *, families: str = "xyz", sample: int | None = No
     Q, t = ctx.Q, ctx.tables
     # fixing number i is the pair divmod(i, Q), in lexicographic order
     if sample is not None and sample < Q * Q:
-        picks = np.sort(np.random.default_rng(seed).choice(Q * Q, size=sample, replace=False))
+        picks = np.array(sorted(random.Random(seed).sample(range(Q * Q), sample)), dtype=np.int64)
         fixings = np.empty((len(picks), 2), dtype=np.int32)
         np.divmod(picks, Q, out=(fixings[:, 0], fixings[:, 1]))
     else:  # filled in place: no Q^2 index array

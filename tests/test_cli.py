@@ -84,7 +84,7 @@ PINNED = {
     "du --p 3 --e 1": "eba3bcacdffb86237c23dabe0defbaea0cfd33c8acaa097fb278c90d504dc135",
     "du --p 5 --e 1 --exhaustive": "386c115e7f0776b776f756fe647e34e854f1a892b905c48fb7c7e8830901c987",
     "du --p 3 --e 2 --exhaustive": "1481d038587958a40b61723c297b2199adf3d425eaba62f77d47738898bb4df0",
-    "du --p 7 --e 2 --samples 8 --seed 1": "0d7a7d40b475772855d6351b597986232d58306ea0b4afa84bfdf50240b02264",
+    "du --p 7 --e 2 --samples 8 --seed 1": "3b73ba9fa0a6d0974ae9d720f630d61b68cc161075e6352e142f4f66bede0041",
 }
 
 
@@ -545,6 +545,28 @@ def test_closed_pipe_exits_141_without_traceback():
     assert head == b'{\n  "e": 2'
     assert code == cli.EXIT_CLOSED_PIPE == 141
     assert "Traceback" not in err and "Error" not in err
+
+
+def test_no_subcommand_imports_numpy_random():
+    # numpy.random, with its bit generators, secrets and hashlib, costs more
+    # to import than a sampled du solve; the tests import it themselves, so
+    # the subcommands run in a fresh interpreter
+    code = """
+import contextlib, os, sys
+from hughesptr import cli
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    for argv in sys.argv[1:]:
+        assert cli.main(argv.split()) == 0, argv
+print(sorted({"numpy.random", "secrets"} & set(sys.modules)))
+"""
+    argvs = ["gen --p 3 --e 1", "verify --p 3 --e 1 --plane", "plane --p 3 --e 1",
+             "du --p 5 --e 1 --samples 3 --seed 2", "du --p 3 --e 1 --exhaustive",
+             "identities --p 3 --e 1 --max-n 60"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argvs], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

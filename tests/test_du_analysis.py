@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -455,15 +456,32 @@ def test_du_sections_sampled_fixings_index_all_pairs(ctx81, sample, seed):
     # a sample of k draws k positions in the lexicographic list of all Q^2 pairs
     Q = ctx81.Q
     pairs = [(i1, i2) for i1 in range(Q) for i2 in range(Q)]
-    chosen = np.random.default_rng(seed).choice(len(pairs), size=sample, replace=False)
+    chosen = sorted(random.Random(seed).sample(range(Q * Q), sample))
     report = du_sections(ctx81, families="xz", sample=sample, seed=seed)
     fixings = report["x"]["fixings"]
     assert report["z"]["fixings"] is fixings
-    assert fixings.tolist() == [list(pairs[i]) for i in sorted(chosen)]
+    assert fixings.tolist() == [list(pairs[i]) for i in chosen]
     assert fixings.shape == (sample, 2) and fixings.dtype == np.int32
     assert not fixings.flags.writeable
     with pytest.raises(ValueError):
         fixings[0, 0] = 0
+
+
+def test_du_sections_sample_of_all_but_one_pair(ctx9):
+    # k > Q^2/12 takes random.sample's other branch, a pool list of all Q^2
+    Q = ctx9.Q
+    fixings = du_sections(ctx9, families="y", sample=Q * Q - 1, seed=4)["y"]["fixings"].tolist()
+    chosen = sorted(random.Random(4).sample(range(Q * Q), Q * Q - 1))
+    assert fixings == [list(divmod(i, Q)) for i in chosen]
+    assert len(set(map(tuple, fixings))) == len(fixings) == 80 and fixings == sorted(fixings)
+
+
+def test_du_sections_seed_selects_the_fixings(ctx81):
+    def fixings(seed):
+        return du_sections(ctx81, families="z", sample=10, seed=seed)["z"]["fixings"].tolist()
+
+    assert fixings(0) == fixings(0)
+    assert fixings(0) != fixings(1)
 
 
 def test_du_sections_sample_sizes(ctx25):
